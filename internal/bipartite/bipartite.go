@@ -10,7 +10,9 @@
 // (vtxs, used by net-based algorithms and as the conflict oracle) and
 // vertices→nets (nets, used by vertex-based algorithms). Adjacency
 // lists are sorted and duplicate-free, which makes traversal order and
-// therefore sequential colorings deterministic.
+// therefore sequential colorings deterministic. The one exception is
+// the closed-neighbourhood view (ClosedView) the D2GC kernels color
+// through.
 package bipartite
 
 import (
@@ -30,6 +32,7 @@ type Graph struct {
 	netAdj []int32 // vertices of each net, sorted within a net
 	vtxPtr []int64 // len numVtx+1
 	vtxAdj []int32 // nets of each vertex, sorted within a vertex
+	vtxOff int64   // entries skipped at the head of each vertex segment (ClosedView: 1)
 }
 
 // Edge is one (net, vertex) incidence, i.e. one nonzero of the
@@ -54,13 +57,38 @@ func (g *Graph) Vtxs(v int32) []int32 { return g.netAdj[g.netPtr[v]:g.netPtr[v+1
 
 // Nets returns the sorted net list of vertex u (nets(u) in the paper).
 // The slice aliases internal storage and must not be modified.
-func (g *Graph) Nets(u int32) []int32 { return g.vtxAdj[g.vtxPtr[u]:g.vtxPtr[u+1]] }
+func (g *Graph) Nets(u int32) []int32 { return g.vtxAdj[g.vtxPtr[u]+g.vtxOff : g.vtxPtr[u+1]] }
 
 // NetDeg returns |vtxs(v)|.
 func (g *Graph) NetDeg(v int32) int { return int(g.netPtr[v+1] - g.netPtr[v]) }
 
 // VtxDeg returns |nets(u)|.
-func (g *Graph) VtxDeg(u int32) int { return int(g.vtxPtr[u+1] - g.vtxPtr[u]) }
+func (g *Graph) VtxDeg(u int32) int { return int(g.vtxPtr[u+1] - g.vtxPtr[u] - g.vtxOff) }
+
+// ClosedView returns the bipartite form of an undirected graph given
+// as CSR segments [v, nbor(v)…], with the vertex heading its closed
+// neighbourhood N[v]. Net v is the whole segment, vtxs(v) = N[v], as
+// in the net-based D2GC of the paper's Section IV; vertex v's nets are
+// the segment's tail, nets(v) = nbor(v). That suffices because every
+// neighbour u heads its own net N[u], so the nets of v still cover
+// nbor(v) and every vertex at distance two, and BGPC on the view is
+// D2GC. Leaving net v out of nets(v) spares the vertex phases a second
+// read of every neighbour's color, and it makes an isolated vertex one
+// in no net, which the runners pre-color 0 as for any BGPC input. Both
+// CSR directions alias ptr and adj, which must not be modified
+// afterwards.
+//
+// The view breaks this package's rules on purpose and is for the
+// coloring kernels only: each net lists its own vertex first, not in
+// sorted order (the D2GC phases keep v itself on a duplicate color
+// and reverse-fit from v), and the two directions are not transposes
+// of each other (vertex v is in net v, net v is not among v's nets).
+// IsStructurallySymmetric, ComputeStats, Fingerprint, Edges and
+// Transpose do not describe the underlying graph on it.
+func ClosedView(ptr []int64, adj []int32) *Graph {
+	n := len(ptr) - 1
+	return &Graph{numVtx: n, numNet: n, netPtr: ptr, netAdj: adj, vtxPtr: ptr, vtxAdj: adj, vtxOff: 1}
+}
 
 // ErrInvalidEdge reports an incidence outside the declared dimensions.
 var ErrInvalidEdge = errors.New("bipartite: edge endpoint out of range")

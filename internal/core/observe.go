@@ -6,67 +6,46 @@ import (
 	"bgpc/internal/obs"
 )
 
-// PhaseKind maps a phase's net/vertex flavour to its trace-event kind
+// phaseKind maps a phase's net/vertex flavour to its trace-event kind
 // label.
-func PhaseKind(netBased bool) string {
+func phaseKind(netBased bool) string {
 	if netBased {
 		return obs.KindNet
 	}
 	return obs.KindVertex
 }
 
-// SchedName names the loop schedule for trace events.
-func SchedName(o *Options) string {
+// schedName names the loop schedule for trace events.
+func schedName(o *Options) string {
 	if o.Guided {
 		return "guided"
 	}
 	return "dynamic"
 }
 
-// UsedColors counts the distinct colors currently assigned. It reads
+// usedColors counts the distinct colors currently assigned. It reads
 // the raw color array, so it must only run between parallel phases.
 // It is trace-path-only: the runner never calls it without an enabled
 // Observer.
-func UsedColors(c *Colors) int {
-	raw := c.Raw()
-	maxCol := int32(-1)
-	for _, col := range raw {
-		if col > maxCol {
-			maxCol = col
-		}
-	}
-	if maxCol < 0 {
-		return 0
-	}
-	seen := make([]bool, maxCol+1)
-	n := 0
-	for _, col := range raw {
-		if col >= 0 && !seen[col] {
-			seen[col] = true
-			n++
-		}
-	}
-	return n
-}
+func usedColors(c *Colors) int { return countDistinct(c.Raw()) }
 
-// EmitPhaseEvent assembles and emits the trace event for one finished
-// phase. It is shared by the BGPC (core) and D2GC (internal/d2)
-// runners; callers must have checked tr.Enabled() so the disabled path
+// emitPhaseEvent assembles and emits the trace event for one finished
+// phase. Callers must have checked tr.Enabled() so the disabled path
 // never reaches the Event assembly. When o.Stats is armed the event
 // additionally carries the phase's chunk-dispatch count (the take
 // resets the accumulator, so each event sees only its own phase).
-func EmitPhaseEvent(tr *obs.Observer, o *Options, iter int, phase string, netBased bool,
+func emitPhaseEvent(tr *obs.Observer, o *Options, iter int, phase string, netBased bool,
 	items, conflicts int, c *Colors, wall time.Duration, work, maxWork int64) {
 	tr.Emit(obs.Event{
 		Iter:       iter,
 		Phase:      phase,
-		Kind:       PhaseKind(netBased),
-		Sched:      SchedName(o),
+		Kind:       phaseKind(netBased),
+		Sched:      schedName(o),
 		Chunk:      o.chunk(),
 		Threads:    o.threads(),
 		Items:      items,
 		Conflicts:  conflicts,
-		Colors:     UsedColors(c),
+		Colors:     usedColors(c),
 		WallNS:     wall.Nanoseconds(),
 		Work:       work,
 		MaxWork:    maxWork,

@@ -43,10 +43,10 @@ func TestTraceEventsMatchIterStats(t *testing.T) {
 		if color.Algo != "N1-N2" || conflict.Algo != "N1-N2" {
 			t.Fatalf("iter %d: algo labels %q, %q", i+1, color.Algo, conflict.Algo)
 		}
-		if got, want := color.Kind, PhaseKind(it.NetColoring); got != want {
+		if got, want := color.Kind, phaseKind(it.NetColoring); got != want {
 			t.Fatalf("iter %d: color kind %q, want %q", i+1, got, want)
 		}
-		if got, want := conflict.Kind, PhaseKind(it.NetCR); got != want {
+		if got, want := conflict.Kind, phaseKind(it.NetCR); got != want {
 			t.Fatalf("iter %d: conflict kind %q, want %q", i+1, got, want)
 		}
 		if conflict.Conflicts != it.Conflicts {

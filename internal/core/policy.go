@@ -39,9 +39,9 @@ type Policy struct {
 }
 
 // NewPolicy returns a fresh thread-private policy for one coloring
-// phase. Callers (including the D2GC runner) create new policies at
-// each phase start, matching the pseudocode's colmax/colnext
-// initialization.
+// phase. Callers (including the distance-k runner) create new
+// policies at each phase start, matching the pseudocode's
+// colmax/colnext initialization.
 func NewPolicy(b Balance) Policy { return Policy{balance: b} }
 
 // Pick selects a color given the populated Forbidden set f. id is the

@@ -21,7 +21,9 @@ const FPIterate = "core.iterate"
 
 // Color runs the speculative parallel BGPC loop (Algorithm 1) with the
 // phase schedule, scheduling parameters, and balancing Policy described
-// by opts, and returns a valid partial coloring of g's VA vertices.
+// by opts, and returns a valid partial coloring of g's VA vertices. On
+// a bipartite.ClosedView it runs the D2GC loop of the paper's
+// Section IV (Algorithms 9 and 10 are the net phases on that view).
 //
 // Iteration k uses net-based coloring while k ≤ opts.NetColorIters and
 // net-based conflict removal while k ≤ opts.NetCRIters, then falls back
@@ -159,14 +161,14 @@ func ColorCtx(ctx context.Context, g *bipartite.Graph, opts Options) (*Result, e
 
 		t0 := time.Now()
 		if tr.Enabled() {
-			tr.Phase(iter, obs.PhaseColor, PhaseKind(netColor), doColor)
+			tr.Phase(iter, obs.PhaseColor, phaseKind(netColor), doColor)
 		} else {
 			doColor()
 		}
 		it.ColoringTime = time.Since(t0)
 		it.ColoringWork, it.ColoringMaxWork = wc.TotalAndMax()
 		if tr.Enabled() {
-			EmitPhaseEvent(tr, &opts, iter, obs.PhaseColor, netColor,
+			emitPhaseEvent(tr, &opts, iter, obs.PhaseColor, netColor,
 				colorItems, 0, c, it.ColoringTime, it.ColoringWork, it.ColoringMaxWork)
 		}
 		if cn.Canceled() {
@@ -181,7 +183,7 @@ func ColorCtx(ctx context.Context, g *bipartite.Graph, opts Options) (*Result, e
 		}
 		t1 := time.Now()
 		if tr.Enabled() {
-			tr.Phase(iter, obs.PhaseConflict, PhaseKind(netCR), doConflict)
+			tr.Phase(iter, obs.PhaseConflict, phaseKind(netCR), doConflict)
 		} else {
 			doConflict()
 		}
@@ -189,7 +191,7 @@ func ColorCtx(ctx context.Context, g *bipartite.Graph, opts Options) (*Result, e
 		it.ConflictWork, it.ConflictMaxWork = wc.TotalAndMax()
 		it.Conflicts = len(W)
 		if tr.Enabled() {
-			EmitPhaseEvent(tr, &opts, iter, obs.PhaseConflict, netCR,
+			emitPhaseEvent(tr, &opts, iter, obs.PhaseConflict, netCR,
 				conflictItems, it.Conflicts, c, it.ConflictTime, it.ConflictWork, it.ConflictMaxWork)
 		}
 		if cn.Canceled() {

@@ -7,6 +7,7 @@ import (
 
 	"bgpc/internal/bipartite"
 	"bgpc/internal/gen"
+	"bgpc/internal/graph"
 	"bgpc/internal/order"
 	"bgpc/internal/rng"
 	"bgpc/internal/verify"
@@ -542,5 +543,41 @@ func TestFirstIterationDominates(t *testing.T) {
 	}
 	if frac := float64(first) / float64(total); frac < 0.75 {
 		t.Fatalf("first iteration is only %.0f%% of the work; the paper's premise expects ≥ ~78%%", frac*100)
+	}
+}
+
+func TestNetPhaseRespectsLemmaAnalogue(t *testing.T) {
+	// The D2GC analogue of Lemma 1 (Algorithm 9): on the closed view
+	// of an undirected graph the net of v is N[v], so the two-pass net
+	// coloring assigns colors ≤ |nbor(v)| ≤ max degree, within the D2
+	// lower bound 1+maxdeg.
+	for _, name := range gen.SymmetricPresetNames() {
+		b, err := gen.Preset(name, 0.04)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ug, err := graph.FromBipartite(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := ug.Closed()
+		opts := Options{Threads: 2, Chunk: 64}
+		c := NewColors(g.NumVertices())
+		scr := newScratch(opts.threads(), g.MaxColorUpperBound()+1, BalanceNone)
+		wc := NewWorkCounters(opts.threads())
+		colorNetPhase(g, c, scr, &opts, wc, nil)
+		maxDeg := int32(ug.MaxDeg())
+		for u := int32(0); int(u) < g.NumVertices(); u++ {
+			cu := c.Get(u)
+			if ug.Deg(u) == 0 {
+				continue
+			}
+			if cu == Uncolored {
+				t.Fatalf("%s: vertex %d left uncolored", name, u)
+			}
+			if cu > maxDeg {
+				t.Fatalf("%s: color %d > max degree %d", name, cu, maxDeg)
+			}
+		}
 	}
 }

@@ -132,24 +132,11 @@ type Result struct {
 
 // countColors fills NumColors and MaxColor from Colors.
 func (r *Result) countColors() {
-	maxCol := int32(-1)
+	r.MaxColor = -1
 	for _, c := range r.Colors {
-		if c > maxCol {
-			maxCol = c
+		if c > r.MaxColor {
+			r.MaxColor = c
 		}
 	}
-	r.MaxColor = maxCol
-	if maxCol < 0 {
-		r.NumColors = 0
-		return
-	}
-	seen := make([]bool, maxCol+1)
-	n := 0
-	for _, c := range r.Colors {
-		if c >= 0 && !seen[c] {
-			seen[c] = true
-			n++
-		}
-	}
-	r.NumColors = n
+	r.NumColors = countDistinct(r.Colors)
 }

@@ -116,7 +116,7 @@ func TestRepairD2(t *testing.T) {
 	// 0 and 2 share middle vertex 1 → distance-2 conflict on color 0;
 	// likewise 2 and 4 via 3, but 2 gets uncolored first.
 	colors := []int32{0, 1, 0, 1, 0}
-	colored := repairD2(g, colors)
+	colored := Repair(g, colors)
 	if err := verify.D2GCPartial(g, colors); err != nil {
 		t.Fatalf("repair left conflicts: %v", err)
 	}

@@ -1,82 +1,30 @@
 // Package d2 implements the paper's distance-2 graph coloring (D2GC)
-// algorithms (Section IV): the sequential greedy baseline, vertex-based
-// speculative coloring and conflict removal over the distance-2
-// neighbourhood, and the proposed net-based phases (Algorithms 9
-// and 10) in which every vertex acts as the "net" covering its closed
-// neighbourhood. The scheduling options, hybrid V-N/N-N schedules, and
-// B1/B2 balancing heuristics are shared with the BGPC implementation in
-// internal/core.
+// algorithms (Section IV) as BGPC on the closed-neighbourhood view of
+// an undirected graph, in which every vertex v acts as the net
+// covering N[v] (graph.Graph.Closed). On that view internal/core's
+// vertex phases scan the distance-≤2 neighbourhood, its net phases
+// are Algorithms 9 and 10, and the scheduling options, hybrid V-N/N-N
+// schedules, B1/B2 balancing, cancellation and repair are core's own.
+// This package only adapts the signatures.
 package d2
 
 import (
 	"context"
-	"fmt"
-	"time"
 
 	"bgpc/internal/core"
-	"bgpc/internal/failpoint"
 	"bgpc/internal/graph"
-	"bgpc/internal/obs"
-	"bgpc/internal/par"
 )
 
-// FPIterate is the D2GC runner's iteration-boundary failpoint,
-// mirroring core.FPIterate.
-const FPIterate = "d2.iterate"
-
 // Options reuses the BGPC option set; NetColorVariant is ignored (the
-// paper defines a single net-based D2GC coloring, Algorithm 9).
+// paper defines a single net-based D2GC coloring, Algorithm 9, which
+// is core's two-pass variant on the closed view).
 type Options = core.Options
 
 // Sequential runs single-threaded greedy D2GC in the given order
 // (nil = natural) with first-fit. Its TotalWork is the T₁ baseline of
 // the cost model.
 func Sequential(g *graph.Graph, vertexOrder []int32) *core.Result {
-	n := g.NumVertices()
-	start := time.Now()
-	c := make([]int32, n)
-	for i := range c {
-		c[i] = core.Uncolored
-	}
-	f := core.NewForbidden(g.MaxColorUpperBound() + 1)
-	var work int64
-	colorOne := func(v int32) {
-		f.Reset()
-		nb := g.Nbors(v)
-		work += int64(len(nb)) + 1
-		for _, u := range nb {
-			if c[u] != core.Uncolored {
-				f.Add(c[u])
-			}
-			nb2 := g.Nbors(u)
-			work += int64(len(nb2)) + 1
-			for _, w := range nb2 {
-				if w != v && c[w] != core.Uncolored {
-					f.Add(c[w])
-				}
-			}
-		}
-		c[v] = core.FirstFit(f)
-	}
-	if vertexOrder == nil {
-		for v := int32(0); int(v) < n; v++ {
-			colorOne(v)
-		}
-	} else {
-		for _, v := range vertexOrder {
-			colorOne(v)
-		}
-	}
-	res := &core.Result{
-		Colors:       c,
-		Iterations:   1,
-		Time:         time.Since(start),
-		TotalWork:    work,
-		CriticalWork: work,
-	}
-	res.ColoringTime = res.Time
-	countColors(res)
-	return res
+	return core.Sequential(g.Closed(), vertexOrder)
 }
 
 // Color runs the speculative parallel D2GC loop with the schedule
@@ -86,249 +34,31 @@ func Color(g *graph.Graph, opts Options) (*core.Result, error) {
 	return ColorCtx(context.Background(), g, opts)
 }
 
-// ColorCtx is Color with cooperative cancellation, mirroring
-// core.ColorCtx: the parallel loops poll ctx at chunk-dispatch
-// granularity, and on cancellation the run returns the best valid
-// partial distance-2 coloring (conflicts repaired sequentially, the
-// rest Uncolored) together with a *core.CancelError matched by
+// ColorCtx is Color with cooperative cancellation, as core.ColorCtx:
+// on cancellation the run returns the best valid partial distance-2
+// coloring (conflicts repaired sequentially, the rest Uncolored)
+// together with a *core.CancelError matched by
 // errors.Is(err, core.ErrCanceled).
 func ColorCtx(ctx context.Context, g *graph.Graph, opts Options) (*core.Result, error) {
-	if err := validate(&opts, g.NumVertices()); err != nil {
-		return nil, err
-	}
-	// Adopt a request-scoped Recorder from ctx, mirroring core.ColorCtx:
-	// phase trace events tee into the request timeline and the parallel
-	// loops count chunk dispatches for it. One lookup per run.
-	if rec := obs.RecorderFromContext(ctx); rec != nil {
-		opts.Obs = opts.Obs.AttachRecorder(rec)
-		opts.Stats = rec.LoopStats()
-	}
-	start := time.Now()
-	var cn *par.Canceler
-	if ctx != nil && ctx.Done() != nil {
-		cn = par.NewCanceler()
-		stop := cn.WatchContext(ctx)
-		defer stop()
-	}
-	n := g.NumVertices()
-	threads := threadsOf(&opts)
-	c := core.NewColors(n)
-	wc := core.NewWorkCounters(threads)
-	scr := newScratch(threads, g.MaxColorUpperBound()+1, opts.Balance)
-
-	// Isolated vertices have an empty distance-2 neighbourhood: they
-	// take color 0 directly and never enter the queue.
-	W := make([]int32, 0, n)
-	appendVertex := func(u int32) {
-		if g.Deg(u) == 0 {
-			c.Set(u, 0)
-		} else {
-			W = append(W, u)
-		}
-	}
-	if opts.Order == nil {
-		for u := int32(0); int(u) < n; u++ {
-			appendVertex(u)
-		}
-	} else {
-		for _, u := range opts.Order {
-			appendVertex(u)
-		}
-	}
-
-	var shared *par.SharedQueue
-	var local *par.LocalQueues
-	if opts.LazyQueues {
-		local = par.NewLocalQueues(threads, len(W))
-	} else {
-		shared = par.NewSharedQueue(len(W))
-	}
-	var wnext []int32
-
-	// Bind the phase bodies once so the Observer's pprof-label wrapper
-	// costs two closure allocations per run, not per iteration (mirrors
-	// the BGPC runner in internal/core).
-	tr := opts.Obs
-	var netColor, netCR bool
-	doColor := func() {
-		if netColor {
-			colorNetPhase(g, c, scr, &opts, wc, cn)
-		} else {
-			colorVertexPhase(g, W, c, scr, &opts, wc, cn)
-		}
-	}
-	doConflict := func() {
-		if netCR {
-			conflictNetPhase(g, c, scr, &opts, wc, cn)
-			W = gatherUncolored(g, c, &opts)
-		} else if opts.LazyQueues {
-			local.Reset()
-			conflictVertexLazy(g, W, c, local, &opts, wc, cn)
-			wnext = local.MergeInto(wnext)
-			W = append(W[:0], wnext...)
-		} else {
-			shared.Reset()
-			conflictVertexShared(g, W, c, shared, &opts, wc, cn)
-			W = append(W[:0], shared.Items()...)
-		}
-	}
-
-	res := &core.Result{}
-	maxIters := maxItersOf(&opts)
-	for iter := 1; len(W) > 0; iter++ {
-		if iter > maxIters {
-			return nil, fmt.Errorf("d2: %w after %d iterations (%d vertices still queued)", core.ErrNoFixedPoint, maxIters, len(W))
-		}
-		if err := failpoint.Inject(FPIterate); err != nil {
-			if failpoint.IsCancel(err) {
-				cn.Cancel()
-			} else {
-				return nil, fmt.Errorf("d2: %w", err)
-			}
-		}
-		if cn.Canceled() {
-			res.Time = time.Since(start)
-			return cancelResult(g, c, res, ctx.Err())
-		}
-		res.Iterations = iter
-		netColor = iter <= opts.NetColorIters
-		netCR = iter <= opts.NetCRIters
-		it := core.IterStats{QueueLen: len(W), NetColoring: netColor, NetCR: netCR}
-		colorItems := len(W)
-		if netColor {
-			colorItems = n // every vertex acts as a net in D2GC
-		}
-
-		t0 := time.Now()
-		if tr.Enabled() {
-			tr.Phase(iter, obs.PhaseColor, core.PhaseKind(netColor), doColor)
-		} else {
-			doColor()
-		}
-		it.ColoringTime = time.Since(t0)
-		it.ColoringWork, it.ColoringMaxWork = wc.TotalAndMax()
-		if tr.Enabled() {
-			core.EmitPhaseEvent(tr, &opts, iter, obs.PhaseColor, netColor,
-				colorItems, 0, c, it.ColoringTime, it.ColoringWork, it.ColoringMaxWork)
-		}
-		if cn.Canceled() {
-			res.ColoringTime += it.ColoringTime
-			res.Time = time.Since(start)
-			return cancelResult(g, c, res, ctx.Err())
-		}
-
-		conflictItems := len(W)
-		if netCR {
-			conflictItems = n
-		}
-		t1 := time.Now()
-		if tr.Enabled() {
-			tr.Phase(iter, obs.PhaseConflict, core.PhaseKind(netCR), doConflict)
-		} else {
-			doConflict()
-		}
-		it.ConflictTime = time.Since(t1)
-		it.ConflictWork, it.ConflictMaxWork = wc.TotalAndMax()
-		it.Conflicts = len(W)
-		if tr.Enabled() {
-			core.EmitPhaseEvent(tr, &opts, iter, obs.PhaseConflict, netCR,
-				conflictItems, it.Conflicts, c, it.ConflictTime, it.ConflictWork, it.ConflictMaxWork)
-		}
-		if cn.Canceled() {
-			// A truncated conflict phase leaves W unreliable; repair
-			// straight from the color array instead.
-			res.ColoringTime += it.ColoringTime
-			res.ConflictTime += it.ConflictTime
-			res.Time = time.Since(start)
-			return cancelResult(g, c, res, ctx.Err())
-		}
-
-		res.ColoringTime += it.ColoringTime
-		res.ConflictTime += it.ConflictTime
-		res.TotalWork += it.ColoringWork + it.ConflictWork
-		res.CriticalWork += it.ColoringMaxWork + it.ConflictMaxWork
-		if opts.CollectPerIteration {
-			res.Iters = append(res.Iters, it)
-		}
-	}
-
-	res.Colors = rawColors(c)
-	res.Time = time.Since(start)
-	countColors(res)
-	return res, nil
+	opts.NetColorVariant = core.NetTwoPass
+	return core.ColorCtx(ctx, g.Closed(), opts)
 }
 
-func rawColors(c *core.Colors) []int32 { return c.Raw() }
-
-func threadsOf(o *Options) int {
-	if o.Threads < 1 {
-		return 1
-	}
-	return o.Threads
+// FinishSequential completes a valid partial distance-2 coloring in
+// place with the sequential greedy first-fit, ascending id order, and
+// returns the number of vertices it colored. The input must be
+// distance-2 valid on its colored subset (e.g. a canceled ColorCtx's
+// repaired state).
+func FinishSequential(g *graph.Graph, colors []int32) int {
+	return core.FinishSequential(g.Closed(), colors)
 }
 
-func chunkOf(o *Options) int {
-	if o.Chunk < 1 {
-		return 1
-	}
-	return o.Chunk
-}
-
-func maxItersOf(o *Options) int {
-	if o.MaxIters <= 0 {
-		return 1000
-	}
-	return o.MaxIters
-}
-
-func validate(o *Options, n int) error {
-	if o.NetColorIters < 0 || o.NetCRIters < 0 {
-		return fmt.Errorf("d2: negative phase iteration counts (%d, %d)", o.NetColorIters, o.NetCRIters)
-	}
-	if o.NetColorIters > o.NetCRIters {
-		return fmt.Errorf("d2: NetColorIters (%d) > NetCRIters (%d)", o.NetColorIters, o.NetCRIters)
-	}
-	if o.Order != nil {
-		if len(o.Order) != n {
-			return fmt.Errorf("d2: Order has length %d, graph has %d vertices", len(o.Order), n)
-		}
-		seen := make([]bool, n)
-		for _, u := range o.Order {
-			if u < 0 || int(u) >= n || seen[u] {
-				return fmt.Errorf("d2: Order is not a permutation of [0,%d)", n)
-			}
-			seen[u] = true
-		}
-	}
-	switch o.Balance {
-	case core.BalanceNone, core.BalanceB1, core.BalanceB2:
-	default:
-		return fmt.Errorf("d2: unknown Balance %d", o.Balance)
-	}
-	return nil
-}
-
-// countColors fills NumColors/MaxColor (mirror of core's unexported
-// helper).
-func countColors(r *core.Result) {
-	maxCol := int32(-1)
-	for _, c := range r.Colors {
-		if c > maxCol {
-			maxCol = c
-		}
-	}
-	r.MaxColor = maxCol
-	if maxCol < 0 {
-		r.NumColors = 0
-		return
-	}
-	seen := make([]bool, maxCol+1)
-	n := 0
-	for _, c := range r.Colors {
-		if c >= 0 && !seen[c] {
-			seen[c] = true
-			n++
-		}
-	}
-	r.NumColors = n
+// Repair makes an arbitrary partial distance-2 coloring valid in place
+// by sequential conflict removal, returning the number of vertices
+// still colored: every vertex v keeps the first occurrence of each
+// color in N[v] (v itself first, then its neighbours in ascending id)
+// and uncolors later duplicates. Every distance-≤2 pair shares some
+// closed neighbourhood, so one pass leaves the colored subset valid.
+func Repair(g *graph.Graph, colors []int32) int {
+	return core.Repair(g.Closed(), colors)
 }

@@ -133,31 +133,6 @@ func TestColorOneThreadVVMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestNetPhaseRespectsLemmaAnalogue(t *testing.T) {
-	// Algorithm 9 assigns colors ≤ |nbor(v)| for the processing net v,
-	// hence ≤ max degree overall — within the D2 lower bound 1+maxdeg.
-	for name, g := range symPresets(t, 0.04) {
-		opts := Options{Threads: 2, Chunk: 64}
-		c := core.NewColors(g.NumVertices())
-		scr := newScratch(2, g.MaxColorUpperBound()+1, core.BalanceNone)
-		wc := core.NewWorkCounters(2)
-		colorNetPhase(g, c, scr, &opts, wc, nil)
-		maxDeg := int32(g.MaxDeg())
-		for u := int32(0); int(u) < g.NumVertices(); u++ {
-			cu := c.Get(u)
-			if g.Deg(u) == 0 {
-				continue
-			}
-			if cu == core.Uncolored {
-				t.Fatalf("%s: vertex %d left uncolored", name, u)
-			}
-			if cu > maxDeg {
-				t.Fatalf("%s: color %d > max degree %d", name, cu, maxDeg)
-			}
-		}
-	}
-}
-
 func TestColorWithOrder(t *testing.T) {
 	g := symPresets(t, 0.04)["copapers"]
 	ord := order.Random(g.NumVertices(), 7)
@@ -171,19 +146,31 @@ func TestColorWithOrder(t *testing.T) {
 }
 
 func TestColorIsolatedVertices(t *testing.T) {
-	g, err := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1}})
+	// Vertices 2–5 have no neighbour. In the closed view each is its
+	// own one-vertex net; it must still be pre-colored 0, including
+	// under B1/B2, whose policies would otherwise pick from colmax or
+	// colnext.
+	g, err := graph.FromEdges(6, []graph.Edge{{U: 0, V: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Color(g, Options{Threads: 2, NetColorIters: 1, NetCRIters: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := verify.D2GC(g, res.Colors); err != nil {
-		t.Fatal(err)
-	}
-	if res.Colors[2] != 0 || res.Colors[3] != 0 {
-		t.Fatalf("isolated vertices colored %v", res.Colors)
+	for _, bal := range []core.Balance{core.BalanceNone, core.BalanceB1, core.BalanceB2} {
+		for _, spec := range core.NamedAlgorithms() {
+			opts := spec.Opts
+			opts.Threads, opts.Balance = 2, bal
+			res, err := Color(g, opts)
+			if err != nil {
+				t.Fatalf("%s/%v: %v", spec.Name, bal, err)
+			}
+			if err := verify.D2GC(g, res.Colors); err != nil {
+				t.Fatalf("%s/%v: %v", spec.Name, bal, err)
+			}
+			for v := 2; v < 6; v++ {
+				if res.Colors[v] != 0 {
+					t.Fatalf("%s/%v: isolated vertices colored %v", spec.Name, bal, res.Colors)
+				}
+			}
+		}
 	}
 }
 

@@ -2,7 +2,8 @@
 // insert/remove lists with strict validation and caps, application of
 // a delta to a cached CSR graph, dirty-set computation, and warm-start
 // recoloring of only the affected vertices via the existing sequential
-// repair/finish machinery in internal/core and internal/d2.
+// repair/finish machinery in internal/core, which colors D2GC through
+// the closed-neighbourhood view of the undirected graph.
 //
 // The central observation (ROADMAP direction 1; Rokos et al.,
 // arXiv:1505.04086) is that the repair machinery already recolors an
@@ -33,9 +34,7 @@ import (
 
 	"bgpc/internal/bipartite"
 	"bgpc/internal/core"
-	"bgpc/internal/d2"
 	"bgpc/internal/failpoint"
-	"bgpc/internal/graph"
 	"bgpc/internal/limits"
 )
 
@@ -214,6 +213,9 @@ type Stats struct {
 // sequential conflict repair as a safety net, and greedily finish the
 // holes. base is not modified. The caller is expected to verify the
 // result against g2 before trusting it (the service layer does).
+//
+// Passing the closed view of the mutated undirected graph
+// (graph.Graph.Closed) and DirtyD2's set recolors distance-2.
 func RecolorBGPC(g2 *bipartite.Graph, base []int32, dirty []int32) ([]int32, Stats, error) {
 	colors, st, err := warmStart(g2.NumVertices(), base, dirty)
 	if err != nil {
@@ -221,19 +223,6 @@ func RecolorBGPC(g2 *bipartite.Graph, base []int32, dirty []int32) ([]int32, Sta
 	}
 	core.Repair(g2, colors)
 	core.FinishSequential(g2, colors)
-	st.Recolored = diffCount(base, colors)
-	return colors, st, nil
-}
-
-// RecolorD2 is RecolorBGPC for the distance-2 variant, operating on the
-// undirected unipartite view of the mutated graph.
-func RecolorD2(ug2 *graph.Graph, base []int32, dirty []int32) ([]int32, Stats, error) {
-	colors, st, err := warmStart(ug2.NumVertices(), base, dirty)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	d2.Repair(ug2, colors)
-	d2.FinishSequential(ug2, colors)
 	st.Recolored = diffCount(base, colors)
 	return colors, st, nil
 }

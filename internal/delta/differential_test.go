@@ -4,7 +4,7 @@ package delta
 // if, for arbitrary seeded graphs and arbitrary seeded delta batches,
 // the warm-started result is exactly as conflict-free as coloring the
 // mutated graph from scratch. Every case here builds both sides —
-// RecolorBGPC/RecolorD2 from the cached coloring, and a fresh greedy
+// RecolorBGPC (on the closed view for D2GC) from the cached coloring, and a fresh greedy
 // coloring of (E ∪ I) \ R — and pushes both through internal/verify.
 // The suite also pins the economics: at least one seeded case must
 // recolor fewer than 10% of the vertices, because a delta path that
@@ -130,40 +130,89 @@ func symmetrize(d Delta) Delta {
 	return out
 }
 
+// diffCase is one seeded case of the harness: a mutated graph, the
+// base coloring of the graph before the delta, and the delta itself.
+type diffCase struct {
+	g2   *bipartite.Graph
+	ug2  *graph.Graph // undirected view of g2 (D2 cases only)
+	base []int32
+	d    Delta
+}
+
+// bgpcCase builds the BGPC case for one seed.
+func bgpcCase(t *testing.T, seed int64) diffCase {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
+	numNet, numVtx := 20+r.Intn(80), 200+r.Intn(400)
+	g := randomGraph(t, r, numNet, numVtx, 4*numVtx)
+	base := seqBGPC(t, g)
+
+	d := randomDelta(r, g, 1+r.Intn(12), r.Intn(8))
+	g2, _, _, err := Apply(g, d)
+	if err != nil {
+		t.Fatalf("seed %d: Apply: %v", seed, err)
+	}
+	return diffCase{g2: g2, base: base, d: d}
+}
+
+// d2Case builds the D2GC case for one seed: a symmetric graph and a
+// symmetrized delta.
+func d2Case(t *testing.T, seed int64) diffCase {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
+	n := 150 + r.Intn(250)
+	g := randomSymmetric(t, r, n, 3*n)
+	ug, err := graph.FromBipartite(g)
+	if err != nil {
+		t.Fatalf("seed %d: FromBipartite: %v", seed, err)
+	}
+	base := seqD2(t, ug)
+
+	d := symmetrize(randomDelta(r, g, 1+r.Intn(8), r.Intn(6)))
+	g2, _, _, err := Apply(g, d)
+	if err != nil {
+		t.Fatalf("seed %d: Apply: %v", seed, err)
+	}
+	if !g2.IsStructurallySymmetric() {
+		t.Fatalf("seed %d: symmetrized delta broke symmetry", seed)
+	}
+	ug2, err := graph.FromBipartite(g2)
+	if err != nil {
+		t.Fatalf("seed %d: mutated FromBipartite: %v", seed, err)
+	}
+	return diffCase{g2: g2, ug2: ug2, base: base, d: d}
+}
+
+// The seed ranges of the two halves: 25 BGPC and 20 D2GC cases.
+const (
+	bgpcSeeds, bgpcSeedEnd = 0, 25
+	d2Seeds, d2SeedEnd     = 100, 120
+)
+
 // TestDifferentialBGPC is the BGPC half of the harness: across many
 // seeds and delta sizes, delta-recolor(G, Δ) and color-from-scratch
 // (G+Δ) both verify clean, and the small-delta seeds stay under the
 // 10%-of-vertices dirty bound.
 func TestDifferentialBGPC(t *testing.T) {
 	smallDirtyCases := 0
-	for seed := int64(0); seed < 25; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		numNet, numVtx := 20+r.Intn(80), 200+r.Intn(400)
-		g := randomGraph(t, r, numNet, numVtx, 4*numVtx)
-		base := seqBGPC(t, g)
-
-		d := randomDelta(r, g, 1+r.Intn(12), r.Intn(8))
-		g2, _, _, err := Apply(g, d)
-		if err != nil {
-			t.Fatalf("seed %d: Apply: %v", seed, err)
-		}
-
-		got, st, err := RecolorBGPC(g2, base, d.DirtyBGPC())
+	for seed := int64(bgpcSeeds); seed < bgpcSeedEnd; seed++ {
+		c := bgpcCase(t, seed)
+		got, st, err := RecolorBGPC(c.g2, c.base, c.d.DirtyBGPC())
 		if err != nil {
 			t.Fatalf("seed %d: RecolorBGPC: %v", seed, err)
 		}
-		if err := verify.BGPC(g2, got); err != nil {
+		if err := verify.BGPC(c.g2, got); err != nil {
 			t.Fatalf("seed %d: delta-recolored BGPC coloring invalid: %v", seed, err)
 		}
 		// The from-scratch side of the differential: the mutated graph
 		// colored cold must also verify — both paths reach valid.
-		seqBGPC(t, g2)
+		seqBGPC(t, c.g2)
 
-		if st.Dirty*10 < g2.NumVertices() {
+		if st.Dirty*10 < c.g2.NumVertices() {
 			smallDirtyCases++
 		}
-		if st.Dirty > len(d.Insert) {
-			t.Fatalf("seed %d: dirty set %d exceeds insert count %d", seed, st.Dirty, len(d.Insert))
+		if st.Dirty > len(c.d.Insert) {
+			t.Fatalf("seed %d: dirty set %d exceeds insert count %d", seed, st.Dirty, len(c.d.Insert))
 		}
 	}
 	// The acceptance criterion: the suite must demonstrate delta
@@ -181,39 +230,18 @@ func TestDifferentialBGPC(t *testing.T) {
 // deltas, both endpoints dirty.
 func TestDifferentialD2(t *testing.T) {
 	smallDirtyCases := 0
-	for seed := int64(100); seed < 120; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		n := 150 + r.Intn(250)
-		g := randomSymmetric(t, r, n, 3*n)
-		ug, err := graph.FromBipartite(g)
+	for seed := int64(d2Seeds); seed < d2SeedEnd; seed++ {
+		c := d2Case(t, seed)
+		got, st, err := RecolorBGPC(c.ug2.Closed(), c.base, c.d.DirtyD2())
 		if err != nil {
-			t.Fatalf("seed %d: FromBipartite: %v", seed, err)
+			t.Fatalf("seed %d: RecolorBGPC on the closed view: %v", seed, err)
 		}
-		base := seqD2(t, ug)
-
-		d := symmetrize(randomDelta(r, g, 1+r.Intn(8), r.Intn(6)))
-		g2, _, _, err := Apply(g, d)
-		if err != nil {
-			t.Fatalf("seed %d: Apply: %v", seed, err)
-		}
-		if !g2.IsStructurallySymmetric() {
-			t.Fatalf("seed %d: symmetrized delta broke symmetry", seed)
-		}
-		ug2, err := graph.FromBipartite(g2)
-		if err != nil {
-			t.Fatalf("seed %d: mutated FromBipartite: %v", seed, err)
-		}
-
-		got, st, err := RecolorD2(ug2, base, d.DirtyD2())
-		if err != nil {
-			t.Fatalf("seed %d: RecolorD2: %v", seed, err)
-		}
-		if err := verify.D2GC(ug2, got); err != nil {
+		if err := verify.D2GC(c.ug2, got); err != nil {
 			t.Fatalf("seed %d: delta-recolored D2 coloring invalid: %v", seed, err)
 		}
-		seqD2(t, ug2)
+		seqD2(t, c.ug2)
 
-		if st.Dirty*10 < ug2.NumVertices() {
+		if st.Dirty*10 < c.ug2.NumVertices() {
 			smallDirtyCases++
 		}
 	}

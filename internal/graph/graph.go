@@ -5,6 +5,12 @@
 // contain self-loops. Graphs are built either from an undirected edge
 // list or from a square, structurally symmetric bipartite graph (the
 // paper derives its D2GC inputs from symmetric matrices the same way).
+//
+// Each vertex's CSR segment stores its closed neighbourhood with the
+// vertex first, [v, nbor(v)…]. Nbors returns the sorted tail; Closed
+// exposes the whole segments as a bipartite graph in which every
+// vertex is the net over its closed neighbourhood, the form in which
+// the paper's Section IV reduces D2GC to BGPC.
 package graph
 
 import (
@@ -17,9 +23,10 @@ import (
 
 // Graph is an immutable undirected graph in CSR form.
 type Graph struct {
-	n   int
-	ptr []int64
-	adj []int32
+	n      int
+	ptr    []int64          // segment bounds, len n+1
+	adj    []int32          // [v, nbor(v)…] per vertex
+	closed *bipartite.Graph // view over ptr/adj, built once
 }
 
 // Edge is one undirected edge {U, V}.
@@ -31,14 +38,20 @@ type Edge struct {
 func (g *Graph) NumVertices() int { return g.n }
 
 // NumEdges returns the number of undirected edges.
-func (g *Graph) NumEdges() int64 { return int64(len(g.adj)) / 2 }
+func (g *Graph) NumEdges() int64 { return int64(len(g.adj)-g.n) / 2 }
 
 // Nbors returns the sorted neighbour list of v (nbor(v) in the paper).
 // The slice aliases internal storage and must not be modified.
-func (g *Graph) Nbors(v int32) []int32 { return g.adj[g.ptr[v]:g.ptr[v+1]] }
+func (g *Graph) Nbors(v int32) []int32 { return g.adj[g.ptr[v]+1 : g.ptr[v+1]] }
 
 // Deg returns |nbor(v)|.
-func (g *Graph) Deg(v int32) int { return int(g.ptr[v+1] - g.ptr[v]) }
+func (g *Graph) Deg(v int32) int { return int(g.ptr[v+1]-g.ptr[v]) - 1 }
+
+// Closed returns the closed-neighbourhood view of g: a bipartite graph
+// whose net v is N[v] with v first, so that BGPC on the view is D2GC
+// on g. The view aliases g's storage and is built once with g; it is
+// meant for the coloring kernels only (see bipartite.ClosedView).
+func (g *Graph) Closed() *bipartite.Graph { return g.closed }
 
 // MaxDeg returns the maximum vertex degree.
 func (g *Graph) MaxDeg() int {
@@ -68,37 +81,44 @@ func FromEdges(n int, edges []Edge) (*Graph, error) {
 			return nil, fmt.Errorf("%w: self-loop at %d", ErrInvalidEdge, e.U)
 		}
 	}
-	g := &Graph{n: n}
-	g.ptr = make([]int64, n+1)
+	ptr := make([]int64, n+1)
+	for v := 0; v < n; v++ {
+		ptr[v+1] = 1 // the vertex itself heads its segment
+	}
 	for _, e := range edges {
-		g.ptr[e.U+1]++
-		g.ptr[e.V+1]++
+		ptr[e.U+1]++
+		ptr[e.V+1]++
 	}
 	for v := 0; v < n; v++ {
-		g.ptr[v+1] += g.ptr[v]
+		ptr[v+1] += ptr[v]
 	}
-	adj := make([]int32, 2*len(edges))
-	fill := make([]int64, n)
+	adj := make([]int32, ptr[n])
+	fill := make([]int64, n) // dedupeTails writes each head
+	for v := range fill {
+		fill[v] = 1
+	}
 	put := func(a, b int32) {
-		adj[g.ptr[a]+fill[a]] = b
+		adj[ptr[a]+fill[a]] = b
 		fill[a]++
 	}
 	for _, e := range edges {
 		put(e.U, e.V)
 		put(e.V, e.U)
 	}
-	g.adj = dedupeCSR(g.ptr, adj)
-	return g, nil
+	return newGraph(ptr, dedupeTails(ptr, adj)), nil
 }
 
-// dedupeCSR sorts each segment, drops duplicates, and compacts.
-func dedupeCSR(ptr []int64, adj []int32) []int32 {
+// dedupeTails sorts each segment's neighbour tail, drops duplicates,
+// and compacts, keeping every segment's head in place.
+func dedupeTails(ptr []int64, adj []int32) []int32 {
 	n := len(ptr) - 1
 	var write int64
 	for v := 0; v < n; v++ {
-		seg := adj[ptr[v]:ptr[v+1]]
+		seg := adj[ptr[v]+1 : ptr[v+1]]
 		sort.Slice(seg, func(i, j int) bool { return seg[i] < seg[j] })
 		start := write
+		adj[write] = int32(v)
+		write++
 		for i := range seg {
 			if i > 0 && seg[i] == seg[i-1] {
 				continue
@@ -110,6 +130,11 @@ func dedupeCSR(ptr []int64, adj []int32) []int32 {
 	}
 	ptr[n] = write
 	return adj[:write:write]
+}
+
+// newGraph wraps finished CSR arrays and builds their closed view.
+func newGraph(ptr []int64, adj []int32) *Graph {
+	return &Graph{n: len(ptr) - 1, ptr: ptr, adj: adj, closed: bipartite.ClosedView(ptr, adj)}
 }
 
 // ErrNotSymmetric reports a bipartite graph that cannot be interpreted
@@ -125,28 +150,29 @@ func FromBipartite(b *bipartite.Graph) (*Graph, error) {
 		return nil, ErrNotSymmetric
 	}
 	n := b.NumVertices()
-	g := &Graph{n: n}
-	g.ptr = make([]int64, n+1)
+	ptr := make([]int64, n+1)
 	for v := int32(0); int(v) < n; v++ {
-		d := int64(0)
+		d := int64(1)
 		for _, u := range b.Vtxs(v) {
 			if u != v {
 				d++
 			}
 		}
-		g.ptr[v+1] = g.ptr[v] + d
+		ptr[v+1] = ptr[v] + d
 	}
-	g.adj = make([]int32, g.ptr[n])
+	adj := make([]int32, ptr[n])
 	for v := int32(0); int(v) < n; v++ {
-		w := g.ptr[v]
+		w := ptr[v]
+		adj[w] = v
+		w++
 		for _, u := range b.Vtxs(v) {
 			if u != v {
-				g.adj[w] = u
+				adj[w] = u
 				w++
 			}
 		}
 	}
-	return g, nil
+	return newGraph(ptr, adj), nil
 }
 
 // Edges returns each undirected edge once (U < V), in sorted order.

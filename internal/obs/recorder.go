@@ -16,11 +16,12 @@ import (
 //
 // A Recorder travels in a context.Context (ContextWithRecorder /
 // RecorderFromContext) from the HTTP ingress through the worker pool
-// into the core/d2 runners, which tee their Observer event stream into
-// it. Every method is nil-safe: a nil *Recorder records nothing and
-// allocates nothing, so instrumentation points run unconditionally and
-// the disabled path stays a pointer test — the same contract as the
-// nil *Observer, and pinned by the same zero-alloc test.
+// into the core runner (BGPC and D2GC alike), which tees its Observer
+// event stream into it. Every method is nil-safe: a nil *Recorder
+// records nothing and allocates nothing, so instrumentation points run
+// unconditionally and the disabled path stays a pointer test — the
+// same contract as the nil *Observer, and pinned by the same
+// zero-alloc test.
 //
 // A Recorder is safe for concurrent use; its bounds make the worst
 // case (a pathological run with thousands of iterations) drop the tail

@@ -24,7 +24,7 @@ import (
 // The chaos battery: concurrent clients hammer the daemon while named
 // fault schedules are armed at every layer the request path crosses —
 // worker dispatch (pool.beforeRun), the parallel runtime
-// (par.dispatch), the speculative loops (core.iterate, d2.iterate),
+// (par.dispatch), the speculative loop (core.iterate, BGPC and D2GC),
 // the parser (mtx.readEntry), the generator (gen.build), and the
 // graph cache. The invariants checked are the daemon's whole failure
 // model:
@@ -129,7 +129,7 @@ func TestChaosBattery(t *testing.T) {
 		{"worker-panics", FPBeforeRun + "=panic@6#2"},
 		{"parse-faults", "mtx.readEntry=err@6#1"},
 		{"straggler-chunks", "par.dispatch=delay:1ms@40#10"},
-		{"runner-errs", "core.iterate=err@4#1;d2.iterate=err@2"},
+		{"runner-errs", "core.iterate=err@6#1"},
 		{"cache-rot", FPCacheGet + "=err@8;" + FPCachePut + "=err@8"},
 		{"build-crashes", gen.FPBuild + "=panic@3#1"},
 		{"handler-panics", FPHandleColor + "=panic@3#2"},

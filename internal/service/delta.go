@@ -354,6 +354,8 @@ func (s *Server) executeDelta(ctx context.Context, spec *deltaSpec, entry *cache
 
 	newEntry := newCacheEntry("", g2)
 
+	// As for a full color, D2GC recolors the closed view.
+	kg, dirty := g2, spec.d.DirtyBGPC
 	var ug2 *graph.Graph
 	if spec.d2mode {
 		// A delta can break the structural symmetry d2 requires; that is
@@ -361,16 +363,11 @@ func (s *Server) executeDelta(ctx context.Context, spec *deltaSpec, entry *cache
 		if ug2, err = newEntry.undirected(); err != nil {
 			return nil, http.StatusBadRequest, fmt.Errorf("d2 mode: delta result: %w", err)
 		}
+		kg, dirty = ug2.Closed(), spec.d.DirtyD2
 	}
 
 	recolor := rec.StartSpanKind("recolor", trace.KindRecolor)
-	var colors []int32
-	var st delta.Stats
-	if spec.d2mode {
-		colors, st, err = delta.RecolorD2(ug2, base, spec.d.DirtyD2())
-	} else {
-		colors, st, err = delta.RecolorBGPC(g2, base, spec.d.DirtyBGPC())
-	}
+	colors, st, err := delta.RecolorBGPC(kg, base, dirty())
 	recolor.End()
 	if err != nil {
 		// The only failures here are shape mismatches between the cached

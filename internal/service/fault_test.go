@@ -254,12 +254,13 @@ func TestWatchdogQuietOnHealthyRun(t *testing.T) {
 	}
 }
 
-// TestWatchdogFallbackD2 exercises the same livelock path through the
-// distance-2 runner and its sequential completion.
+// TestWatchdogFallbackD2 exercises the same livelock path for a D2GC
+// job (core's runner on the closed view) and its sequential
+// completion.
 func TestWatchdogFallbackD2(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
 	s := newTestServer(t, Config{Workers: 1, WatchdogWindow: 60 * time.Millisecond})
-	arm(t, "d2.iterate=delay:500ms@1")
+	arm(t, "core.iterate=delay:500ms@1")
 
 	w := post(t, s, ColorRequest{Preset: "afshell", Scale: 0.05, Mode: "d2", TimeoutMS: 30_000})
 	if w.Code != http.StatusOK {

@@ -46,7 +46,6 @@ import (
 
 	"bgpc/internal/bipartite"
 	"bgpc/internal/core"
-	"bgpc/internal/d2"
 	"bgpc/internal/failpoint"
 	"bgpc/internal/gen"
 	"bgpc/internal/graph"
@@ -801,6 +800,10 @@ func (s *Server) execute(ctx context.Context, spec *jobSpec, queued time.Duratio
 		}
 		return nil, http.StatusBadRequest, err
 	}
+	// The kernel colors the matrix itself, or for D2GC the closed-
+	// neighbourhood view of its undirected graph (ParseAlgorithm only
+	// yields the two-pass net coloring that view needs).
+	kg := entry.g
 	var ug *graph.Graph
 	if spec.d2mode {
 		// The symmetric-structure requirement is a property of the
@@ -808,6 +811,7 @@ func (s *Server) execute(ctx context.Context, spec *jobSpec, queued time.Duratio
 		if ug, err = entry.undirected(); err != nil {
 			return nil, http.StatusBadRequest, fmt.Errorf("d2 mode: %w", err)
 		}
+		kg = ug.Closed()
 	}
 
 	// Progress watchdog: tap the run's trace-event stream through a
@@ -828,11 +832,7 @@ func (s *Server) execute(ctx context.Context, spec *jobSpec, queued time.Duratio
 	start := time.Now()
 	var res *core.Result
 	color := rec.StartSpanKind("color", trace.KindColor)
-	if spec.d2mode {
-		res, err = d2.ColorCtx(runCtx, ug, spec.opts)
-	} else {
-		res, err = core.ColorCtx(runCtx, entry.g, spec.opts)
-	}
+	res, err = core.ColorCtx(runCtx, kg, spec.opts)
 	color.End()
 	if res != nil {
 		// Per-request phase totals, the deployable form of the paper's
@@ -855,11 +855,7 @@ func (s *Server) execute(ctx context.Context, spec *jobSpec, queued time.Duratio
 		// the colored prefix; finish the rest sequentially so the
 		// client still gets a complete valid coloring.
 		repair := rec.StartSpanKind("repair", trace.KindRepair)
-		if spec.d2mode {
-			resp.DegradedFinished = d2.FinishSequential(ug, res.Colors)
-		} else {
-			resp.DegradedFinished = core.FinishSequential(entry.g, res.Colors)
-		}
+		resp.DegradedFinished = core.FinishSequential(kg, res.Colors)
 		repair.End()
 		resp.Degraded = true
 		obs.SvcDegraded.Inc()
