@@ -42,7 +42,6 @@ import (
 	"bgpc/internal/distk"
 	"bgpc/internal/gen"
 	"bgpc/internal/graph"
-	"bgpc/internal/jp"
 	"bgpc/internal/limits"
 	"bgpc/internal/mtx"
 	"bgpc/internal/obs"
@@ -276,26 +275,6 @@ func ColorDistributedD2(g *Undirected, ranks int) ([]int32, DistStats, error) {
 	return dist.ColorD2GC(g, ranks, 0)
 }
 
-// JonesPlassmann colors g (distance-1) with the Jones–Plassmann
-// MIS-driven parallel algorithm — the pre-speculative baseline from the
-// paper's related work. Deterministic for a fixed seed regardless of
-// thread count.
-func JonesPlassmann(g *Undirected, threads int, seed uint64) (*Result, error) {
-	return jp.JonesPlassmann(g, jp.Options{Threads: threads, Seed: seed})
-}
-
-// MISColoring colors g (distance-1) by repeated Luby maximal-
-// independent-set extraction.
-func MISColoring(g *Undirected, threads int, seed uint64) (*Result, error) {
-	return jp.MISColoring(g, jp.Options{Threads: threads, Seed: seed})
-}
-
-// MaximalIndependentSet returns a maximal independent set of g via
-// Luby's algorithm.
-func MaximalIndependentSet(g *Undirected, threads int, seed uint64) ([]int32, error) {
-	return jp.LubyMIS(g, jp.Options{Threads: threads, Seed: seed})
-}
-
 // RMAT generates a Graph500-style recursive-matrix graph (see
 // gen.RMAT). Useful for stress-testing beyond the built-in presets.
 func RMAT(scaleExp, edgeFactor int, a, b, c float64, symmetric bool, seed uint64) *Bipartite {
@@ -431,15 +410,11 @@ func DiscardTrace() TraceSink { return obs.Discard }
 func EnableMetrics(on bool) { obs.EnableMetrics(on) }
 
 // MetricsSnapshot returns the current counter values keyed by their
-// expvar names.
+// dump names (the ones WriteMetrics prints).
 func MetricsSnapshot() map[string]int64 { return obs.Snapshot() }
 
 // WriteMetrics writes one "name value" line per counter, sorted.
 func WriteMetrics(w io.Writer) error { return obs.WriteMetrics(w) }
-
-// PublishMetricsExpvar registers the counters with expvar so embedding
-// services expose them on /debug/vars.
-func PublishMetricsExpvar() { obs.PublishExpvar() }
 
 // NaturalOrder returns the identity vertex order.
 func NaturalOrder(n int) []int32 { return order.Natural(n) }

@@ -151,36 +151,6 @@ func TestFacadeIncidenceDegree(t *testing.T) {
 	}
 }
 
-func TestFacadeJPBaselines(t *testing.T) {
-	g, err := NewUndirected(6, []UndirectedEdge{
-		{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}, {U: 4, V: 5}, {U: 5, V: 0},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := JonesPlassmann(g, 2, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyD1(g, res.Colors); err != nil {
-		t.Fatal(err)
-	}
-	mres, err := MISColoring(g, 2, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyD1(g, mres.Colors); err != nil {
-		t.Fatal(err)
-	}
-	mis, err := MaximalIndependentSet(g, 2, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mis) < 2 || len(mis) > 3 {
-		t.Fatalf("6-cycle MIS size = %d", len(mis))
-	}
-}
-
 func TestFacadeRMATAndRecolor(t *testing.T) {
 	g := RMAT(8, 6, 0.55, 0.2, 0.2, false, 9)
 	res := Sequential(g, nil)

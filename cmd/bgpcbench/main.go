@@ -83,7 +83,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *metrics {
 		obs.EnableMetrics(true)
-		obs.PublishExpvar()
 		defer func() {
 			obs.WriteMetrics(stdout)
 			obs.EnableMetrics(false)

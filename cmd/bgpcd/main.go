@@ -6,7 +6,7 @@
 //
 //	bgpcd [-addr :8972] [-workers N] [-queue N]
 //	      [-timeout 30s] [-max-timeout 2m] [-cache 64] [-max-threads N]
-//	      [-trace trace.jsonl] [-metrics] [-request-ring 128] [-log-json]
+//	      [-trace trace.jsonl] [-metrics] [-log-json]
 //	      [-watchdog 0] [-quarantine 3] [-quarantine-for 30s]
 //	      [-mem-budget BYTES] [-max-job-bytes BYTES]
 //	      [-max-rows N] [-max-cols N] [-max-nnz N] [-max-line-bytes N]
@@ -26,14 +26,16 @@
 //	               budget exhausted, or deadline expired while queued
 //	               (with Retry-After), 503 draining
 //	GET  /healthz  liveness
-//	GET  /statsz   queue depth, active jobs, cache size, counters
-//	GET  /metrics  Prometheus text exposition: counters, live gauges,
-//	               and latency/size histograms by algorithm variant
-//	GET  /debug/requests       ring of recent request timelines (JSON)
+//	GET  /metrics  Prometheus text exposition: counters, live gauges
+//	               (workers, queue capacity and depth, active jobs,
+//	               cache size, budget), and latency/size histograms by
+//	               algorithm variant
+//	GET  /debug/requests       the -trace-ring of recent request
+//	               timelines, newest first (JSON)
 //	GET  /debug/requests/{id}  one request's timeline by correlation id
-//	GET  /debug/trace/{traceid}  this process's completed trace
-//	               fragments for one trace id (JSON span tree)
-//	GET  /debug/vars (with -metrics) expvar counters and pool gauges
+//	GET  /debug/trace/{traceid}  this process's kept trace fragments
+//	               for one trace id (JSON span tree), read from the same
+//	               ring
 //
 // Every request carries a correlation id — adopted from a client's
 // traceparent or X-Request-ID header, minted otherwise — echoed as the
@@ -62,7 +64,6 @@ import (
 	"bufio"
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
@@ -106,8 +107,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	maxThreads := fs.Int("max-threads", 0, "cap on per-job threads a client may request (0 = GOMAXPROCS)")
 	drainGrace := fs.Duration("drain-grace", 30*time.Second, "how long shutdown waits for in-flight jobs")
 	traceFile := fs.String("trace", "", "write a JSON-lines trace event per phase of every job to this file")
-	metrics := fs.Bool("metrics", false, "enable hot-path counters and expose /debug/vars")
-	requestRing := fs.Int("request-ring", 128, "completed request timelines kept for /debug/requests (negative disables)")
+	metrics := fs.Bool("metrics", false, "enable the hot-path counters (chunk dispatches, queue pushes, forbidden scans) on /metrics")
 	logJSON := fs.Bool("log-json", false, "emit structured logs as JSON instead of logfmt-style text")
 	watchdog := fs.Duration("watchdog", 0, "cancel jobs making no coloring progress for this window and finish them sequentially (0 disables)")
 	quarAfter := fs.Int("quarantine", 3, "worker panics on one graph before it is quarantined (negative disables)")
@@ -125,7 +125,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	walSyncInterval := fs.Duration("wal-sync-interval", 100*time.Millisecond, "batch fsync period under -wal-sync interval")
 	walSegmentBytes := fs.Int64("wal-segment-bytes", 0, "rotate WAL segments past this many bytes (0 = 4 MiB)")
 	walSnapshotEvery := fs.Int("wal-snapshot-every", 0, "compact the WAL into a snapshot every N appends (0 = 512, negative disables)")
-	traceRing := fs.Int("trace-ring", 0, "completed trace fragments kept for /debug/trace (0 = 256, negative disables tracing)")
+	traceRing := fs.Int("trace-ring", 0, "completed /color requests kept for /debug/requests and /debug/trace (0 = 256, negative disables tracing and retention)")
 	traceSample := fs.Float64("trace-sample", 0, "head-sampling ratio over trace ids, 0..1 (0 = keep all, negative = head-sample none; errors and slow requests are kept regardless)")
 	traceSlow := fs.Duration("trace-slow", 0, "tail-keep any request at least this slow even when head sampling dropped it (0 disables)")
 	diagDir := fs.String("diag-dir", "", "flight-recorder directory: anomalies (watchdog, WAL fuse, slow requests) write diagnostic bundles here (empty disables)")
@@ -172,7 +172,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		QuarantineFor:   *quarFor,
 		MemBudget:       *memBudget,
 		MaxJobBytes:     *maxJobBytes,
-		RequestRing:     *requestRing,
 		ParseLimits: limits.ParseLimits{
 			MaxRows:      *maxRows,
 			MaxCols:      *maxCols,
@@ -235,13 +234,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if b := srv.MemBudget(); b > 0 {
 		fmt.Fprintf(stdout, "bgpcd: memory budget %d bytes\n", b)
 	}
-	mux := http.NewServeMux()
-	mux.Handle("/", srv)
 	if *metrics {
 		obs.EnableMetrics(true)
 		defer obs.EnableMetrics(false)
-		service.PublishExpvar(srv)
-		mux.Handle("GET /debug/vars", expvar.Handler())
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -250,7 +245,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "bgpcd: listening on %s\n", ln.Addr())
 
-	httpSrv := &http.Server{Handler: mux}
+	httpSrv := &http.Server{Handler: srv}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 

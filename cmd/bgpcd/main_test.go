@@ -13,6 +13,7 @@ import (
 
 	"bgpc/internal/bipartite"
 	"bgpc/internal/gen"
+	"bgpc/internal/obs"
 	"bgpc/internal/service"
 	"bgpc/internal/testutil"
 	"bgpc/internal/verify"
@@ -267,32 +268,48 @@ func TestDaemonBadFlags(t *testing.T) {
 	}
 }
 
-// TestDaemonStatszCounts exposes queue/cache gauges over HTTP.
+// TestDaemonStatszCounts exposes the queue/cache gauges over HTTP on
+// /metrics, the daemon's one scrape surface: neither /statsz nor, even
+// with -metrics, /debug/vars is routed.
 func TestDaemonStatszCounts(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
-	base, shutdown := startDaemon(t)
+	base, shutdown := startDaemon(t, "-metrics")
 	defer shutdown()
 	client := &http.Client{Timeout: testutil.Scale(10 * time.Second)}
 
 	if status, _, err := postJSON(client, base, service.ColorRequest{Preset: "movielens", Scale: 0.05}); err != nil || status != http.StatusOK {
 		t.Fatalf("seed request: %d %v", status, err)
 	}
-	resp, err := client.Get(base + "/statsz")
+	resp, err := client.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var stats struct {
-		CachedGraphs int `json:"cached_graphs"`
-		Workers      int `json:"workers"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+	fams, err := obs.ParseExposition(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.CachedGraphs != 1 {
-		t.Errorf("cached_graphs = %d, want 1", stats.CachedGraphs)
+	gauge := func(name string) float64 {
+		fam := fams[name]
+		if fam == nil || fam.Type != "gauge" || len(fam.Samples) != 1 {
+			t.Fatalf("no %s gauge on /metrics", name)
+		}
+		return fam.Samples[0].Value
 	}
-	if stats.Workers != 4 {
-		t.Errorf("workers = %d, want 4", stats.Workers)
+	if got := gauge("bgpc_svc_cached_graphs"); got != 1 {
+		t.Errorf("cached_graphs = %v, want 1", got)
+	}
+	if got := gauge("bgpc_svc_workers"); got != 4 {
+		t.Errorf("workers = %v, want 4", got)
+	}
+	for _, path := range []string{"/statsz", "/debug/vars"} {
+		r, err := client.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Body.Close()
+		if r.StatusCode != http.StatusNotFound {
+			t.Errorf("%s status %d, want 404", path, r.StatusCode)
+		}
 	}
 }

@@ -33,7 +33,10 @@
 //	GET /rtr/trace/{traceid}    the assembled cross-process trace: the
 //	                   router's hop spans merged with every backend's
 //	                   fragments for that trace id
-//	GET /debug/trace/{traceid}  the router's own fragments only
+//	GET /debug/trace/{traceid}  the router's own fragments only, read
+//	                   from its -trace-ring of completed requests
+//
+// /metrics is the router's one scrape surface, as on bgpcd.
 //
 // The router resolves one correlation id per request at ingress and
 // echoes it (X-Request-ID) on every outcome, including router-
@@ -87,7 +90,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	recoverProbes := fs.Int("recover-probes", 0, "consecutive probe successes an ejected backend needs to rejoin (0 = default 2)")
 	logJSON := fs.Bool("log-json", false, "emit structured logs as JSON instead of logfmt-style text")
 	failpoints := fs.String("failpoints", "", "arm failpoints for chaos testing, e.g. 'router.probe=err@10' (applied after $"+failpoint.EnvVar+")")
-	traceRing := fs.Int("trace-ring", 0, "completed router trace fragments kept for /debug/trace (0 = 256, negative disables tracing)")
+	traceRing := fs.Int("trace-ring", 0, "completed routed requests kept; the kept ones serve /debug/trace (0 = 256, negative disables tracing)")
 	traceSample := fs.Float64("trace-sample", 0, "head-sampling ratio over trace ids, 0..1 (0 = keep all; errors and slow requests are kept regardless)")
 	traceSlow := fs.Duration("trace-slow", 0, "tail-keep any routed request at least this slow even when head sampling dropped it (0 disables)")
 	diagDir := fs.String("diag-dir", "", "flight-recorder directory: anomalies (backend breaker opening) write diagnostic bundles here (empty disables)")

@@ -108,7 +108,9 @@ func TestRunBGPCAndSpeedups(t *testing.T) {
 }
 
 func TestTable1ShapeAndOrdering(t *testing.T) {
-	tbl, err := Table1(testCfg)
+	// One thread keeps the conflict counts deterministic; at 4 threads
+	// scheduling noise can reorder the near-tied variants.
+	tbl, err := Table1(Config{Scale: testCfg.Scale, Threads: []int{1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -262,7 +262,7 @@ func (b *Breaker) Record(success bool) { b.b.record(success) }
 // State reports the breaker's current state.
 func (b *Breaker) State() BreakerState { return b.b.State() }
 
-// State reports the breaker's current state (for expvar and tests).
+// State reports the breaker's current state.
 func (b *breaker) State() BreakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -13,7 +13,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"math/rand"
@@ -429,15 +428,4 @@ func parseRetryAfter(v string) time.Duration {
 		}
 	}
 	return 0
-}
-
-var expvarOnce sync.Once
-
-// PublishExpvar registers the client's breaker state with the
-// process-wide expvar registry as "bgpc.client_breaker_state". First
-// client wins; safe to call more than once.
-func (c *Client) PublishExpvar() {
-	expvarOnce.Do(func() {
-		expvar.Publish("bgpc.client_breaker_state", expvar.Func(func() any { return c.br.State().String() }))
-	})
 }

@@ -9,7 +9,7 @@
 // arXiv:1505.04086) is that the repair machinery already recolors an
 // arbitrary conflict set — a delta is just a synthetic conflict set
 // warm-started from the cached coloring. Correctness rests on two
-// facts, proved in the comments on DirtyBGPC/DirtyD2:
+// facts, proved in the comment on DirtyBGPC:
 //
 //   - Removing an edge only removes constraints: a coloring valid for G
 //     stays valid for G minus any edge set. Removals may make colors
@@ -149,8 +149,7 @@ func Apply(g *bipartite.Graph, d Delta) (out *bipartite.Graph, inserted, removed
 }
 
 // DirtyBGPC returns the distinct vertices that must be uncolored before
-// warm-start BGPC recoloring: the vertex endpoint of every inserted
-// edge.
+// warm-start recoloring: the vertex endpoint of every inserted edge.
 //
 // Why this set suffices: suppose colors valid for G are kept on all
 // vertices outside it and some net v of G′ = (E ∪ I) \ R contains two
@@ -159,6 +158,13 @@ func Apply(g *bipartite.Graph, d Delta) (out *bipartite.Graph, inserted, removed
 // in E — meaning u and w already conflicted in G, contradicting the
 // base coloring's validity. Removals never create conflicts (they only
 // delete constraint pairs), so they contribute nothing to the set.
+//
+// The same set serves distance-2 recoloring on the closed view. There
+// nets and vertices share one id space and every new distance-≤2 pair
+// runs through a new undirected edge {a,b}. d2 mode only accepts deltas
+// whose result is symmetric, so a new edge arrives as both (a,b) and
+// (b,a), and its two vertex endpoints are exactly a and b. An insert
+// whose mirror already existed adds no edge and needs no uncoloring.
 func (d Delta) DirtyBGPC() []int32 {
 	seen := make(map[int32]bool, len(d.Insert))
 	out := make([]int32, 0, len(d.Insert))
@@ -167,30 +173,6 @@ func (d Delta) DirtyBGPC() []int32 {
 			seen[e.Vtx] = true
 			out = append(out, e.Vtx)
 		}
-	}
-	return out
-}
-
-// DirtyD2 returns the distinct vertices to uncolor before warm-start
-// distance-2 recoloring: *both* endpoints of every inserted edge. In
-// the D2 view the bipartite graph is square and structurally symmetric,
-// nets and vertices share one id space, and an inserted incidence
-// (v,u) is the undirected edge {v,u}. Every distance-≤2 pair that is
-// new in G′ has a path through an inserted edge, hence involves one of
-// its endpoints; uncoloring both endpoints therefore covers every new
-// constraint. Removals, as in BGPC, only delete constraints.
-func (d Delta) DirtyD2() []int32 {
-	seen := make(map[int32]bool, 2*len(d.Insert))
-	out := make([]int32, 0, 2*len(d.Insert))
-	add := func(v int32) {
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	for _, e := range d.Insert {
-		add(e.Net)
-		add(e.Vtx)
 	}
 	return out
 }
@@ -215,7 +197,7 @@ type Stats struct {
 // result against g2 before trusting it (the service layer does).
 //
 // Passing the closed view of the mutated undirected graph
-// (graph.Graph.Closed) and DirtyD2's set recolors distance-2.
+// (graph.Graph.Closed) recolors distance-2.
 func RecolorBGPC(g2 *bipartite.Graph, base []int32, dirty []int32) ([]int32, Stats, error) {
 	colors, st, err := warmStart(g2.NumVertices(), base, dirty)
 	if err != nil {

@@ -113,17 +113,19 @@ func TestDirtySets(t *testing.T) {
 	if len(gotB) != 2 || gotB[0] != 5 || gotB[1] != 7 {
 		t.Fatalf("DirtyBGPC = %v, want [5 7]", gotB)
 	}
-	gotD := d.DirtyD2()
+	// A mirrored (d2) delta dirties both endpoints of every new edge.
+	m := Delta{Insert: EdgeList{{Net: 2, Vtx: 5}, {Net: 5, Vtx: 2}, {Net: 3, Vtx: 7}, {Net: 7, Vtx: 3}}}
 	want := map[int32]bool{2: true, 3: true, 5: true, 7: true}
+	gotD := m.DirtyBGPC()
 	if len(gotD) != len(want) {
-		t.Fatalf("DirtyD2 = %v, want the 4 distinct endpoints", gotD)
+		t.Fatalf("mirrored DirtyBGPC = %v, want the 4 distinct endpoints", gotD)
 	}
 	for _, v := range gotD {
 		if !want[v] {
-			t.Fatalf("DirtyD2 = %v contains unexpected %d", gotD, v)
+			t.Fatalf("mirrored DirtyBGPC = %v contains unexpected %d", gotD, v)
 		}
 	}
-	if n := len((Delta{}).DirtyBGPC()) + len((Delta{}).DirtyD2()); n != 0 {
+	if n := len((Delta{}).DirtyBGPC()); n != 0 {
 		t.Fatalf("empty delta has %d dirty vertices", n)
 	}
 }

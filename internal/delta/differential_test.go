@@ -227,12 +227,12 @@ func TestDifferentialBGPC(t *testing.T) {
 }
 
 // TestDifferentialD2 is the D2GC half: symmetric graphs, symmetric
-// deltas, both endpoints dirty.
+// deltas, whose mirrored inserts dirty both endpoints of each new edge.
 func TestDifferentialD2(t *testing.T) {
 	smallDirtyCases := 0
 	for seed := int64(d2Seeds); seed < d2SeedEnd; seed++ {
 		c := d2Case(t, seed)
-		got, st, err := RecolorBGPC(c.ug2.Closed(), c.base, c.d.DirtyD2())
+		got, st, err := RecolorBGPC(c.ug2.Closed(), c.base, c.d.DirtyBGPC())
 		if err != nil {
 			t.Fatalf("seed %d: RecolorBGPC on the closed view: %v", seed, err)
 		}

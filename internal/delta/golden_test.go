@@ -174,7 +174,7 @@ func goldenColorings(t *testing.T) map[string]string {
 	}
 	for seed := int64(d2Seeds); seed < d2SeedEnd; seed++ {
 		c := d2Case(t, seed)
-		got, _, err := RecolorBGPC(c.ug2.Closed(), c.base, c.d.DirtyD2())
+		got, _, err := RecolorBGPC(c.ug2.Closed(), c.base, c.d.DirtyBGPC())
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

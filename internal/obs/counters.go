@@ -1,11 +1,9 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 	"sync/atomic"
 )
 
@@ -217,8 +215,8 @@ func countTraceEvent() {
 	}
 }
 
-// counterNames maps the expvar/dump names to the counters, in one
-// place so Snapshot, WriteMetrics and PublishExpvar cannot drift.
+// counterNames maps the dump names to the counters, in one place so
+// Snapshot, WriteMetrics and WritePrometheus cannot drift.
 var counterNames = map[string]*Counter{
 	"bgpc.chunk_dispatches":     &ChunkDispatches,
 	"bgpc.shared_queue_pushes":  &SharedQueuePushes,
@@ -262,7 +260,7 @@ var counterNames = map[string]*Counter{
 }
 
 // Snapshot returns the current value of every counter keyed by its
-// expvar name.
+// dump name.
 func Snapshot() map[string]int64 {
 	out := make(map[string]int64, len(counterNames))
 	for name, c := range counterNames {
@@ -282,8 +280,8 @@ func ResetMetrics() {
 // name — the CLI's -metrics report. The snapshot is unified: monotonic
 // counters AND every registered live gauge (queue depth, active jobs,
 // bytes in flight, memory budget, breaker state) appear in one pass,
-// so an operator's text scrape never needs a second expvar round-trip
-// to see the daemon's current state next to its history.
+// so an operator's text scrape sees the daemon's current state next to
+// its history.
 func WriteMetrics(w io.Writer) error {
 	values := make(map[string]int64, len(counterNames))
 	for name, c := range counterNames {
@@ -303,18 +301,4 @@ func WriteMetrics(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-var publishOnce sync.Once
-
-// PublishExpvar registers every counter with the expvar registry
-// (under its Snapshot name), so processes embedding the library expose
-// them on /debug/vars. Safe to call multiple times.
-func PublishExpvar() {
-	publishOnce.Do(func() {
-		for name, c := range counterNames {
-			c := c
-			expvar.Publish(name, expvar.Func(func() any { return c.Load() }))
-		}
-	})
 }

@@ -1,7 +1,7 @@
 // Package obs is the repository's low-overhead observability layer:
 // structured per-phase trace events with pluggable sinks, atomic
 // counters for hot-path runtime events (chunk dispatches, shared-queue
-// pushes, forbidden-array scans) exposed via expvar, and runtime/pprof
+// pushes, forbidden-array scans) exposed on /metrics, and runtime/pprof
 // labels that attribute CPU-profile samples to the paper's phases
 // (coloring vs. conflict removal, net- vs. vertex-based, iteration).
 //

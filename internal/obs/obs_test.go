@@ -246,8 +246,3 @@ func TestWriteMetricsStableFormat(t *testing.T) {
 	}
 	ResetMetrics()
 }
-
-func TestPublishExpvarIdempotent(t *testing.T) {
-	PublishExpvar()
-	PublishExpvar() // second call must not panic on re-registration
-}

@@ -54,10 +54,11 @@ type Config struct {
 	// Log receives the router's structured request log; nil means
 	// slog.Default().
 	Log *slog.Logger
-	// TraceRing bounds the router's own completed-trace fragment ring;
-	// 0 means 256, negative disables router-side tracing — hops are
-	// not spanned, no trace context is minted, and an inbound
-	// traceparent is forwarded verbatim (legacy passthrough).
+	// TraceRing bounds the router's own ring of completed requests, whose
+	// kept entries serve its trace fragments; 0 means 256, negative
+	// disables router-side tracing — hops are not spanned, no trace
+	// context is minted, and an inbound traceparent is forwarded
+	// verbatim (legacy passthrough).
 	TraceRing int
 	// TraceSample is the head-sampling ratio for traces the router
 	// originates; 0 means 1.0, negative means 0 (tail-keeps only).
@@ -103,7 +104,6 @@ type Router struct {
 	sf       *group
 	mux      *http.ServeMux
 	traces   *trace.Ring // nil when router-side tracing is disabled
-	sampler  trace.Sampler
 
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
@@ -128,14 +128,7 @@ func New(cfg Config) (*Router, error) {
 		hc:       &http.Client{Transport: tr},
 		sf:       newGroup(),
 		mux:      http.NewServeMux(),
-	}
-	if cfg.TraceRing > 0 {
-		ratio := cfg.TraceSample
-		if ratio == 0 {
-			ratio = 1
-		}
-		rt.sampler = trace.Sampler{HeadRatio: ratio, KeepErrors: true, SlowNS: int64(cfg.TraceSlow)}
-		rt.traces = trace.NewRing(cfg.TraceRing)
+		traces:   trace.NewRing(cfg.TraceRing, "bgpcrouter", cfg.TraceSample, cfg.TraceSlow),
 	}
 	for _, m := range ring.Members() {
 		hcfg := cfg.Health
@@ -327,7 +320,7 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request, body []byte, key
 	var rec *obs.Recorder
 	var sc trace.SpanContext
 	if rt.traces != nil {
-		sc = trace.Extract(r.Header.Get("traceparent"), id, rt.sampler)
+		sc = rt.traces.Extract(r.Header.Get("traceparent"), id)
 		w.Header().Set("X-BGPC-Trace", sc.TraceID)
 		rec = obs.NewRecorder(id, 0, 0)
 		rec.SetTraceContext(sc.TraceID, sc.SpanID, sc.ParentID, sc.Sampled)
@@ -403,20 +396,15 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request, body []byte, key
 }
 
 // finishTrace closes the router's slice of the trace: stamp the
-// envelope, apply the keep decision, and file the fragment.
+// envelope and file it in the ring, which makes the keep decision.
 func (rt *Router) finishTrace(rec *obs.Recorder, status int, start time.Time) {
-	if rt.traces == nil || rec == nil {
+	if rec == nil {
 		return
 	}
 	t := rec.Snapshot()
 	t.Status = status
 	t.DurNS = time.Since(start).Nanoseconds()
-	if rt.sampler.Keep(t.Sampled, status, t.DurNS) {
-		rt.traces.Add(trace.FragmentFromTimeline(t, "bgpcrouter"))
-		obs.TraceKept.Inc()
-	} else {
-		obs.TraceDropped.Inc()
-	}
+	rt.traces.Add(t)
 }
 
 // hopSpan records one cross-process hop span (explicit id — it
@@ -598,7 +586,7 @@ func (rt *Router) writeError(w http.ResponseWriter, r *http.Request, status int,
 	}
 	tid := w.Header().Get("X-BGPC-Trace")
 	if tid == "" && rt.traces != nil {
-		tid = trace.Extract(r.Header.Get("traceparent"), id, rt.sampler).TraceID
+		tid = rt.traces.Extract(r.Header.Get("traceparent"), id).TraceID
 		w.Header().Set("X-BGPC-Trace", tid)
 	}
 	if status == http.StatusServiceUnavailable {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -272,7 +271,7 @@ func TestChaosEnvSchedule(t *testing.T) {
 }
 
 // TestChaosGaugeBaselineSnapshot pins that a full storm leaves the
-// statsz surface consistent (the gauges the expvar page republishes).
+// /metrics gauges consistent.
 func TestChaosGaugeBaselineSnapshot(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
 	s := newTestServer(t, Config{Workers: 2})
@@ -294,20 +293,11 @@ func TestChaosGaugeBaselineSnapshot(t *testing.T) {
 	if r.Code != http.StatusBadRequest {
 		t.Fatalf("probe status %d", r.Code)
 	}
-	w := httptest.NewRecorder()
-	s.ServeHTTP(w, httptest.NewRequest("GET", "/statsz", nil))
-	if w.Code != http.StatusOK {
-		t.Fatalf("statsz status %d", w.Code)
-	}
-	var stats struct {
-		QueueDepth int `json:"queue_depth"`
-		ActiveJobs int `json:"active_jobs"`
-	}
-	if err := json.Unmarshal(w.Body.Bytes(), &stats); err != nil {
-		t.Fatalf("statsz body: %v", err)
-	}
-	if stats.QueueDepth != 0 || stats.ActiveJobs != 0 {
-		t.Fatalf("statsz gauges: %+v", stats)
+	g := scrapeGauges(t, s)
+	for _, name := range []string{"bgpc_svc_queue_depth", "bgpc_svc_active_jobs"} {
+		if got, ok := g[name]; !ok || got != 0 {
+			t.Fatalf("%s after the storm = %v (present %v), want 0", name, got, ok)
+		}
 	}
 }
 

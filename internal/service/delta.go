@@ -355,7 +355,7 @@ func (s *Server) executeDelta(ctx context.Context, spec *deltaSpec, entry *cache
 	newEntry := newCacheEntry("", g2)
 
 	// As for a full color, D2GC recolors the closed view.
-	kg, dirty := g2, spec.d.DirtyBGPC
+	kg := g2
 	var ug2 *graph.Graph
 	if spec.d2mode {
 		// A delta can break the structural symmetry d2 requires; that is
@@ -363,11 +363,11 @@ func (s *Server) executeDelta(ctx context.Context, spec *deltaSpec, entry *cache
 		if ug2, err = newEntry.undirected(); err != nil {
 			return nil, http.StatusBadRequest, fmt.Errorf("d2 mode: delta result: %w", err)
 		}
-		kg, dirty = ug2.Closed(), spec.d.DirtyD2
+		kg = ug2.Closed()
 	}
 
 	recolor := rec.StartSpanKind("recolor", trace.KindRecolor)
-	colors, st, err := delta.RecolorBGPC(kg, base, dirty())
+	colors, st, err := delta.RecolorBGPC(kg, base, spec.d.DirtyBGPC())
 	recolor.End()
 	if err != nil {
 		// The only failures here are shape mismatches between the cached

@@ -41,7 +41,6 @@ import (
 	"runtime/debug"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"bgpc/internal/bipartite"
@@ -121,10 +120,6 @@ type Config struct {
 	// variant, status, rounds, conflicts, duration, outcome) plus the
 	// contained-fault reports when Logf is unset. Nil discards.
 	Log *slog.Logger
-	// RequestRing bounds the /debug/requests ring of completed /color
-	// timelines; 0 means 128, negative disables retention (ids and
-	// access logs still work).
-	RequestRing int
 	// WAL, when set, makes acknowledged colorings durable: every
 	// verified full coloring and delta application is appended to the
 	// write-ahead log before the 200, the boot-time warm-up re-verifies
@@ -133,10 +128,11 @@ type Config struct {
 	// The server never closes the log — the owner (cmd/bgpcd) does.
 	// Nil means in-memory only (X-BGPC-Durability: none).
 	WAL *wal.Log
-	// TraceRing bounds the per-process completed-trace fragment ring
-	// served by GET /debug/trace/{traceid}; 0 means 256, negative
-	// disables distributed tracing entirely (requests carry no trace
-	// context and the endpoint 404s).
+	// TraceRing bounds the ring of completed /color requests behind
+	// GET /debug/requests, GET /debug/trace/{traceid} and the flight
+	// recorder; 0 means 256. Negative disables distributed tracing and
+	// all retention: requests carry no trace context, the request list
+	// is empty and lookups 404 (ids and access logs still work).
 	TraceRing int
 	// TraceSample is the head-sampling ratio for traces this process
 	// originates (inbound traceparent decisions are always honored);
@@ -190,12 +186,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.MemBudget < 0 {
 		out.MemBudget = 0
-	}
-	if out.RequestRing == 0 {
-		out.RequestRing = 128
-	}
-	if out.RequestRing < 0 {
-		out.RequestRing = 0
 	}
 	if out.TraceRing == 0 {
 		out.TraceRing = 256
@@ -314,18 +304,16 @@ type ErrorResponse struct {
 // Server is the coloring daemon: an http.Handler backed by the worker
 // pool and graph cache. Create with New, shut down with Drain.
 type Server struct {
-	cfg     Config
-	pool    *pool
-	budget  *limits.Budget
-	cache   *graphCache
-	quar    *quarantine
-	mux     *http.ServeMux
-	log     *slog.Logger
-	ring    *requestRing
-	traces  *trace.Ring // nil when tracing is disabled
-	sampler trace.Sampler
-	start   time.Time
-	warmed  int // (fingerprint, mode) colorings re-verified from the WAL at boot
+	cfg    Config
+	pool   *pool
+	budget *limits.Budget
+	cache  *graphCache
+	quar   *quarantine
+	mux    *http.ServeMux
+	log    *slog.Logger
+	traces *trace.Ring // nil when tracing is disabled
+	start  time.Time
+	warmed int // (fingerprint, mode) colorings re-verified from the WAL at boot
 }
 
 // New returns a ready Server with cfg's defaults applied and its
@@ -341,16 +329,8 @@ func New(cfg Config) *Server {
 		quar:   newQuarantine(cfg.QuarantineAfter, cfg.QuarantineFor),
 		mux:    http.NewServeMux(),
 		log:    cfg.Log,
-		ring:   newRequestRing(cfg.RequestRing),
+		traces: trace.NewRing(cfg.TraceRing, "bgpcd", cfg.TraceSample, cfg.TraceSlow),
 		start:  time.Now(),
-	}
-	if cfg.TraceRing > 0 {
-		ratio := cfg.TraceSample
-		if ratio == 0 {
-			ratio = 1
-		}
-		s.sampler = trace.Sampler{HeadRatio: ratio, KeepErrors: true, SlowNS: int64(cfg.TraceSlow)}
-		s.traces = trace.NewRing(cfg.TraceRing)
 	}
 	if s.log == nil {
 		s.log = discardLogger()
@@ -358,7 +338,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /color", s.handleColor)
 	s.mux.HandleFunc("POST /color/{fingerprint}/delta", s.handleDelta)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /statsz", s.handleStatsz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /debug/requests", s.handleRequests)
 	s.mux.HandleFunc("GET /debug/requests/{id}", s.handleRequestByID)
@@ -374,8 +353,8 @@ func New(cfg Config) *Server {
 // before any handler runs so error bodies on every path can carry it;
 // POST /color additionally gets an obs.Recorder in its context, which
 // the runners tee their phase events into and finishRequest files in
-// the /debug/requests ring. It is also the outermost containment
-// boundary for request goroutines: a panic anywhere in a handler
+// the trace ring. It is also the outermost containment boundary for
+// request goroutines: a panic anywhere in a handler
 // becomes a structured 500 (best-effort — headers may already be out)
 // instead of relying on net/http's connection-killing recover.
 // http.ErrAbortHandler is re-raised per its contract.
@@ -402,7 +381,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			// process's remote parent — otherwise the request id doubles
 			// as the trace id and the head sampler decides. The trace id
 			// rides the X-BGPC-Trace response header on every outcome.
-			sc := trace.Extract(r.Header.Get("traceparent"), id, s.sampler)
+			sc := s.traces.Extract(r.Header.Get("traceparent"), id)
 			w.Header().Set("X-BGPC-Trace", sc.TraceID)
 			rec.SetTraceContext(sc.TraceID, sc.SpanID, sc.ParentID, sc.Sampled)
 		}
@@ -449,19 +428,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":    "ok",
 		"uptime_ms": time.Since(s.start).Milliseconds(),
-	})
-}
-
-func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
-		"queue_depth":    s.pool.depth(),
-		"active_jobs":    s.pool.active(),
-		"cached_graphs":  s.cache.len(),
-		"workers":        s.cfg.Workers,
-		"queue_cap":      s.cfg.QueueDepth,
-		"bytes_inflight": s.BytesInFlight(),
-		"mem_budget":     s.MemBudget(),
-		"counters":       obs.Snapshot(),
 	})
 }
 
@@ -945,18 +911,5 @@ func (s *Server) writeRetryable(w http.ResponseWriter, err error) {
 		RetryAfterS: retry,
 		RequestID:   w.Header().Get("X-Request-ID"),
 		TraceID:     w.Header().Get("X-BGPC-Trace"),
-	})
-}
-
-var expvarOnce sync.Once
-
-// PublishExpvar registers the daemon's queue-depth and active-job
-// gauges (plus the obs counters) with the process-wide expvar
-// registry, for /debug/vars scraping. First server wins; safe to call
-// more than once.
-func PublishExpvar(s *Server) {
-	obs.PublishExpvar()
-	expvarOnce.Do(func() {
-		publishGauges(s)
 	})
 }

@@ -226,13 +226,28 @@ func TestServeDrainReturns503(t *testing.T) {
 	}
 }
 
+// TestHealthzAndStatsz: /healthz answers, and /metrics carries the
+// pool's configured shape and live gauges (the readings the retired
+// /statsz endpoint used to serve).
 func TestHealthzAndStatsz(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1})
-	for _, path := range []string{"/healthz", "/statsz"} {
-		w := httptest.NewRecorder()
-		s.ServeHTTP(w, httptest.NewRequest("GET", path, nil))
-		if w.Code != http.StatusOK {
-			t.Fatalf("%s: status %d", path, w.Code)
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 3})
+	if w := get(t, s, "/healthz"); w.Code != http.StatusOK {
+		t.Fatalf("/healthz: status %d", w.Code)
+	}
+	g := scrapeGauges(t, s)
+	for name, want := range map[string]float64{
+		"bgpc_svc_workers":        1,
+		"bgpc_svc_queue_cap":      3,
+		"bgpc_svc_queue_depth":    0,
+		"bgpc_svc_active_jobs":    0,
+		"bgpc_svc_cached_graphs":  0,
+		"bgpc_svc_bytes_inflight": 0,
+	} {
+		if got, ok := g[name]; !ok || got != want {
+			t.Errorf("%s = %v (present %v), want %v", name, got, ok, want)
 		}
+	}
+	if w := get(t, s, "/statsz"); w.Code != http.StatusNotFound {
+		t.Fatalf("/statsz still routed: %d", w.Code)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"sync"
 	"time"
 
 	"bgpc/internal/obs"
@@ -18,9 +17,10 @@ import (
 // success or error, including the recover path's 500. POST /color
 // requests additionally carry an obs.Recorder in their context; the
 // runners tee their per-phase trace events into it, and the completed
-// timeline lands in a bounded ring served by /debug/requests/{id}. One
-// structured access-log line per request closes the loop: the id in a
-// client's error message, the timeline, and the log line all correlate.
+// timeline lands in the trace ring served by /debug/requests/{id} and
+// (when kept) /debug/trace/{traceid}. One structured access-log line
+// per request closes the loop: the id in a client's error message, the
+// timeline, and the log line all correlate.
 
 // discardLogger is the nil-Config default: a *slog.Logger whose handler
 // refuses every record before any attribute is rendered.
@@ -54,69 +54,11 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
-// requestRing retains the last N completed request timelines for
-// /debug/requests. A nil ring (RequestRing < 0) drops everything;
-// lookups are by request id, newest first on listing.
-type requestRing struct {
-	mu   sync.Mutex
-	buf  []obs.Timeline
-	next int
-	n    int
-}
-
-func newRequestRing(size int) *requestRing {
-	if size <= 0 {
-		return nil
-	}
-	return &requestRing{buf: make([]obs.Timeline, size)}
-}
-
-func (r *requestRing) add(t obs.Timeline) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.buf[r.next] = t
-	r.next = (r.next + 1) % len(r.buf)
-	if r.n < len(r.buf) {
-		r.n++
-	}
-	r.mu.Unlock()
-}
-
-func (r *requestRing) get(id string) (obs.Timeline, bool) {
-	if r == nil {
-		return obs.Timeline{}, false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	// Newest first, so a reused id resolves to its latest timeline.
-	for i := 1; i <= r.n; i++ {
-		t := r.buf[(r.next-i+len(r.buf))%len(r.buf)]
-		if t.ID == id {
-			return t, true
-		}
-	}
-	return obs.Timeline{}, false
-}
-
-func (r *requestRing) list() []obs.Timeline {
-	out := []obs.Timeline{}
-	if r == nil {
-		return out
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := 1; i <= r.n; i++ {
-		out = append(out, r.buf[(r.next-i+len(r.buf))%len(r.buf)])
-	}
-	return out
-}
-
 // finishRequest closes out one request: it stamps the timeline with the
-// final status and duration, files it in the ring, feeds the latency
-// histogram, and writes the access-log line. rec is nil for non-/color
-// requests, which still get the log line and the latency observation.
+// final status and duration, files it in the trace ring (which makes
+// the export decision), feeds the latency histogram, and writes the
+// access-log line. rec is nil for non-/color requests, which still get
+// the log line and the latency observation.
 func (s *Server) finishRequest(sw *statusWriter, r *http.Request, rec *obs.Recorder, id string, start time.Time) {
 	dur := time.Since(start)
 	status := sw.status
@@ -144,18 +86,7 @@ func (s *Server) finishRequest(sw *statusWriter, r *http.Request, rec *obs.Recor
 		t := rec.Snapshot()
 		t.Status = status
 		t.DurNS = dur.Nanoseconds()
-		s.ring.add(t)
-		if s.traces != nil && t.TraceID != "" {
-			// Export decision: head-sampled traces always export; the
-			// rest export only when a tail condition (5xx, slow) fired.
-			// The drop path is pure arithmetic plus a counter bump.
-			if s.sampler.Keep(t.Sampled, status, t.DurNS) {
-				s.traces.Add(trace.FragmentFromTimeline(t, "bgpcd"))
-				obs.TraceKept.Inc()
-			} else {
-				obs.TraceDropped.Inc()
-			}
-		}
+		s.traces.Add(t)
 		if s.cfg.Diag != nil && s.cfg.DiagLatency > 0 && dur >= s.cfg.DiagLatency {
 			s.diagTrigger("slow_request",
 				fmt.Sprintf("request %s took %s (threshold %s)", id, dur.Round(time.Millisecond), s.cfg.DiagLatency), t)
@@ -177,9 +108,14 @@ func (s *Server) finishRequest(sw *statusWriter, r *http.Request, rec *obs.Recor
 
 // registerGauges exposes the server's live readings in the unified
 // metrics surface (WriteMetrics and /metrics). Registration replaces —
-// last server wins — so tests that build many Servers never collide the
-// way expvar.Publish would.
+// last server wins — so tests that build many Servers never collide.
 func (s *Server) registerGauges() {
+	obs.RegisterGauge("bgpc.svc_workers",
+		"Configured concurrent coloring jobs (worker pool size).",
+		func() int64 { return int64(s.cfg.Workers) })
+	obs.RegisterGauge("bgpc.svc_queue_cap",
+		"Configured bound on jobs admitted but not yet running.",
+		func() int64 { return int64(s.cfg.QueueDepth) })
 	obs.RegisterGauge("bgpc.svc_queue_depth",
 		"Jobs admitted but not yet picked up by a worker.",
 		func() int64 { return int64(s.pool.depth()) })
@@ -233,7 +169,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // diagTrigger fires the flight recorder (asynchronously — a profile
 // dump must never sit on a request path) with the triggering request's
-// own fragment as the bundled trace plus the recent-timeline ring.
+// own fragment as the bundled trace plus the ring's recent timelines.
 func (s *Server) diagTrigger(reason, detail string, t obs.Timeline) {
 	if s.cfg.Diag == nil {
 		return
@@ -245,7 +181,7 @@ func (s *Server) diagTrigger(reason, detail string, t obs.Timeline) {
 			Fragments: []trace.Fragment{trace.FragmentFromTimeline(t, "bgpcd")},
 		}
 	}
-	s.cfg.Diag.TriggerAsync(reason, detail, asm, s.ring.list())
+	s.cfg.Diag.TriggerAsync(reason, detail, asm, s.traces.List())
 }
 
 // diagTriggerFromRec is diagTrigger for anomaly sites that hold a live
@@ -281,17 +217,17 @@ func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 
 // handleRequests lists the retained timelines, newest first.
 func (s *Server) handleRequests(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.ring.list())
+	writeJSON(w, http.StatusOK, s.traces.List())
 }
 
 // handleRequestByID resolves one request id to its timeline. The 404
 // carries the *current* request's id like every other error body.
 func (s *Server) handleRequestByID(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	t, ok := s.ring.get(id)
+	t, ok := s.traces.Request(id)
 	if !ok {
 		writeError(w, http.StatusNotFound,
-			"no timeline for request id %q (the ring keeps the last %d /color requests)", id, s.cfg.RequestRing)
+			"no timeline for request id %q (the ring keeps the last %d /color requests)", id, max(s.cfg.TraceRing, 0))
 		return
 	}
 	writeJSON(w, http.StatusOK, t)

@@ -46,6 +46,27 @@ func get(t *testing.T, s *Server, path string, headers ...string) *httptest.Resp
 	return w
 }
 
+// scrapeGauges reads every gauge on /metrics — the one scrape surface —
+// keyed by exposition name.
+func scrapeGauges(t *testing.T, s *Server) map[string]float64 {
+	t.Helper()
+	w := get(t, s, "/metrics")
+	if w.Code != http.StatusOK {
+		t.Fatalf("/metrics status %d", w.Code)
+	}
+	fams, err := obs.ParseExposition(bytes.NewReader(w.Body.Bytes()))
+	if err != nil {
+		t.Fatalf("/metrics does not parse: %v", err)
+	}
+	out := map[string]float64{}
+	for name, fam := range fams {
+		if fam.Type == "gauge" && len(fam.Samples) == 1 {
+			out[name] = fam.Samples[0].Value
+		}
+	}
+	return out
+}
+
 // TestTraceparentCorrelatesTimelineAndAccessLog is the e2e telemetry
 // test of ISSUE 5: a client-sent traceparent id must come back in the
 // response header and body, resolve at /debug/requests/{id} to a
@@ -201,7 +222,7 @@ func TestRequestIDOnEveryErrorPath(t *testing.T) {
 func TestXRequestIDMintedOnEveryPath(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
 	s := newTestServer(t, Config{Workers: 1})
-	for _, path := range []string{"/healthz", "/statsz", "/metrics", "/debug/requests"} {
+	for _, path := range []string{"/healthz", "/metrics", "/debug/requests"} {
 		w := get(t, s, path)
 		if w.Code != http.StatusOK {
 			t.Fatalf("%s: status %d", path, w.Code)
@@ -264,19 +285,24 @@ func TestMetricsEndpointServesValidExposition(t *testing.T) {
 	}
 }
 
-// TestRequestRing: listing is newest-first and bounded; a negative
-// config disables retention entirely while requests still succeed.
+// TestRequestRing: the trace ring is the one store of completed
+// requests. Listing is newest-first and bounded; a kept request
+// resolves by request id and by trace id, an unkept one by request id
+// only, and eviction removes both lookups. A negative ring disables
+// retention entirely while requests still succeed.
 func TestRequestRing(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
-	s := newTestServer(t, Config{Workers: 1, RequestRing: 2})
+	s := newTestServer(t, Config{Workers: 1, TraceRing: 2})
 	req := ColorRequest{Preset: "channel", Scale: 0.05, Threads: 1}
 	ids := make([]string, 3)
+	tids := make([]string, 3)
 	for i := range ids {
 		w := post(t, s, req)
 		if w.Code != http.StatusOK {
 			t.Fatalf("request %d: status %d", i, w.Code)
 		}
 		ids[i] = w.Header().Get("X-Request-ID")
+		tids[i] = w.Header().Get("X-BGPC-Trace")
 	}
 	w := get(t, s, "/debug/requests")
 	var list []obs.Timeline
@@ -286,17 +312,51 @@ func TestRequestRing(t *testing.T) {
 	if len(list) != 2 || list[0].ID != ids[2] || list[1].ID != ids[1] {
 		t.Fatalf("ring contents wrong: %v (ids %v)", list, ids)
 	}
-	// The oldest fell out of the ring.
+	// A kept request resolves both ways.
+	if w := get(t, s, "/debug/requests/"+ids[2]); w.Code != http.StatusOK {
+		t.Fatalf("kept request by id: %d", w.Code)
+	}
+	if w := get(t, s, "/debug/trace/"+tids[2]); w.Code != http.StatusOK {
+		t.Fatalf("kept request by trace id: %d", w.Code)
+	}
+	// The oldest fell out of the ring, from both lookups.
 	if w := get(t, s, "/debug/requests/"+ids[0]); w.Code != http.StatusNotFound {
 		t.Fatalf("evicted id still resolves: %d", w.Code)
 	}
+	if w := get(t, s, "/debug/trace/"+tids[0]); w.Code != http.StatusNotFound {
+		t.Fatalf("evicted trace still resolves: %d", w.Code)
+	}
 
-	off := newTestServer(t, Config{Workers: 1, RequestRing: -1})
+	// An unsampled request is listed but exports no trace.
+	unsampled := newTestServer(t, Config{Workers: 1, TraceSample: -1})
+	w = post(t, unsampled, req)
+	if w.Code != http.StatusOK {
+		t.Fatalf("unsampled request: status %d", w.Code)
+	}
+	id, tid := w.Header().Get("X-Request-ID"), w.Header().Get("X-BGPC-Trace")
+	list = nil
+	if err := json.Unmarshal(get(t, unsampled, "/debug/requests").Body.Bytes(), &list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list) != 1 || list[0].ID != id {
+		t.Fatalf("unsampled request not listed: %v", list)
+	}
+	if w := get(t, unsampled, "/debug/requests/"+id); w.Code != http.StatusOK {
+		t.Fatalf("unsampled request by id: %d", w.Code)
+	}
+	if w := get(t, unsampled, "/debug/trace/"+tid); w.Code != http.StatusNotFound {
+		t.Fatalf("unsampled request must not export a trace: %d", w.Code)
+	}
+
+	off := newTestServer(t, Config{Workers: 1, TraceRing: -1})
 	w = post(t, off, req)
 	if w.Code != http.StatusOK {
 		t.Fatalf("disabled-ring request: status %d", w.Code)
 	}
 	if w = get(t, off, "/debug/requests"); strings.TrimSpace(w.Body.String()) != "[]" {
 		t.Fatalf("disabled ring lists %q, want []", w.Body)
+	}
+	if w := get(t, off, "/debug/requests/"+w.Header().Get("X-Request-ID")); w.Code != http.StatusNotFound {
+		t.Fatalf("disabled ring resolves an id: %d", w.Code)
 	}
 }

@@ -202,8 +202,9 @@ func jsonString(s string) string {
 // (-trace-sample -1 head-drops everything and no tail condition
 // fires), and every request kept (the default). The disabled/unsampled
 // delta is the cost of carrying trace context; the unsampled/sampled
-// delta is the cost of export — the fragment built and pushed into the
-// ring. EXPERIMENTS.md carries a measured table from this benchmark.
+// delta is the cost of keeping a request, which is only the ring's keep
+// bit because fragments are built when /debug/trace reads them.
+// EXPERIMENTS.md carries a measured table from this benchmark.
 func BenchmarkTraceOverhead(b *testing.B) {
 	cases := []struct {
 		name string

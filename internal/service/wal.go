@@ -86,7 +86,7 @@ func (s *Server) walDegraded(err error) {
 	walWarnOnce.Do(func() {
 		s.logf("service: WAL degraded to in-memory-only mode: %v", err)
 		if s.cfg.Diag != nil {
-			s.cfg.Diag.TriggerAsync("wal_fuse", err.Error(), nil, s.ring.list())
+			s.cfg.Diag.TriggerAsync("wal_fuse", err.Error(), nil, s.traces.List())
 		}
 	})
 }

@@ -1,7 +1,7 @@
 // Package trace is the fleet's distributed-tracing layer: W3C
 // trace-context propagation between the router and the backend
 // daemons, typed spans layered on the obs.Recorder timeline model,
-// per-process completed-trace retention (Ring), router-side trace
+// per-process retention of completed requests (Ring), router-side trace
 // assembly (Assembled), and the anomaly-triggered flight recorder
 // (Flight).
 //
@@ -202,7 +202,7 @@ func DeriveSpanID(root string, idx int, name string) string {
 // deterministically from the trace id (so every process in the fleet
 // agrees without coordination) plus tail-based keeps that retain
 // anomalous traces even when unsampled. The zero value samples
-// nothing and keeps nothing; config layers apply their own defaults.
+// nothing and keeps nothing; NewRing applies the serving defaults.
 type Sampler struct {
 	// HeadRatio is the fraction of new trace ids sampled at ingress;
 	// ≥ 1 samples everything, ≤ 0 nothing.

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -270,26 +271,69 @@ func TestAssembledValidateExternalParentIsRoot(t *testing.T) {
 }
 
 func TestRingBoundsAndLookup(t *testing.T) {
-	r := NewRing(2)
+	r := NewRing(2, "bgpcd", 0, 0)
 	t2 := strings.Repeat("22", 16)
 	t3 := strings.Repeat("33", 16)
-	r.Add(FragmentFromTimeline(timelineFor(tid1, pid1, ""), "bgpcd"))
-	r.Add(FragmentFromTimeline(timelineFor(t2, "aaaaaaaaaaaaaaab", ""), "bgpcd"))
-	r.Add(FragmentFromTimeline(timelineFor(t3, "aaaaaaaaaaaaaaac", ""), "bgpcd"))
+	r.Add(timelineFor(tid1, pid1, ""))
+	r.Add(timelineFor(t2, "aaaaaaaaaaaaaaab", ""))
+	r.Add(timelineFor(t3, "aaaaaaaaaaaaaaac", ""))
 	if got := r.Get(tid1); len(got) != 0 {
 		t.Fatalf("oldest fragment must be evicted, got %d", len(got))
+	}
+	if _, ok := r.Request(tid1); ok {
+		t.Fatal("evicted request must not resolve by id")
 	}
 	if len(r.Get(t2)) != 1 || len(r.Get(t3)) != 1 {
 		t.Fatal("recent fragments must be retained")
 	}
+	if f := r.Get(t3)[0]; f.Process != "bgpcd" || f.RequestID != t3 || len(f.Spans) != 3 {
+		t.Fatalf("fragment not derived from the timeline: %+v", f)
+	}
+	if got := r.List(); len(got) != 2 || got[0].TraceID != t3 || got[1].TraceID != t2 {
+		t.Fatalf("list must be newest first: %+v", got)
+	}
 	if r.Len() != 2 {
 		t.Fatalf("Len=%d want 2", r.Len())
 	}
-	r.Add(Fragment{TraceID: "bogus"})
-	if r.Len() != 2 {
-		t.Fatal("invalid trace ids must not enter the ring")
+
+	// An unkept request is retained for id lookup but never exported.
+	unkept := timelineFor(tid1, pid1, "")
+	unkept.Sampled = false
+	r.Add(unkept)
+	if _, ok := r.Request(tid1); !ok || len(r.Get(tid1)) != 0 {
+		t.Fatal("unkept request must resolve by id but not by trace id")
 	}
-	if NewRing(0) != nil {
+	// Filing converts nothing: the request path pays no allocation.
+	if allocs := testing.AllocsPerRun(100, func() { r.Add(unkept) }); allocs != 0 {
+		t.Fatalf("Add allocated %.1f per call", allocs)
+	}
+	bogus := timelineFor("bogus", pid1, "")
+	r.Add(bogus)
+	if _, ok := r.Request("bogus"); !ok || r.Get("bogus") != nil {
+		t.Fatal("invalid trace ids are retained by request id but never export")
+	}
+
+	// Request goroutines file while readers list and look up.
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				r.Add(timelineFor(t3, "aaaaaaaaaaaaaaac", ""))
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		r.Get(t3)
+		r.List()
+		r.Request(t3)
+	}
+	wg.Wait()
+	if got := r.Get(t3); len(got) != 2 {
+		t.Fatalf("after concurrent filing Get(t3) = %d fragments, want 2", len(got))
+	}
+	if NewRing(0, "bgpcd", 0, 0) != nil {
 		t.Fatal("NewRing(<1) must be the nil (disabled) ring")
 	}
 }
@@ -297,8 +341,8 @@ func TestRingBoundsAndLookup(t *testing.T) {
 func TestNilHandlesAreSafeAndFree(t *testing.T) {
 	var r *Ring
 	var f *Flight
-	r.Add(Fragment{})
-	if r.Get(tid1) != nil || r.Len() != 0 {
+	r.Add(obs.Timeline{})
+	if _, ok := r.Request(tid1); r.Get(tid1) != nil || ok || r.Len() != 0 || len(r.List()) != 0 {
 		t.Fatal("nil ring must be empty")
 	}
 	if f.Trigger("x", "", nil, nil) != "" || f.Dir() != "" {
@@ -308,7 +352,7 @@ func TestNilHandlesAreSafeAndFree(t *testing.T) {
 
 	s := Sampler{KeepErrors: true, SlowNS: 1}
 	allocs := testing.AllocsPerRun(1000, func() {
-		r.Add(Fragment{})
+		r.Add(obs.Timeline{})
 		_ = r.Get("")
 		_ = f.Trigger("x", "", nil, nil)
 		_ = s.Keep(false, 200, 0)
