@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"bgpc/internal/bipartite"
@@ -111,5 +112,91 @@ func BenchmarkAppend(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// copyDir copies every regular file of src into a fresh directory.
+func copyDir(b *testing.B, src string) string {
+	b.Helper()
+	dst := b.TempDir()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, e := range entries {
+		buf, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), buf, 0o644); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return dst
+}
+
+// BenchmarkSnapshot measures one compaction of a log holding 2,000
+// fingerprints an earlier snapshot already wrote as full records, plus
+// 512 fresh delta records (128 chains of 4, each rooted at a
+// snapshotted fingerprint) — the state a serving log is in when its
+// every-512-appends threshold fires. Each iteration compacts its own
+// copy of that log; only the Snapshot call is timed.
+func BenchmarkSnapshot(b *testing.B) {
+	const snapshotted, chains, hops = 2000, 128, 4
+	tmpl := b.TempDir()
+	l, _, err := Open(Options{Dir: tmpl, Sync: SyncNever, SnapshotEvery: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(11))
+	roots := make([]*bipartite.Graph, snapshotted)
+	for i := range roots {
+		roots[i] = testGraph(b, r, 40, 50, 200)
+		if err := l.AppendFull(roots[i].Fingerprint(), "bgpc", roots[i], colorBGPC(b, roots[i])); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := l.Snapshot(); err != nil {
+		b.Fatal(err)
+	}
+	for c := 0; c < chains; c++ {
+		g := roots[r.Intn(len(roots))]
+		for h := 0; h < hops; h++ {
+			// Removing a present edge makes every hop a real change.
+			ins := []bipartite.Edge{{Net: int32(r.Intn(40)), Vtx: int32(r.Intn(50))}}
+			rem := g.Edges()[:1]
+			next, _, _, err := g.ApplyDelta(ins, rem)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := l.AppendDelta(g.Fingerprint(), next.Fingerprint(), "bgpc", ins, rem, colorBGPC(b, next)); err != nil {
+				b.Fatal(err)
+			}
+			g = next
+		}
+	}
+	want := l.FingerprintCount()
+	if err := l.Close(); err != nil {
+		b.Fatal(err)
+	}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		l, _, err := Open(Options{Dir: copyDir(b, tmpl), Sync: SyncNever, SnapshotEvery: -1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := l.Snapshot(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if got := l.FingerprintCount(); got != want {
+			b.Fatalf("snapshot kept %d fingerprints, want %d", got, want)
+		}
+		l.Close()
+		b.StartTimer()
 	}
 }

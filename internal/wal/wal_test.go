@@ -238,7 +238,10 @@ func TestRotationAndSnapshot(t *testing.T) {
 	}
 }
 
-// TestAutoSnapshot checks the SnapshotEvery policy fires on its own.
+// TestAutoSnapshot checks the SnapshotEvery policy fires on its own:
+// every threshold crossing is one compaction, none lost to one still in
+// flight. Compactions run in the background, so Close — which finishes
+// the queued ones — comes before the count.
 func TestAutoSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	r := rand.New(rand.NewSource(5))
@@ -249,6 +252,9 @@ func TestAutoSnapshot(t *testing.T) {
 		if err := l.AppendFull(g.Fingerprint(), "bgpc", g, colorBGPC(t, g)); err != nil {
 			t.Fatalf("AppendFull: %v", err)
 		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
 	if got := obs.WalSnapshots.Load() - before; got != 2 {
 		t.Fatalf("auto snapshots = %d, want 2", got)
