@@ -104,7 +104,9 @@ var (
 	// full, injected fault); the first one trips the one-way degraded
 	// fuse.
 	WalAppendErrors Counter
-	// WalSyncs counts fsync batches issued under the configured policy.
+	// WalSyncs counts fsyncs of the active segment: the batches the
+	// configured policy issues, plus one per segment sealed at rotation
+	// or snapshot.
 	WalSyncs Counter
 	// WalReplayed counts records recovered (CRC-valid and decoded) from
 	// the log during Open.

@@ -39,7 +39,7 @@ var counterHelp = map[string]string{
 	"bgpc.svc_wal_rehydrated":   "Delta bases rebuilt from the write-ahead log after cache eviction.",
 	"bgpc.wal_appends":          "Records durably accepted by the write-ahead log.",
 	"bgpc.wal_append_errors":    "WAL append attempts that failed on IO.",
-	"bgpc.wal_syncs":            "WAL fsync batches issued under the configured policy.",
+	"bgpc.wal_syncs":            "WAL fsyncs of the active segment: policy batches plus one per sealed segment.",
 	"bgpc.wal_replayed":         "Records recovered from the WAL during startup replay.",
 	"bgpc.wal_replay_skipped":   "Records dropped in recovery for a broken fingerprint chain.",
 	"bgpc.wal_truncated":        "Torn tail records truncated at the first bad CRC.",

@@ -6,8 +6,10 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"bgpc/internal/failpoint"
 	"bgpc/internal/verify"
 )
 
@@ -85,9 +87,9 @@ func checkRecovered(t *testing.T, dir string, fps []uint64, wantRecords int, dam
 		t.Fatalf("%s at %d: Open failed: %v", kind, damage, err)
 	}
 	defer l.Close()
-	if stats.Records != wantRecords {
-		t.Fatalf("%s at %d: recovered %d records, want %d (stats %+v)",
-			kind, damage, stats.Records, wantRecords, stats)
+	if stats.Records != wantRecords || stats.QuarantinedSegments != 0 {
+		t.Fatalf("%s at %d: recovered %d records with %d quarantined segments, want %d and none (stats %+v)",
+			kind, damage, stats.Records, stats.QuarantinedSegments, wantRecords, stats)
 	}
 	for i, fp := range fps {
 		g, colors, err := l.Rehydrate(fp, "bgpc")
@@ -176,4 +178,75 @@ func TestTornWriteGarbageTail(t *testing.T) {
 	f.Close()
 	checkRecovered(t, dir, fps, len(fps), bounds[len(bounds)-1], "garbage-tail")
 	checkRecovered(t, dir, fps, len(fps), bounds[len(bounds)-1], "garbage-tail-again")
+}
+
+// TestTornTailAfterSeal carries the contract across a snapshot's seal
+// of the active segment A. A power loss keeps only what was fsynced,
+// and recovery cuts a torn tail only from the last segment, so A must
+// be durable before A+2 exists. Each row stops a seal at one point,
+// checks which segments are on disk, then tears the last 3 bytes off
+// the last one, as a power loss would its unsynced tail. Recovery must
+// cut, never quarantine, and keep every record before the tear.
+func TestTornTailAfterSeal(t *testing.T) {
+	const n = 3
+	cases := []struct {
+		name    string
+		arm     string   // failpoint schedule
+		snapErr bool     // Snapshot fails
+		synced  bool     // A's fsync in the seal succeeded
+		segs    []uint64 // segments on disk after the seal; A is 1
+		want    int      // records recovered after the tear
+	}{
+		// A's fsync fails: A+2 is never created, A stays last and
+		// loses only its torn final record.
+		{"seal-fsync-fails", FPSync + "=err@1", true, false, []uint64{1}, n - 1},
+		// The snapshot write fails after the seal: A is whole and the
+		// tear lands in A+2, which holds only its header.
+		{"snapshot-write-fails", FPSync + "=delay:0s;" + FPSnapshot + "=err@1", true, true, []uint64{1, 3}, n},
+		{"snapshot-installed", FPSync + "=delay:0s", false, true, []uint64{2, 3}, n},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Cleanup(failpoint.Reset)
+			dir := t.TempDir()
+			r := rand.New(rand.NewSource(22))
+			l, _ := mustOpen(t, Options{Dir: dir, Sync: SyncNever, SnapshotEvery: -1})
+			var fps []uint64
+			for i := 0; i < n; i++ {
+				g := testGraph(t, r, 10, 15, 40)
+				if err := l.AppendFull(g.Fingerprint(), "bgpc", g, colorBGPC(t, g)); err != nil {
+					t.Fatalf("AppendFull: %v", err)
+				}
+				fps = append(fps, g.Fingerprint())
+			}
+			if err := failpoint.ArmFromSpec(tc.arm); err != nil {
+				t.Fatalf("arm failpoints: %v", err)
+			}
+			if err := l.Snapshot(); (err != nil) != tc.snapErr {
+				t.Fatalf("Snapshot = %v, want failure %v", err, tc.snapErr)
+			}
+			// Under SyncNever the seal's is the only fsync of A.
+			if hits := failpoint.Hits(FPSync); tc.synced && hits != 1 {
+				t.Fatalf("sealed segment fsynced %d times, want 1", hits)
+			}
+			seqs, _, err := l.listSegments()
+			if err != nil {
+				t.Fatalf("listSegments: %v", err)
+			}
+			l.Close()
+			failpoint.Reset()
+			if !slices.Equal(seqs, tc.segs) {
+				t.Fatalf("segments after the seal = %v, want %v", seqs, tc.segs)
+			}
+			last := l.segPath(seqs[len(seqs)-1])
+			fi, err := os.Stat(last)
+			if err != nil {
+				t.Fatalf("stat last segment: %v", err)
+			}
+			if err := os.Truncate(last, fi.Size()-3); err != nil {
+				t.Fatalf("tear last segment: %v", err)
+			}
+			checkRecovered(t, dir, fps, tc.want, fi.Size()-3, tc.name)
+		})
+	}
 }
