@@ -18,7 +18,8 @@
 // URL; the router fans the fleet out itself) or at several daemons
 // directly. Fleet runs gain a per-backend outcome breakdown and a
 // "rerouted" status class counting successes a router served via
-// failover or spillover.
+// failover or spillover. A delta answered 404 whose full-color fallback
+// succeeded counts as "fallback", in fleet and single-daemon runs.
 //
 // A JSON spec file (-config) may supply the same knobs; flags override
 // it. -spawn boots a throwaway in-process daemon instead of targeting

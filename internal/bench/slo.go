@@ -22,11 +22,13 @@ const SLOSchema = "bgpc-slo/v1"
 // partition every scheduled request into. "2xx" is success (possibly
 // degraded), "rerouted" success that a fleet router served via
 // failover or spillover rather than the key's ring owner (absent in
-// single-daemon runs), "4xx" client-fault rejections (400/413), "429"
-// backpressure (queue, budget, quarantine), "5xx" server faults,
-// "canceled" requests the schedule canceled client-side, and
-// "transport" connection-level failures.
-var SLOStatusClasses = []string{"2xx", "rerouted", "4xx", "429", "5xx", "canceled", "transport"}
+// single-daemon runs), "fallback" a delta answered 404 whose
+// full-color fallback succeeded (the incremental path was skipped),
+// "4xx" client-fault rejections (400/413), "429" backpressure (queue,
+// budget, quarantine), "5xx" server faults, "canceled" requests the
+// schedule canceled client-side, and "transport" connection-level
+// failures.
+var SLOStatusClasses = []string{"2xx", "rerouted", "fallback", "4xx", "429", "5xx", "canceled", "transport"}
 
 // SLOVariant is the daemon-side latency distribution of one algorithm
 // variant over the run, reconstructed from the /metrics scrape delta

@@ -3,6 +3,8 @@ package bench
 import (
 	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -157,5 +159,31 @@ func TestCompareSLO(t *testing.T) {
 	regs = CompareSLO(base, cur, 0.25)
 	if len(regs) != 2 {
 		t.Fatalf("churn findings = %v", regs)
+	}
+}
+
+// TestCommittedSLOArtifactsValidate: adding a status class must not
+// invalidate the bgpc-slo/v1 artifacts already committed at the repo
+// root.
+func TestCommittedSLOArtifactsValidate(t *testing.T) {
+	paths, err := filepath.Glob("../../BENCH_pr*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no committed BENCH_pr*.json artifacts found")
+	}
+	for _, p := range paths {
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var r SLOReport
+		if err := json.Unmarshal(raw, &r); err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		if err := r.Validate(); err != nil {
+			t.Errorf("%s: %v", p, err)
+		}
 	}
 }

@@ -356,7 +356,8 @@ func recordSlowest(m map[string][]bench.SLOSlowest, class string, e bench.SLOSlo
 // With none learned, or when the daemon answers 404 (the base graph was
 // evicted or the daemon restarted), the item degrades to its full-color
 // request — the protocol's prescribed client fallback — and the outcome
-// of that fallback is what gets classified.
+// of that fallback is what gets classified; a successful fallback after
+// a 404 classifies as "fallback", so the skipped incremental path shows.
 func issue(ctx context.Context, cli *client.Client, fps *sync.Map, it Item) outcome {
 	rctx := ctx
 	if it.CancelAfter > 0 {
@@ -370,6 +371,7 @@ func issue(ctx context.Context, cli *client.Client, fps *sync.Map, it Item) outc
 		}
 		return "2xx"
 	}
+	missed := false
 	if it.Delta != nil {
 		if v, ok := fps.Load(it.Key); ok {
 			fp := v.(string)
@@ -401,6 +403,7 @@ func issue(ctx context.Context, cli *client.Client, fps *sync.Map, it Item) outc
 				if !ae.Recoverable {
 					fps.CompareAndDelete(it.Key, v)
 				}
+				missed = true
 			} else {
 				return outcome{class: "transport"}
 			}
@@ -410,6 +413,9 @@ func issue(ctx context.Context, cli *client.Client, fps *sync.Map, it Item) outc
 	if err == nil {
 		if it.Hostile == "" && resp.Fingerprint != "" {
 			fps.Store(it.Key, resp.Fingerprint)
+		}
+		if missed {
+			return outcome{class: "fallback"}.from(ri)
 		}
 		return outcome{class: okClass(ri)}.from(ri)
 	}

@@ -2,6 +2,7 @@ package load
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -134,50 +135,76 @@ func TestRecordSlowest(t *testing.T) {
 // dispatcher must learn fingerprints from full colors, land deltas on
 // the daemon's delta endpoint (visible as the svc_delta_applied counter
 // and the "delta" latency variant), and classify every outcome into the
-// standard status classes.
+// standard status classes. Against a daemon whose delta endpoint
+// answers 404, every delta falls back to a full color and classifies
+// as "fallback", never as "2xx".
 func TestRunDeltaMix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end load run")
 	}
-	srv := httptest.NewServer(service.New(service.Config{
-		Workers:    2,
-		QueueDepth: 64,
-	}))
-	defer srv.Close()
+	for _, tc := range []struct {
+		name string
+		miss bool
+	}{{"applied", false}, {"missed", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var h http.Handler = service.New(service.Config{
+				Workers:    2,
+				QueueDepth: 64,
+			})
+			if tc.miss {
+				mux := http.NewServeMux()
+				mux.Handle("/", h)
+				mux.HandleFunc("POST /color/{fingerprint}/delta", func(w http.ResponseWriter, r *http.Request) {
+					http.Error(w, `{"error":"not cached"}`, http.StatusNotFound)
+				})
+				h = mux
+			}
+			srv := httptest.NewServer(h)
+			defer srv.Close()
 
-	spec := testSpec(t)
-	spec.Requests = 150
-	spec.RPS = 400
-	spec.HostileRate = 0
-	spec.CancelRate = 0
-	spec.ZipfS = 0
-	spec.Clients = 4
-	spec.Fingerprints = 2 // few keys → fingerprints learned early
-	spec.Mix = spec.Mix[:1]
-	spec.Mix[0].DeltaRate = 0.6
-	spec.DeltaEdges = 3
-	sched, err := BuildSchedule(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+			spec := testSpec(t)
+			spec.Requests = 150
+			spec.RPS = 400
+			spec.HostileRate = 0
+			spec.CancelRate = 0
+			spec.ZipfS = 0
+			spec.Clients = 4
+			spec.Fingerprints = 2 // few keys → fingerprints learned early
+			spec.Mix = spec.Mix[:1]
+			spec.Mix[0].DeltaRate = 0.6
+			spec.DeltaEdges = 3
+			sched, err := BuildSchedule(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	rep, err := Run(ctx, sched, Options{BaseURL: srv.URL, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.Validate(); err != nil {
-		t.Fatalf("report invalid: %v", err)
-	}
-	if rep.StatusClasses["2xx"] == 0 || rep.StatusClasses["5xx"] != 0 {
-		t.Fatalf("status classes: %v", rep.StatusClasses)
-	}
-	if rep.Counters["bgpc_svc_delta_applied_total"] == 0 {
-		t.Fatalf("no deltas reached the daemon: %v", rep.Counters)
-	}
-	if v, ok := rep.Variants["delta"]; !ok || v.Requests == 0 {
-		t.Fatalf("no delta latency variant in report: %v", rep.Variants)
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+			defer cancel()
+			rep, err := Run(ctx, sched, Options{BaseURL: srv.URL, Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rep.Validate(); err != nil {
+				t.Fatalf("report invalid: %v", err)
+			}
+			sc := rep.StatusClasses
+			if sc["2xx"] == 0 || sc["2xx"]+sc["fallback"] != rep.Requests {
+				t.Fatalf("status classes: %v", sc)
+			}
+			applied := rep.Counters["bgpc_svc_delta_applied_total"]
+			if tc.miss {
+				if sc["fallback"] == 0 || applied != 0 {
+					t.Fatalf("missed deltas: fallback %d, applied %d: %v", sc["fallback"], applied, sc)
+				}
+				return
+			}
+			if sc["fallback"] != 0 || applied == 0 {
+				t.Fatalf("applied deltas: fallback %d, applied %d: %v", sc["fallback"], applied, sc)
+			}
+			if v, ok := rep.Variants["delta"]; !ok || v.Requests == 0 {
+				t.Fatalf("no delta latency variant in report: %v", rep.Variants)
+			}
+		})
 	}
 }
 

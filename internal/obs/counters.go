@@ -153,6 +153,9 @@ var (
 	// RtrFailovers counts reroutes past a down or ejected owner to its
 	// ring successor (transport failure, 5xx, or health ejection).
 	RtrFailovers Counter
+	// RtrDeltaMissHops counts delta hops a backend answered 404 (it
+	// does not hold the base) before the router walked on.
+	RtrDeltaMissHops Counter
 	// RtrEjections counts suspect→ejected health transitions.
 	RtrEjections Counter
 	// RtrRecoveries counts probing→healthy health transitions (an
@@ -252,6 +255,7 @@ var counterNames = map[string]*Counter{
 	"bgpc.rtr_dedup_hits":       &RtrDedupHits,
 	"bgpc.rtr_spillovers":       &RtrSpillovers,
 	"bgpc.rtr_failovers":        &RtrFailovers,
+	"bgpc.rtr_delta_miss_hops":  &RtrDeltaMissHops,
 	"bgpc.rtr_ejections":        &RtrEjections,
 	"bgpc.rtr_recoveries":       &RtrRecoveries,
 	"bgpc.trace_kept":           &TraceKept,

@@ -51,6 +51,7 @@ var counterHelp = map[string]string{
 	"bgpc.rtr_dedup_hits":       "Requests collapsed into an identical in-flight job.",
 	"bgpc.rtr_spillovers":       "Budget-aware reroutes past a 429/413-rejecting owner.",
 	"bgpc.rtr_failovers":        "Reroutes past a down or ejected owner to its successor.",
+	"bgpc.rtr_delta_miss_hops":  "Delta hops answered 404 by a backend without the base, walked past.",
 	"bgpc.rtr_ejections":        "Backend suspect-to-ejected health transitions.",
 	"bgpc.rtr_recoveries":       "Ejected backends that passed recovery probes and rejoined.",
 }

@@ -10,8 +10,8 @@ import (
 // TestWritePrometheusGoldenFamily resets all metric state, makes a
 // deterministic set of observations, and pins the exact exposition
 // bytes of two histogram families (queue wait and WAL snapshot time)
-// and one counter family. A diff here is a wire-format change every
-// scraper sees.
+// and two counter families (admissions and router delta miss hops). A
+// diff here is a wire-format change every scraper sees.
 func TestWritePrometheusGoldenFamily(t *testing.T) {
 	ResetMetrics()
 	ResetHistograms()
@@ -19,6 +19,7 @@ func TestWritePrometheusGoldenFamily(t *testing.T) {
 
 	SvcAccepted.Inc()
 	SvcAccepted.Inc()
+	RtrDeltaMissHops.Add(3)
 	for _, v := range []float64{0.0004, 0.001, 0.3, 45} {
 		SvcQueueWait.Observe(v)
 	}
@@ -40,6 +41,15 @@ func TestWritePrometheusGoldenFamily(t *testing.T) {
 	}, "\n")
 	if !strings.Contains(out, wantCounter) {
 		t.Fatalf("exposition missing counter block:\nwant:\n%s\ngot:\n%s", wantCounter, out)
+	}
+	wantMiss := strings.Join([]string{
+		"# HELP bgpc_rtr_delta_miss_hops_total Delta hops answered 404 by a backend without the base, walked past.",
+		"# TYPE bgpc_rtr_delta_miss_hops_total counter",
+		"bgpc_rtr_delta_miss_hops_total 3",
+		"",
+	}, "\n")
+	if !strings.Contains(out, wantMiss) {
+		t.Fatalf("exposition missing delta miss counter block:\nwant:\n%s\ngot:\n%s", wantMiss, out)
 	}
 
 	wantHist := strings.Join([]string{

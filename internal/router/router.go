@@ -40,7 +40,8 @@ type Config struct {
 	// DefaultVNodes.
 	VNodes int
 	// MaxHops caps how many backends one request may visit across
-	// failover and spillover; < 1 means 3 (capped at the fleet size).
+	// failover, spillover and the delta miss walk; < 1 means 3 (capped
+	// at the fleet size).
 	MaxHops int
 	// Health tunes the per-backend health machinery.
 	Health HealthConfig
@@ -265,12 +266,14 @@ func (rt *Router) handleColor(w http.ResponseWriter, r *http.Request) {
 		sum := sha256.Sum256(body)
 		key, variant = "raw:"+hex.EncodeToString(sum[:]), "unknown"
 	}
-	rt.route(w, r, body, key, variant)
+	rt.route(w, r, body, key, variant, false)
 }
 
-// handleDelta routes a delta-recoloring job by the path fingerprint —
-// the same identity the graph cache indexes, so a delta chases its
-// base graph to whichever backend colored it.
+// handleDelta routes a delta-recoloring job by the path fingerprint.
+// The base was colored on the owner of its graph cache key, which the
+// fingerprint alone cannot name, so a backend's 404 is not final here:
+// proxy walks the ring successors (up to MaxHops) until one holds the
+// base.
 func (rt *Router) handleDelta(w http.ResponseWriter, r *http.Request) {
 	body, ok := rt.readBody(w, r)
 	if !ok {
@@ -284,7 +287,7 @@ func (rt *Router) handleDelta(w http.ResponseWriter, r *http.Request) {
 	if json.Unmarshal(body, &req) == nil && (req.Mode == "d2" || req.Mode == "d2gc") {
 		variant = "delta/d2"
 	}
-	rt.route(w, r, body, "fp:"+fp, variant)
+	rt.route(w, r, body, "fp:"+fp, variant, true)
 }
 
 func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
@@ -300,8 +303,8 @@ func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool
 // proxy via ring order with failover and spillover, replay the
 // backend's response, and observe end-to-end latency under the same
 // histogram family a single daemon uses (so one SLO pipeline reads
-// either topology).
-func (rt *Router) route(w http.ResponseWriter, r *http.Request, body []byte, key, variant string) {
+// either topology). delta makes a backend's 404 non-final (see proxy).
+func (rt *Router) route(w http.ResponseWriter, r *http.Request, body []byte, key, variant string, delta bool) {
 	start := time.Now()
 
 	// Identical job = same path + byte-identical body. The routing key
@@ -347,7 +350,7 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request, body []byte, key
 	}
 
 	res, shared, err := rt.sf.Do(r.Context(), sfKey, func(ctx context.Context) (*flightResult, error) {
-		return rt.proxy(ctx, rec, sc, r.Method, r.URL.RequestURI(), hdr, body, key)
+		return rt.proxy(ctx, rec, sc, r.Method, r.URL.RequestURI(), hdr, body, key, delta)
 	})
 	if shared {
 		obs.RtrDedupHits.Inc()
@@ -445,20 +448,27 @@ var errNoBackend = errors.New("router: no eligible backend")
 //   - transport error or 5xx → passive failure, try successor
 //   - 429/413 → the backend is alive but out of budget: remember its
 //     rejection, spill to the successor
+//   - 404 on a delta → the backend is alive but does not hold the base:
+//     remember the miss, walk on to the successor
 //   - anything else (2xx, 4xx) → final
 //
 // If every visited backend rejected with 429/413, the OWNER's original
 // rejection (with its Retry-After) is replayed — the owner's backoff
-// advice is the authoritative one for this key. MaxHops bounds the
-// walk so a misbehaving fleet cannot turn one request into N.
-func (rt *Router) proxy(ctx context.Context, rec *obs.Recorder, sc trace.SpanContext, method, uri string, hdr http.Header, body []byte, key string) (*flightResult, error) {
+// advice is the authoritative one for this key. A delta rejected
+// somewhere and missed elsewhere replays the rejection: a backend looks
+// the base up before admission, so the rejecting one holds it. With
+// only misses, the first recoverable one (some WAL still holds the
+// base) is replayed, else the first definitive one. MaxHops bounds the
+// walk so a misbehaving fleet cannot turn one request into N; a base
+// held outside the first MaxHops members still misses.
+func (rt *Router) proxy(ctx context.Context, rec *obs.Recorder, sc trace.SpanContext, method, uri string, hdr http.Header, body []byte, key string, delta bool) (*flightResult, error) {
 	if err := failpoint.Inject(FPPick); err != nil {
 		return nil, fmt.Errorf("%w (injected)", errNoBackend)
 	}
 	pick := rec.StartSpanKind("pick", trace.KindPick)
 	order := rt.ring.Order(key)
 	pick.End()
-	var firstReject *flightResult
+	var firstReject, miss *flightResult
 	hops := 0
 	rerouted, spilled := false, false
 	for _, name := range order {
@@ -518,6 +528,18 @@ func (rt *Router) proxy(ctx context.Context, rec *obs.Recorder, sc trace.SpanCon
 			spilled = true
 			hopSpan(rec, hopID, trace.KindSpillover, t0, "backend", name, "status", strconv.Itoa(res.status))
 			continue
+		case delta && res.status == http.StatusNotFound:
+			// Alive, just not holding the base. Not a reroute: the
+			// successor is where the walk looks next, not a stand-in
+			// for a failed owner.
+			b.reportSuccess()
+			obs.RtrDeltaMissHops.Inc()
+			hopSpan(rec, hopID, trace.KindDeltaMiss, t0, "backend", name, "status", strconv.Itoa(res.status))
+			res.traceID, res.spanID = sc.TraceID, hopID
+			if miss == nil || (!miss.recoverable() && res.recoverable()) {
+				miss = res
+			}
+			continue
 		default:
 			b.reportSuccess()
 			obs.RtrProxied.Inc()
@@ -533,12 +555,24 @@ func (rt *Router) proxy(ctx context.Context, rec *obs.Recorder, sc trace.SpanCon
 			return res, nil
 		}
 	}
-	if firstReject != nil {
+	replay := firstReject
+	if replay == nil {
+		replay = miss
+	}
+	if replay != nil {
 		obs.RtrProxied.Inc()
-		firstReject.header["X-Bgpc-Backend"] = []string{firstReject.backend}
-		return firstReject, nil
+		replay.header["X-Bgpc-Backend"] = []string{replay.backend}
+		return replay, nil
 	}
 	return nil, errNoBackend
+}
+
+// recoverable reports whether a backend's delta 404 carries the
+// recoverable hint: its log acknowledged the base but could not
+// produce it right now.
+func (f *flightResult) recoverable() bool {
+	var e service.ErrorResponse
+	return json.Unmarshal(f.body, &e) == nil && e.Recoverable
 }
 
 // send performs one backend round trip, buffering the response so the

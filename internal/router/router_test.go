@@ -22,7 +22,7 @@ import (
 
 // fakeBackend is a scripted fleet member: its handler is swappable at
 // runtime, its /healthz verdict is controllable, and it counts /color
-// hits.
+// and delta hits.
 type fakeBackend struct {
 	srv     *httptest.Server
 	addr    string
@@ -66,13 +66,15 @@ func newFleet(t *testing.T, n int) ([]*fakeBackend, *Router) {
 			}
 			io.WriteString(w, "ok")
 		})
-		mux.HandleFunc("POST /color", func(w http.ResponseWriter, r *http.Request) {
+		job := func(w http.ResponseWriter, r *http.Request) {
 			f.hits.Add(1)
 			f.mu.Lock()
 			fn := f.fn
 			f.mu.Unlock()
 			fn(w, r)
-		})
+		}
+		mux.HandleFunc("POST /color", job)
+		mux.HandleFunc("POST /color/{fingerprint}/delta", job)
 		f.srv = httptest.NewServer(mux)
 		f.addr = strings.TrimPrefix(f.srv.URL, "http://")
 		fleet[i] = f

@@ -137,15 +137,7 @@ func TestE2EAssembledTraceOfReroutedRequest(t *testing.T) {
 
 	// Discover the delta key's ring owner empirically, then kill it.
 	const deltaBody = `{"insert":[[0,3]]}`
-	postDeltaRouter := func() *httptest.ResponseRecorder {
-		path := "/color/" + fp + "/delta"
-		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(deltaBody))
-		req.URL = &url.URL{Path: path}
-		w := httptest.NewRecorder()
-		fl.rt.ServeHTTP(w, req)
-		return w
-	}
-	w := postDeltaRouter()
+	w := postDelta(fl.rt, fp, deltaBody)
 	if w.Code != 200 {
 		t.Fatalf("warmup delta status %d: %s", w.Code, w.Body)
 	}
@@ -158,7 +150,7 @@ func TestE2EAssembledTraceOfReroutedRequest(t *testing.T) {
 	}
 	fl.servers[owner].Close() // transport error → failover
 
-	w = postDeltaRouter()
+	w = postDelta(fl.rt, fp, deltaBody)
 	if w.Code != 200 {
 		t.Fatalf("status %d: %s", w.Code, w.Body)
 	}

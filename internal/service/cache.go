@@ -140,7 +140,9 @@ func (c *graphCache) get(key string) (*cacheEntry, bool) {
 // getByFingerprint returns the entry whose graph fingerprints to fp
 // (hex), refreshing its recency. It sits behind the same FPCacheGet
 // failpoint as get: a chaos-rotted cache degrades delta requests into
-// 404s, which clients answer with a full color — slower, still correct.
+// 404s. A router first walks such a 404 on to the ring successors; only
+// when no visited backend holds the base does the client answer it
+// with a full color — slower, still correct.
 func (c *graphCache) getByFingerprint(fp string) (*cacheEntry, bool) {
 	if c == nil {
 		return nil, false

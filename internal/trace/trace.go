@@ -49,6 +49,10 @@ const (
 	// KindSpillover is a backend round trip answered 429/413 — alive
 	// but out of budget, job spilled onward.
 	KindSpillover = "spillover"
+	// KindDeltaMiss is a delta's backend round trip answered 404 —
+	// alive, but not holding the base; the router walked on to the
+	// ring successor.
+	KindDeltaMiss = "delta-miss"
 	// KindDedup marks a singleflight follower: the request did not run
 	// anywhere, its result was fanned out from the leader's flight.
 	// The span's attrs carry the leader's trace and hop span ids.
