@@ -2,9 +2,10 @@ package delta
 
 // The golden differential test pins every single-threaded coloring the
 // kernels produce on a fixed input set: D2GC and BGPC under every named
-// schedule and balancing policy, the sequential baselines, graphs with
-// isolated vertices, and the delta-recolor cases of the differential
-// harness. Each coloring is reduced to a 64-bit digest and compared
+// schedule and balancing policy, D1GC under every vertex-based one, the
+// sequential baselines, graphs with isolated vertices, the simulated
+// distributed D2GC with its communication statistics, and the
+// delta-recolor cases of the differential harness. Each coloring is reduced to a 64-bit digest and compared
 // against testdata/golden_colorings.txt, so a refactor of the shared
 // runner that moves even one color fails here with the run's name.
 //
@@ -25,7 +26,9 @@ import (
 
 	"bgpc/internal/bipartite"
 	"bgpc/internal/core"
+	"bgpc/internal/d1"
 	"bgpc/internal/d2"
+	"bgpc/internal/dist"
 	"bgpc/internal/gen"
 	"bgpc/internal/graph"
 	"bgpc/internal/verify"
@@ -137,6 +140,33 @@ func goldenColorings(t *testing.T) map[string]string {
 				}
 				put(fmt.Sprintf("d2/%s/%s/%v", name, spec.Name, bal), res.Colors)
 			}
+		}
+	}
+
+	for name, ug := range ugs {
+		put("d1/"+name+"/seq", d1.Sequential(ug, nil).Colors)
+		for _, spec := range core.NamedAlgorithms() {
+			if spec.Opts.NetCRIters != 0 {
+				continue // D1GC has no net-based phases
+			}
+			for _, bal := range balances {
+				opts := spec.Opts
+				opts.Threads, opts.Balance = 1, bal
+				res, err := d1.Color(ug, opts)
+				if err != nil {
+					t.Fatalf("d1 %s/%s/%v: %v", name, spec.Name, bal, err)
+				}
+				put(fmt.Sprintf("d1/%s/%s/%v", name, spec.Name, bal), res.Colors)
+			}
+		}
+		for _, ranks := range []int{1, 2, 3, 7} {
+			colors, st, err := dist.ColorD2GC(ug, ranks, 0)
+			if err != nil {
+				t.Fatalf("dist %s/r%d: %v", name, ranks, err)
+			}
+			key := fmt.Sprintf("dist/%s/r%d", name, ranks)
+			put(key, colors)
+			out[key] += fmt.Sprintf(" supersteps=%d messages=%d values=%d", st.Supersteps, st.Messages, st.Values)
 		}
 	}
 
