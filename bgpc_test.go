@@ -1,7 +1,9 @@
 package bgpc
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
 	"testing"
 )
 
@@ -136,6 +138,49 @@ func TestFacadeD1AndDistK(t *testing.T) {
 	// Distance-k color counts are monotone in k.
 	if k3.NumColors < seq.NumColors {
 		t.Fatalf("k=3 used fewer colors (%d) than k=1 (%d)", k3.NumColors, seq.NumColors)
+	}
+}
+
+func TestFacadeD1Trace(t *testing.T) {
+	b, err := Preset("channel", 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := UndirectedFromBipartite(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	sink := NewJSONLTrace(&buf)
+	opts := Options{Threads: 2, Chunk: 64, LazyQueues: true, Obs: NewObserver(sink)}
+	res, err := ColorD1(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Err(); err != nil {
+		t.Fatal(err)
+	}
+	perIter := map[int]map[string]int{}
+	events := 0
+	sc := bufio.NewScanner(&buf)
+	for sc.Scan() {
+		var e TraceEvent
+		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
+			t.Fatalf("line %q: %v", sc.Text(), err)
+		}
+		if perIter[e.Iter] == nil {
+			perIter[e.Iter] = map[string]int{}
+		}
+		perIter[e.Iter][e.Phase]++
+		events++
+	}
+	if events != 2*res.Iterations {
+		t.Fatalf("%d trace events for %d iterations, want %d", events, res.Iterations, 2*res.Iterations)
+	}
+	for it := 1; it <= res.Iterations; it++ {
+		if p := perIter[it]; p["color"] != 1 || p["conflict"] != 1 {
+			t.Fatalf("iteration %d: events by phase %v, want one color and one conflict", it, p)
+		}
 	}
 }
 

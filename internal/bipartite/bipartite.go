@@ -10,9 +10,9 @@
 // (vtxs, used by net-based algorithms and as the conflict oracle) and
 // vertices→nets (nets, used by vertex-based algorithms). Adjacency
 // lists are sorted and duplicate-free, which makes traversal order and
-// therefore sequential colorings deterministic. The one exception is
-// the closed-neighbourhood view (ClosedView) the D2GC kernels color
-// through.
+// therefore sequential colorings deterministic. The exceptions are
+// the views of an undirected graph the D2GC and D1GC kernels color
+// through (ClosedView, OwnNetView).
 package bipartite
 
 import (
@@ -88,6 +88,36 @@ func (g *Graph) VtxDeg(u int32) int { return int(g.vtxPtr[u+1] - g.vtxPtr[u] - g
 func ClosedView(ptr []int64, adj []int32) *Graph {
 	n := len(ptr) - 1
 	return &Graph{numVtx: n, numNet: n, netPtr: ptr, netAdj: adj, vtxPtr: ptr, vtxAdj: adj, vtxOff: 1}
+}
+
+// OwnNetView returns the distance-1 form of an undirected graph given
+// as the same CSR segments [v, nbor(v)…] as ClosedView. Net v is again
+// the whole segment, vtxs(v) = N[v], but every vertex is in one net
+// only, its own: nets(v) = {v}, or none for an isolated vertex, which
+// the runners therefore pre-color 0. The vertex phases skip the vertex
+// itself while scanning its nets, so on this view they read exactly
+// nbor(v): the coloring phase forbids the neighbours' colors and
+// conflict detection checks each edge with the smaller-id tie-break,
+// which is speculative D1GC. The net direction aliases ptr and adj,
+// which must not be modified afterwards; the vertex direction is new,
+// about 12 bytes per vertex.
+//
+// The view is for the vertex phases only. A net holds a vertex and all
+// its neighbours, so the net-based phases, Repair and verify.BGPC
+// would enforce distance 2 on it. It shares ClosedView's other
+// departures from this package's rules (unsorted nets, directions that
+// are not transposes), with the same consequences.
+func OwnNetView(ptr []int64, adj []int32) *Graph {
+	n := len(ptr) - 1
+	vtxPtr := make([]int64, n+1)
+	vtxAdj := make([]int32, 0, n)
+	for v := 0; v < n; v++ {
+		if ptr[v+1]-ptr[v] > 1 {
+			vtxAdj = append(vtxAdj, int32(v))
+		}
+		vtxPtr[v+1] = int64(len(vtxAdj))
+	}
+	return &Graph{numVtx: n, numNet: n, netPtr: ptr, netAdj: adj, vtxPtr: vtxPtr, vtxAdj: vtxAdj}
 }
 
 // ErrInvalidEdge reports an incidence outside the declared dimensions.

@@ -85,7 +85,7 @@ func conflictVertexShared(g *bipartite.Graph, W []int32, c *Colors, q *par.Share
 			w := W[i]
 			if vertexConflicts(g, w, c, &work) {
 				q.Push(w)
-				work += int64(QueuePushCostUnits) * int64(o.threads())
+				work += int64(queuePushCostUnits) * int64(o.threads())
 			}
 		}
 		wc.AddChunk(work)

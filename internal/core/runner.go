@@ -23,7 +23,8 @@ const FPIterate = "core.iterate"
 // phase schedule, scheduling parameters, and balancing Policy described
 // by opts, and returns a valid partial coloring of g's VA vertices. On
 // a bipartite.ClosedView it runs the D2GC loop of the paper's
-// Section IV (Algorithms 9 and 10 are the net phases on that view).
+// Section IV (Algorithms 9 and 10 are the net phases on that view); on
+// a bipartite.OwnNetView its vertex-based schedules run D1GC.
 //
 // Iteration k uses net-based coloring while k ≤ opts.NetColorIters and
 // net-based conflict removal while k ≤ opts.NetCRIters, then falls back

@@ -18,9 +18,9 @@ const (
 	// dynamic-schedule chunk hand-out; a phase charges
 	// DispatchCostUnits × threads to the grabbing thread.
 	DispatchCostUnits = 4
-	// QueuePushCostUnits is the modeled per-contender cost of one push
+	// queuePushCostUnits is the modeled per-contender cost of one push
 	// into the shared (non-lazy) conflict queue.
-	QueuePushCostUnits = 4
+	queuePushCostUnits = 4
 )
 
 // WorkCounters models the per-thread work distribution of one phase

@@ -1,15 +1,20 @@
-// Package d1 implements distance-1 (ordinary) greedy graph coloring
-// with the same speculative parallel framework as the paper's BGPC and
-// D2GC algorithms (its Algorithms 1–3 are stated for this general
-// case). The paper's background section uses D1GC as the reference
-// point: sequential D1GC is fast in practice, and the optimistic
-// color-then-repair loop originates here (Çatalyürek et al.,
-// ParCo 2012).
+// Package d1 implements distance-1 (ordinary) greedy graph coloring,
+// the base case of the paper's speculative framework (its Algorithms
+// 1–3 are stated for this general case). The paper's background
+// section uses D1GC as the reference point: sequential D1GC is fast in
+// practice, and the optimistic color-then-repair loop originates here
+// (Çatalyürek et al., ParCo 2012).
 //
-// The package supports the same scheduling options (dynamic chunk,
-// lazy queues), orderings, and B1/B2 balancing as internal/core. There
-// is no net-based phase: a distance-1 conflict is a single edge, so
-// the vertex-based scan is already neighbourhood-optimal.
+// Color is internal/core's runner on the own-net view of the graph
+// (graph.Graph.OwnNet), in which each vertex's only net is its own
+// closed neighbourhood. Core's vertex phases then forbid exactly the
+// neighbours' colors and detect conflicts over edges with the
+// smaller-id tie-break, and the scheduling options (dynamic chunk,
+// lazy queues), orderings, B1/B2 balancing, tracing and failpoints
+// are core's own. Net-based phases are rejected: a distance-1
+// conflict is a single edge, and on the view they would enforce
+// distance 2. Sequential stays a separate loop, the reference the
+// distance-k code is cross-checked against.
 package d1
 
 import (
@@ -18,7 +23,6 @@ import (
 
 	"bgpc/internal/core"
 	"bgpc/internal/graph"
-	"bgpc/internal/par"
 )
 
 // Options configures a D1GC run. Net-phase fields of core.Options are
@@ -64,153 +68,26 @@ func Sequential(g *graph.Graph, vertexOrder []int32) *core.Result {
 		CriticalWork: work,
 	}
 	res.ColoringTime = res.Time
-	countColors(res)
+	// First-fit leaves no gaps: a vertex takes color k only when its
+	// neighbours hold every color below k.
+	res.MaxColor = -1
+	for _, col := range c {
+		res.MaxColor = max(res.MaxColor, col)
+	}
+	res.NumColors = int(res.MaxColor) + 1
 	return res
 }
 
-// Color runs the speculative parallel D1GC loop: optimistic coloring of
-// the work queue, conflict detection over edges with the smaller-id
-// tie-break, repeat until a fixed point (paper Algorithms 1–3 with
-// nbor(v) = adjacency).
+// Color runs the speculative parallel D1GC loop (paper Algorithms 1–3
+// with nbor(v) = adjacency) as core.Color on g's own-net view: every
+// iteration colors the work queue optimistically, then re-queues each
+// vertex that shares its color with a smaller-id neighbour, until a
+// fixed point.
 func Color(g *graph.Graph, opts Options) (*core.Result, error) {
-	if err := validate(&opts, g.NumVertices()); err != nil {
-		return nil, err
+	if opts.NetColorIters != 0 || opts.NetCRIters != 0 {
+		return nil, fmt.Errorf("d1: net-based phases are undefined for distance-1 coloring (NetColorIters=%d, NetCRIters=%d)", opts.NetColorIters, opts.NetCRIters)
 	}
-	start := time.Now()
-	n := g.NumVertices()
-	threads := threadsOf(&opts)
-	c := core.NewColors(n)
-	wc := core.NewWorkCounters(threads)
-	forb := make([]*core.Forbidden, threads)
-	pol := make([]core.Policy, threads)
-	for i := range forb {
-		forb[i] = core.NewForbidden(g.MaxDeg() + 2)
-	}
-
-	W := make([]int32, 0, n)
-	appendVertex := func(u int32) {
-		if g.Deg(u) == 0 {
-			c.Set(u, 0)
-		} else {
-			W = append(W, u)
-		}
-	}
-	if opts.Order == nil {
-		for u := int32(0); int(u) < n; u++ {
-			appendVertex(u)
-		}
-	} else {
-		for _, u := range opts.Order {
-			appendVertex(u)
-		}
-	}
-
-	var shared *par.SharedQueue
-	var local *par.LocalQueues
-	if opts.LazyQueues {
-		local = par.NewLocalQueues(threads, len(W))
-	} else {
-		shared = par.NewSharedQueue(len(W))
-	}
-	var wnext []int32
-
-	sched := par.Dynamic
-	if opts.Guided {
-		sched = par.Guided
-	}
-	po := par.Options{Threads: threads, Chunk: chunkOf(&opts), Schedule: sched}
-	res := &core.Result{}
-	maxIters := maxItersOf(&opts)
-	for iter := 1; len(W) > 0; iter++ {
-		if iter > maxIters {
-			return nil, fmt.Errorf("d1: no fixed point after %d iterations (%d vertices still queued)", maxIters, len(W))
-		}
-		res.Iterations = iter
-		it := core.IterStats{QueueLen: len(W)}
-
-		// Coloring phase.
-		t0 := time.Now()
-		for i := range pol {
-			pol[i] = core.NewPolicy(opts.Balance)
-		}
-		par.For(len(W), po, func(tid, lo, hi int) {
-			f := forb[tid]
-			p := &pol[tid]
-			work := int64(core.DispatchCostUnits) * int64(threads)
-			for i := lo; i < hi; i++ {
-				w := W[i]
-				f.Reset()
-				nb := g.Nbors(w)
-				work += int64(len(nb)) + 1
-				for _, u := range nb {
-					if cu := c.Get(u); cu != core.Uncolored {
-						f.Add(cu)
-					}
-				}
-				c.Set(w, p.Pick(f, w))
-			}
-			wc.AddChunk(work)
-		})
-		it.ColoringTime = time.Since(t0)
-		it.ColoringWork, it.ColoringMaxWork = wc.TotalAndMax()
-
-		// Conflict removal phase.
-		t1 := time.Now()
-		detect := func(tid int, w int32, work *int64) bool {
-			cw := c.Get(w)
-			nb := g.Nbors(w)
-			*work += int64(len(nb)) + 1
-			for _, u := range nb {
-				if u < w && c.Get(u) == cw {
-					return true
-				}
-			}
-			return false
-		}
-		if opts.LazyQueues {
-			local.Reset()
-			par.For(len(W), po, func(tid, lo, hi int) {
-				work := int64(core.DispatchCostUnits) * int64(threads)
-				for i := lo; i < hi; i++ {
-					if detect(tid, W[i], &work) {
-						local.Push(tid, W[i])
-					}
-				}
-				wc.AddChunk(work)
-			})
-			wnext = local.MergeInto(wnext)
-			W = append(W[:0], wnext...)
-		} else {
-			shared.Reset()
-			par.For(len(W), po, func(tid, lo, hi int) {
-				work := int64(core.DispatchCostUnits) * int64(threads)
-				for i := lo; i < hi; i++ {
-					if detect(tid, W[i], &work) {
-						shared.Push(W[i])
-						work += int64(core.QueuePushCostUnits) * int64(threads)
-					}
-				}
-				wc.AddChunk(work)
-			})
-			W = append(W[:0], shared.Items()...)
-		}
-		it.ConflictTime = time.Since(t1)
-		it.ConflictWork, it.ConflictMaxWork = wc.TotalAndMax()
-		it.Conflicts = len(W)
-
-		res.ColoringTime += it.ColoringTime
-		res.ConflictTime += it.ConflictTime
-		res.TotalWork += it.ColoringWork + it.ConflictWork
-		res.CriticalWork += it.ColoringMaxWork + it.ConflictMaxWork
-		if opts.CollectPerIteration {
-			res.Iters = append(res.Iters, it)
-		}
-	}
-
-	res.Colors = c.Raw()
-	res.Time = time.Since(start)
-	countColors(res)
-	return res, nil
+	return core.Color(g.OwnNet(), opts)
 }
 
 // Verify returns nil iff colors is a valid distance-1 coloring of g.
@@ -229,72 +106,4 @@ func Verify(g *graph.Graph, colors []int32) error {
 		}
 	}
 	return nil
-}
-
-func threadsOf(o *Options) int {
-	if o.Threads < 1 {
-		return 1
-	}
-	return o.Threads
-}
-
-func chunkOf(o *Options) int {
-	if o.Chunk < 1 {
-		return 1
-	}
-	return o.Chunk
-}
-
-func maxItersOf(o *Options) int {
-	if o.MaxIters <= 0 {
-		return 1000
-	}
-	return o.MaxIters
-}
-
-func validate(o *Options, n int) error {
-	if o.NetColorIters != 0 || o.NetCRIters != 0 {
-		return fmt.Errorf("d1: net-based phases are undefined for distance-1 coloring (NetColorIters=%d, NetCRIters=%d)", o.NetColorIters, o.NetCRIters)
-	}
-	if o.Order != nil {
-		if len(o.Order) != n {
-			return fmt.Errorf("d1: Order has length %d, graph has %d vertices", len(o.Order), n)
-		}
-		seen := make([]bool, n)
-		for _, u := range o.Order {
-			if u < 0 || int(u) >= n || seen[u] {
-				return fmt.Errorf("d1: Order is not a permutation of [0,%d)", n)
-			}
-			seen[u] = true
-		}
-	}
-	switch o.Balance {
-	case core.BalanceNone, core.BalanceB1, core.BalanceB2:
-	default:
-		return fmt.Errorf("d1: unknown Balance %d", o.Balance)
-	}
-	return nil
-}
-
-func countColors(r *core.Result) {
-	maxCol := int32(-1)
-	for _, c := range r.Colors {
-		if c > maxCol {
-			maxCol = c
-		}
-	}
-	r.MaxColor = maxCol
-	if maxCol < 0 {
-		r.NumColors = 0
-		return
-	}
-	seen := make([]bool, maxCol+1)
-	n := 0
-	for _, c := range r.Colors {
-		if c >= 0 && !seen[c] {
-			seen[c] = true
-			n++
-		}
-	}
-	r.NumColors = n
 }

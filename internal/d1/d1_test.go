@@ -189,7 +189,13 @@ func TestColorProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkD1Color(b *testing.B) {
+func BenchmarkD1Color(b *testing.B) { benchColor(b, 4) }
+
+// BenchmarkD1ColorOneThread isolates the per-vertex cost of the runner
+// from the parallel loops' dispatch.
+func BenchmarkD1ColorOneThread(b *testing.B) { benchColor(b, 1) }
+
+func benchColor(b *testing.B, threads int) {
 	bg, err := gen.Preset("copapers", 0.1)
 	if err != nil {
 		b.Fatal(err)
@@ -198,7 +204,7 @@ func BenchmarkD1Color(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := Options{Threads: 4, Chunk: 64, LazyQueues: true}
+	opts := Options{Threads: threads, Chunk: 64, LazyQueues: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Color(g, opts); err != nil {

@@ -80,10 +80,10 @@ func ColorBGPC(g *bipartite.Graph, ranks, superstepLimit int) ([]int32, Stats, e
 		return w < u
 	}
 
-	// subscribers[r] for vertex u: which ranks own a distance-2
-	// neighbour of u and therefore need u's color. Precomputed once,
-	// like the ghost lists a real implementation builds at setup.
-	subscribers := make([][]int32, n) // sorted rank ids, excluding the owner
+	// subscribers[u]: the ranks that own a distance-2 neighbour of u
+	// and therefore need u's color. Precomputed once, like the ghost
+	// lists a real implementation builds at setup.
+	subscribers := make([][]int32, n) // rank ids in first-seen order, excluding the owner
 	{
 		seen := make([]int32, ranks)
 		for i := range seen {
@@ -345,27 +345,9 @@ func (b *barrier) wait() {
 
 // ColorD2GC runs the distributed speculative distance-2 coloring on an
 // undirected graph — the problem the framework papers ([5],[6]) target
-// directly. Structure matches ColorBGPC: block partition, optimistic
-// supersteps, boundary exchange, hashed tie-break.
+// directly — as ColorBGPC on the graph's closed-neighbourhood view
+// (graph.Graph.Closed), whose BGPC constraints are exactly the
+// distance-2 ones.
 func ColorD2GC(g *graph.Graph, ranks, superstepLimit int) ([]int32, Stats, error) {
-	b, err := asBipartite(g)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return ColorBGPC(b, ranks, superstepLimit)
-}
-
-// asBipartite converts an undirected graph to the bipartite form whose
-// BGPC constraints equal the graph's distance-2 constraints: net v
-// contains v itself plus nbor(v) (the full-diagonal symmetric matrix).
-func asBipartite(g *graph.Graph) (*bipartite.Graph, error) {
-	n := g.NumVertices()
-	edges := make([]bipartite.Edge, 0, 2*g.NumEdges()+int64(n))
-	for v := int32(0); int(v) < n; v++ {
-		edges = append(edges, bipartite.Edge{Net: v, Vtx: v})
-		for _, u := range g.Nbors(v) {
-			edges = append(edges, bipartite.Edge{Net: v, Vtx: u})
-		}
-	}
-	return bipartite.FromEdges(n, n, edges)
+	return ColorBGPC(g.Closed(), ranks, superstepLimit)
 }

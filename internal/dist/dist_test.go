@@ -216,30 +216,3 @@ func TestColorD2GCValid(t *testing.T) {
 		}
 	}
 }
-
-func TestAsBipartiteEquivalence(t *testing.T) {
-	// The induced BGPC constraints must equal distance-2 constraints:
-	// sequential colorings coincide (full-diagonal equivalence).
-	b, err := gen.Preset("nlpkkt", 0.03)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := graph.FromBipartite(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bg, err := asBipartite(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bg.IsStructurallySymmetric() {
-		t.Fatal("induced bipartite not symmetric")
-	}
-	colors, _, err := ColorBGPC(bg, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := verify.D2GC(g, colors); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -10,13 +10,16 @@
 // vertex first, [v, nbor(v)…]. Nbors returns the sorted tail; Closed
 // exposes the whole segments as a bipartite graph in which every
 // vertex is the net over its closed neighbourhood, the form in which
-// the paper's Section IV reduces D2GC to BGPC.
+// the paper's Section IV reduces D2GC to BGPC. OwnNet exposes the same
+// segments with each vertex in its own net only, the form in which
+// D1GC runs on the BGPC kernels.
 package graph
 
 import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"bgpc/internal/bipartite"
 )
@@ -27,6 +30,9 @@ type Graph struct {
 	ptr    []int64          // segment bounds, len n+1
 	adj    []int32          // [v, nbor(v)…] per vertex
 	closed *bipartite.Graph // view over ptr/adj, built once
+
+	ownNetOnce sync.Once
+	ownNet     *bipartite.Graph // built on first OwnNet call
 }
 
 // Edge is one undirected edge {U, V}.
@@ -52,6 +58,17 @@ func (g *Graph) Deg(v int32) int { return int(g.ptr[v+1]-g.ptr[v]) - 1 }
 // on g. The view aliases g's storage and is built once with g; it is
 // meant for the coloring kernels only (see bipartite.ClosedView).
 func (g *Graph) Closed() *bipartite.Graph { return g.closed }
+
+// OwnNet returns the own-net view of g: a bipartite graph whose net v
+// is N[v] and whose vertex v is in net v alone, so that the vertex
+// phases of the BGPC kernels on the view are D1GC on g (see
+// bipartite.OwnNetView). The view aliases g's storage; it is built on
+// the first call, so graphs colored only at distance 2 never pay for
+// its vertex-direction arrays.
+func (g *Graph) OwnNet() *bipartite.Graph {
+	g.ownNetOnce.Do(func() { g.ownNet = bipartite.OwnNetView(g.ptr, g.adj) })
+	return g.ownNet
+}
 
 // MaxDeg returns the maximum vertex degree.
 func (g *Graph) MaxDeg() int {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -32,6 +33,49 @@ func TestBasics(t *testing.T) {
 		if !equalInt32(g.Nbors(int32(v)), want[v]) {
 			t.Errorf("Nbors(%d) = %v, want %v", v, g.Nbors(int32(v)), want[v])
 		}
+	}
+}
+
+func TestOwnNet(t *testing.T) {
+	g, err := FromEdges(5, []Edge{{0, 1}, {1, 2}, {2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Concurrent first calls (runners on one shared graph) must all get
+	// the one view.
+	views := make([]*bipartite.Graph, 4)
+	var wg sync.WaitGroup
+	for i := range views {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			views[i] = g.OwnNet()
+		}(i)
+	}
+	wg.Wait()
+	b := g.OwnNet()
+	for i, v := range views {
+		if v != b {
+			t.Fatalf("call %d got a different view", i)
+		}
+	}
+	if b.NumVertices() != 5 || b.NumNets() != 5 {
+		t.Fatalf("dims: %d vertices, %d nets", b.NumVertices(), b.NumNets())
+	}
+	for v := int32(0); v < 5; v++ {
+		want := []int32{v}
+		if v == 4 { // isolated: in no net, so the runners pre-color it
+			want = []int32{}
+		}
+		if !equalInt32(b.Nets(v), want) {
+			t.Errorf("Nets(%d) = %v, want %v", v, b.Nets(v), want)
+		}
+		if vt := b.Vtxs(v); vt[0] != v || !equalInt32(vt[1:], g.Nbors(v)) {
+			t.Errorf("Vtxs(%d) = %v, want %d then %v", v, vt, v, g.Nbors(v))
+		}
+	}
+	if ub := b.MaxColorUpperBound(); ub != g.MaxDeg()+1 {
+		t.Fatalf("MaxColorUpperBound = %d, want maxdeg+1 = %d", ub, g.MaxDeg()+1)
 	}
 }
 
