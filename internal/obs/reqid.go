@@ -27,27 +27,24 @@ func NewRequestID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// ParseTraceparent extracts the trace-id from a W3C traceparent header
+// ParseTraceparent parses a W3C traceparent header
 // (version-traceid-parentid-flags, e.g.
-// "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01").
-// Returns ok=false for malformed values and the all-zero trace-id,
-// which the spec declares invalid.
-func ParseTraceparent(h string) (traceID string, ok bool) {
+// "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01") into its
+// lowercased trace and parent ids and the sampled flag. ok is false for
+// malformed values, version ff, and the all-zero trace or parent id.
+func ParseTraceparent(h string) (traceID, parentID string, sampled, ok bool) {
 	parts := strings.Split(strings.TrimSpace(h), "-")
 	if len(parts) < 4 {
-		return "", false
+		return "", "", false, false
 	}
-	ver, id := parts[0], parts[1]
-	if len(ver) != 2 || !isHex(ver) || ver == "ff" {
-		return "", false
+	ver, tid, pid, flags := parts[0], strings.ToLower(parts[1]), strings.ToLower(parts[2]), parts[3]
+	if len(ver) != 2 || !isHex(ver) || ver == "ff" || len(flags) != 2 || !isHex(flags) ||
+		len(tid) != 32 || !isHex(tid) || strings.Trim(tid, "0") == "" ||
+		len(pid) != 16 || !isHex(pid) || strings.Trim(pid, "0") == "" {
+		return "", "", false, false
 	}
-	if len(id) != 32 || !isHex(id) || id == strings.Repeat("0", 32) {
-		return "", false
-	}
-	if len(parts[2]) != 16 || !isHex(parts[2]) || len(parts[3]) != 2 || !isHex(parts[3]) {
-		return "", false
-	}
-	return strings.ToLower(id), true
+	f, _ := hex.DecodeString(flags)
+	return tid, pid, f[0]&0x01 != 0, true
 }
 
 // maxRequestIDLen bounds adopted X-Request-ID values so a hostile
@@ -76,7 +73,7 @@ func SanitizeRequestID(id string) (string, bool) {
 // X-Request-ID, then a freshly minted id. adopted reports whether the
 // id came from the client.
 func RequestIDFromHeaders(traceparent, xRequestID string) (id string, adopted bool) {
-	if tid, ok := ParseTraceparent(traceparent); ok {
+	if tid, _, _, ok := ParseTraceparent(traceparent); ok {
 		return tid, true
 	}
 	if rid, ok := SanitizeRequestID(xRequestID); ok {

@@ -38,14 +38,19 @@ func TestParseTraceparent(t *testing.T) {
 		{"non-hex trace id", "00-" + strings.Repeat("g", 32) + "-00f067aa0ba902b7-01", "", false},
 		{"all-zero trace id", "00-" + strings.Repeat("0", 32) + "-00f067aa0ba902b7-01", "", false},
 		{"short parent id", "00-" + validID + "-abc-01", "", false},
+		{"all-zero parent id", "00-" + validID + "-0000000000000000-01", "", false},
 		{"bad flags", "00-" + validID + "-00f067aa0ba902b7-0x", "", false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, ok := ParseTraceparent(tc.in)
+			got, _, _, ok := ParseTraceparent(tc.in)
 			if ok != tc.ok || got != tc.want {
 				t.Fatalf("ParseTraceparent(%q) = %q, %v; want %q, %v",
 					tc.in, got, ok, tc.want, tc.ok)
+			}
+			// A header the parser rejects is never adopted as the id.
+			if id, adopted := RequestIDFromHeaders(tc.in, ""); adopted != tc.ok || (tc.ok && id != tc.want) {
+				t.Fatalf("RequestIDFromHeaders(%q) = %q, adopted=%v", tc.in, id, adopted)
 			}
 		})
 	}

@@ -284,8 +284,10 @@ func (rt *Router) handleDelta(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Mode string `json:"mode"`
 	}
-	if json.Unmarshal(body, &req) == nil && (req.Mode == "d2" || req.Mode == "d2gc") {
-		variant = "delta/d2"
+	if json.Unmarshal(body, &req) == nil {
+		if d2, _ := service.ParseMode(req.Mode); d2 {
+			variant = "delta/d2"
+		}
 	}
 	rt.route(w, r, body, "fp:"+fp, variant, true)
 }
@@ -643,7 +645,7 @@ func colorVariant(req *service.ColorRequest) string {
 	if algo == "" {
 		algo = "N1-N2"
 	}
-	if req.Mode == "d2" || req.Mode == "d2gc" {
+	if d2, _ := service.ParseMode(req.Mode); d2 {
 		return "d2/" + algo
 	}
 	return algo

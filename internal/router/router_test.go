@@ -282,7 +282,7 @@ func TestRouterHeaderForwarding(t *testing.T) {
 	if gotID != callerTID {
 		t.Fatalf("backend saw id=%q, want the trace id %q", gotID, callerTID)
 	}
-	tid, pid, sampled, ok := trace.ParseTraceparent(gotTP)
+	tid, pid, sampled, ok := obs.ParseTraceparent(gotTP)
 	if !ok {
 		t.Fatalf("backend saw malformed traceparent %q", gotTP)
 	}
@@ -396,6 +396,35 @@ func TestRouterAllBackendsDown(t *testing.T) {
 	rt.ServeHTTP(hw, hreq)
 	if hw.Code != http.StatusServiceUnavailable {
 		t.Fatalf("/healthz %d with zero eligible backends, want 503", hw.Code)
+	}
+}
+
+// TestRouterVariantParsesModeLikeBackend: the router labels a request
+// with the variant the backend records, so mode "D2" (the backend
+// lowercases modes) lands under the d2 variants on both hops.
+func TestRouterVariantParsesModeLikeBackend(t *testing.T) {
+	testutil.CheckGoroutineLeaks(t)
+	fleet, _ := newFleet(t, 1)
+	var log strings.Builder
+	rt, err := New(Config{
+		Backends: []string{fleet[0].addr},
+		Health:   HealthConfig{ProbeInterval: time.Hour},
+		Log:      slog.New(slog.NewTextHandler(&log, nil)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	if w := postColor(t, rt, `{"preset":"grid","scale":0.02,"mode":"D2"}`, nil); w.Code != 200 {
+		t.Fatalf("color status %d: %s", w.Code, w.Body)
+	}
+	if w := postDelta(rt, "0123456789abcdef", `{"insert":[[0,1]],"mode":"D2"}`); w.Code != 200 {
+		t.Fatalf("delta status %d: %s", w.Code, w.Body)
+	}
+	for _, want := range []string{"variant=d2/N1-N2", "variant=delta/d2"} {
+		if !strings.Contains(log.String(), want) {
+			t.Errorf("route log lacks %s:\n%s", want, log.String())
+		}
 	}
 }
 

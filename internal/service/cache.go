@@ -11,6 +11,7 @@ import (
 	"bgpc/internal/failpoint"
 	"bgpc/internal/graph"
 	"bgpc/internal/obs"
+	"bgpc/internal/verify"
 )
 
 // cacheEntry is one cached graph. The bipartite graph is immutable
@@ -58,6 +59,34 @@ func (e *cacheEntry) undirected() (*graph.Graph, error) {
 		e.ug, e.ugErr = graph.FromBipartite(e.g)
 	})
 	return e.ug, e.ugErr
+}
+
+// kernelGraph is the graph the coloring kernel runs on: the matrix
+// itself, or in d2 mode the closed-neighbourhood view of its undirected
+// graph (ParseAlgorithm only yields the two-pass net coloring that view
+// needs). The d2 error means the matrix is not structurally symmetric.
+func (e *cacheEntry) kernelGraph(d2 bool) (*bipartite.Graph, error) {
+	if !d2 {
+		return e.g, nil
+	}
+	ug, err := e.undirected()
+	if err != nil {
+		return nil, err
+	}
+	return ug.Closed(), nil
+}
+
+// verify checks colors as a BGPC coloring of e.g, or in d2 mode as a
+// D2GC coloring of its undirected graph.
+func (e *cacheEntry) verify(d2 bool, colors []int32) error {
+	if !d2 {
+		return verify.BGPC(e.g, colors)
+	}
+	ug, err := e.undirected()
+	if err != nil {
+		return err
+	}
+	return verify.D2GC(ug, colors)
 }
 
 // storeColoring retains a copy of a coloring verified against e.g.
@@ -116,34 +145,19 @@ func newGraphCache(capacity int) *graphCache {
 
 // get returns the entry for key, refreshing its recency. A nil cache
 // always misses.
-func (c *graphCache) get(key string) (*cacheEntry, bool) {
-	if c == nil {
-		return nil, false
-	}
-	if err := failpoint.Inject(FPCacheGet); err != nil {
-		// An injected cache fault degrades to a miss: the request
-		// rebuilds the graph, slower but correct.
-		obs.SvcCacheMisses.Inc()
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[key]; ok {
-		c.ll.MoveToFront(el)
-		obs.SvcCacheHits.Inc()
-		return el.Value.(*cacheEntry), true
-	}
-	obs.SvcCacheMisses.Inc()
-	return nil, false
-}
+func (c *graphCache) get(key string) (*cacheEntry, bool) { return c.lookup(false, key) }
 
 // getByFingerprint returns the entry whose graph fingerprints to fp
-// (hex), refreshing its recency. It sits behind the same FPCacheGet
-// failpoint as get: a chaos-rotted cache degrades delta requests into
-// 404s. A router first walks such a 404 on to the ring successors; only
-// when no visited backend holds the base does the client answer it
-// with a full color — slower, still correct.
-func (c *graphCache) getByFingerprint(fp string) (*cacheEntry, bool) {
+// (hex), refreshing its recency.
+func (c *graphCache) getByFingerprint(fp string) (*cacheEntry, bool) { return c.lookup(true, fp) }
+
+// lookup finds k in the fingerprint index (byFP) or the key index. It
+// sits behind the FPCacheGet failpoint: an injected cache fault
+// degrades to a miss. A full color then rebuilds the graph, slower but
+// correct; a delta 404s, which a router first walks on to the ring
+// successors, and only when no visited backend holds the base does the
+// client answer it with a full color.
+func (c *graphCache) lookup(byFP bool, k string) (*cacheEntry, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -153,7 +167,11 @@ func (c *graphCache) getByFingerprint(fp string) (*cacheEntry, bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.fpm[fp]; ok {
+	index := c.m
+	if byFP {
+		index = c.fpm
+	}
+	if el, ok := index[k]; ok {
 		c.ll.MoveToFront(el)
 		obs.SvcCacheHits.Inc()
 		return el.Value.(*cacheEntry), true

@@ -5,12 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
 	"bgpc/internal/delta"
-	"bgpc/internal/graph"
 	"bgpc/internal/limits"
 	"bgpc/internal/obs"
 	"bgpc/internal/trace"
@@ -111,25 +109,16 @@ func (s *Server) decodeDeltaRequest(fingerprint string, raw []byte) (*deltaSpec,
 	if d.Empty() {
 		return nil, http.StatusBadRequest, errors.New("empty delta: give insert and/or remove edge lists")
 	}
-	spec := &deltaSpec{fp: fingerprint, key: "fp:" + fingerprint, d: d}
-	switch req.Mode {
-	case "", "bgpc":
-		spec.variant = "delta"
-	case "d2", "d2gc":
-		spec.d2mode = true
+	spec := &deltaSpec{fp: fingerprint, key: "fp:" + fingerprint, d: d, variant: "delta"}
+	var err error
+	if spec.d2mode, err = ParseMode(req.Mode); err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	if spec.d2mode {
 		spec.variant = "delta/d2"
-	default:
-		return nil, http.StatusBadRequest, fmt.Errorf("unknown mode %q (want bgpc or d2)", req.Mode)
 	}
-	if req.TimeoutMS < 0 {
-		return nil, http.StatusBadRequest, fmt.Errorf("negative timeout_ms %d", req.TimeoutMS)
-	}
-	spec.timeout = s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		spec.timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		if spec.timeout > s.cfg.MaxTimeout {
-			spec.timeout = s.cfg.MaxTimeout
-		}
+	if spec.timeout, err = s.deadline(req.TimeoutMS); err != nil {
+		return nil, http.StatusBadRequest, err
 	}
 	return spec, 0, nil
 }
@@ -144,12 +133,8 @@ func (s *Server) writeDeltaMiss(w http.ResponseWriter, rec *obs.Recorder, recove
 	if recoverable {
 		rec.Annotate("recoverable", "true")
 	}
-	writeJSON(w, http.StatusNotFound, ErrorResponse{
-		Error:       fmt.Sprintf(format, args...),
-		RequestID:   w.Header().Get("X-Request-ID"),
-		Recoverable: recoverable,
-		TraceID:     w.Header().Get("X-BGPC-Trace"),
-	})
+	writeStamped(w, http.StatusNotFound,
+		&ErrorResponse{Error: fmt.Sprintf(format, args...), Recoverable: recoverable})
 }
 
 func validFingerprint(fp string) bool {
@@ -174,26 +159,18 @@ func validFingerprint(fp string) bool {
 func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	rec := obs.RecorderFromContext(r.Context())
 	decode := rec.StartSpanKind("decode", trace.KindDecode)
-	body := io.LimitReader(r.Body, s.cfg.MaxRequestBytes+1)
-	raw, err := io.ReadAll(body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading request: %v", err)
-		return
-	}
-	if int64(len(raw)) > s.cfg.MaxRequestBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, "request exceeds %d bytes", s.cfg.MaxRequestBytes)
+	raw, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
 	spec, status, err := s.decodeDeltaRequest(r.PathValue("fingerprint"), raw)
 	decode.End()
-	if spec != nil {
-		rec.Annotate("variant", spec.variant)
-		rec.Annotate("graph", spec.key)
-	}
 	if err != nil {
-		writeError(w, status, "%v", err)
+		s.writeStatus(w, status, err)
 		return
 	}
+	rec.Annotate("variant", spec.variant)
+	rec.Annotate("graph", spec.key)
 
 	// The 404 contract: a delta is only an optimization over the cached
 	// state; when that state is gone (eviction, restart, chaos), the
@@ -203,10 +180,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	// the full color returns. A fingerprint the log acknowledged but
 	// could not produce right now 404s with recoverable=true so a
 	// recovery race never makes a client unlearn durable state.
-	mode := "bgpc"
-	if spec.d2mode {
-		mode = "d2"
-	}
+	mode := modeName(spec.d2mode)
 	entry, ok := s.cache.getByFingerprint(spec.fp)
 	if !ok {
 		var recoverable bool
@@ -238,92 +212,23 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	if blocked, retry := s.quar.check(spec.key); blocked {
-		obs.SvcQuarantined.Inc()
-		rec.Annotate("outcome", "quarantined")
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", int(retry.Round(time.Second).Seconds())))
-		writeError(w, http.StatusTooManyRequests, "graph %s is quarantined after repeated worker panics; retry in %s", spec.key, retry.Round(time.Second))
-		return
-	}
-
 	// Admission: the mutated graph is the cached one ± a bounded edge
 	// list, so its footprint estimate comes from dimensions already in
 	// memory — no parsing, no header peek.
-	shape := limits.Shape{
+	est, status, err := s.jobBytes(limits.Shape{
 		Rows:    entry.g.NumNets(),
 		Cols:    entry.g.NumVertices(),
 		NNZ:     entry.g.NumEdges() + int64(len(spec.d.Insert)),
 		D2:      spec.d2mode,
 		Threads: 1,
-	}
-	est, err := limits.Estimate(shape)
+	})
 	if err != nil {
-		s.writeRetryable(w, err)
+		s.writeStatus(w, status, err)
 		return
 	}
-	if s.cfg.MaxJobBytes > 0 && est > s.cfg.MaxJobBytes {
-		obs.SvcTooLarge.Inc()
-		writeError(w, http.StatusRequestEntityTooLarge,
-			"%v: job needs ~%d bytes, per-job cap is %d", limits.ErrTooLarge, est, s.cfg.MaxJobBytes)
-		return
-	}
-
-	ctx, cancel := context.WithTimeout(r.Context(), spec.timeout)
-	defer cancel()
-
-	j := &job{ctx: ctx, done: make(chan struct{}), bytes: est}
-	var resp *DeltaResponse
-	var jobStatus int
-	var jobErr error
-	enqueued := time.Now()
-	j.run = func(ctx context.Context) {
-		wait := time.Since(enqueued)
-		obs.SvcQueueWait.Observe(wait.Seconds())
-		rec.AddSpanKind("queue", trace.KindQueue, enqueued, wait)
-		resp, jobStatus, jobErr = s.executeDelta(ctx, spec, entry, base, wait)
-	}
-	if err := s.pool.submit(j); err != nil {
-		switch {
-		case errors.Is(err, errDraining):
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusServiceUnavailable, "%v", err)
-		case errors.Is(err, limits.ErrTooLarge):
-			writeError(w, http.StatusRequestEntityTooLarge, "%v", err)
-		default:
-			s.writeRetryable(w, err)
-		}
-		return
-	}
-	obs.SvcJobBytes.Observe(float64(est))
-
-	select {
-	case <-j.done:
-	case <-r.Context().Done():
-		<-j.done
-		return
-	}
-	if j.panicked != nil {
-		obs.SvcPanics.Inc()
-		rec.Annotate("outcome", "panic")
-		s.logf("service: delta job panicked (graph %s): %v\n%s", spec.key, j.panicked, j.stack)
-		if s.quar.strike(spec.key) {
-			s.logf("service: quarantining graph %s for %s after repeated panics", spec.key, s.cfg.QuarantineFor)
-		}
-		writeError(w, http.StatusInternalServerError, "internal: job panicked: %v", j.panicked)
-		return
-	}
-	if jobErr != nil {
-		if jobStatus == http.StatusTooManyRequests {
-			s.writeRetryable(w, jobErr)
-			return
-		}
-		writeError(w, jobStatus, "%v", jobErr)
-		return
-	}
-	s.quar.clear(spec.key)
-	resp.RequestID = w.Header().Get("X-Request-ID")
-	resp.TraceID = w.Header().Get("X-BGPC-Trace")
-	writeJSON(w, http.StatusOK, resp)
+	s.serveJob(w, r, spec.key, spec.timeout, est, func(ctx context.Context, queued time.Duration) (stamper, int, error) {
+		return s.executeDelta(ctx, spec, entry, base, queued)
+	})
 }
 
 // executeDelta runs a validated delta on a worker: apply the mutation
@@ -335,9 +240,6 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 // copies and race only on who publishes their (content-addressed,
 // hence interchangeable) result entry first.
 func (s *Server) executeDelta(ctx context.Context, spec *deltaSpec, entry *cacheEntry, base []int32, queued time.Duration) (*DeltaResponse, int, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, http.StatusTooManyRequests, fmt.Errorf("deadline expired before the job could start (queued %s)", queued.Round(time.Microsecond))
-	}
 	rec := obs.RecorderFromContext(ctx)
 	start := time.Now()
 
@@ -354,16 +256,12 @@ func (s *Server) executeDelta(ctx context.Context, spec *deltaSpec, entry *cache
 
 	newEntry := newCacheEntry("", g2)
 
-	// As for a full color, D2GC recolors the closed view.
-	kg := g2
-	var ug2 *graph.Graph
-	if spec.d2mode {
-		// A delta can break the structural symmetry d2 requires; that is
-		// a defect in the client's delta, not in the server.
-		if ug2, err = newEntry.undirected(); err != nil {
-			return nil, http.StatusBadRequest, fmt.Errorf("d2 mode: delta result: %w", err)
-		}
-		kg = ug2.Closed()
+	// As for a full color, D2GC recolors the closed view. A delta can
+	// break the structural symmetry d2 requires; that is a defect in the
+	// client's delta, not in the server.
+	kg, err := newEntry.kernelGraph(spec.d2mode)
+	if err != nil {
+		return nil, http.StatusBadRequest, fmt.Errorf("d2 mode: delta result: %w", err)
 	}
 
 	recolor := rec.StartSpanKind("recolor", trace.KindRecolor)
@@ -379,11 +277,7 @@ func (s *Server) executeDelta(ctx context.Context, spec *deltaSpec, entry *cache
 	// Same contract as a full color: never hand out an unverified
 	// coloring, and never cache one either.
 	vspan := rec.StartSpanKind("verify", trace.KindVerify)
-	if spec.d2mode {
-		err = verify.D2GC(ug2, colors)
-	} else {
-		err = verify.BGPC(g2, colors)
-	}
+	err = newEntry.verify(spec.d2mode, colors)
 	vspan.End()
 	if err != nil {
 		return nil, http.StatusInternalServerError, fmt.Errorf("internal: delta produced an invalid coloring: %w", err)
@@ -393,15 +287,12 @@ func (s *Server) executeDelta(ctx context.Context, spec *deltaSpec, entry *cache
 	// winner's entry for the same fingerprint; store the coloring on
 	// whichever entry is actually in the cache.
 	pub := s.cache.putEntry(newEntry)
-	mode := "bgpc"
-	if spec.d2mode {
-		mode = "d2"
-	}
+	mode := modeName(spec.d2mode)
 	pub.storeColoring(mode, colors)
 	// Durability before acknowledgement: the delta record (base
 	// fingerprint + edge lists) is what lets the chain survive cache
 	// eviction and restarts.
-	s.walAppendDelta(rec, entry.fpU, pub, mode, spec.d, colors)
+	s.walAppend(rec, pub, mode, colors, entry.fpU, &spec.d)
 	obs.SvcDeltaApplied.Inc()
 	rec.Annotate("outcome", "ok")
 

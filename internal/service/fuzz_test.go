@@ -39,6 +39,10 @@ func FuzzColorRequest(f *testing.F) {
 		{Preset: "nope", Scale: -1, Mode: "d3", Balance: "B9", TimeoutMS: -5},
 		{Matrix: "x", Preset: "channel"}, // both set: must be rejected
 		{},                               // neither set: must be rejected
+		// timeout_ms values whose product with time.Millisecond
+		// overflows: they must clamp to MaxTimeout, not wrap.
+		{Preset: "channel", TimeoutMS: 9223372036854775807},
+		{Preset: "channel", TimeoutMS: 9223372036854776},
 	}
 	for _, r := range structured {
 		body, err := json.Marshal(r)
@@ -113,6 +117,10 @@ func FuzzDeltaRequest(f *testing.F) {
 		{goodFP + "0", `{"insert":[[0,1]]}`},              // wrong length
 		{goodFP, `not json`},
 		{goodFP, ``},
+		// timeout_ms values whose product with time.Millisecond
+		// overflows: they must clamp to MaxTimeout, not wrap.
+		{goodFP, `{"timeout_ms":9223372036854775807,"insert":[[0,1]]}`},
+		{goodFP, `{"timeout_ms":9223372036854776,"insert":[[0,1]]}`},
 	}
 	for _, s := range seeds {
 		f.Add(s.fp, []byte(s.body))

@@ -41,13 +41,13 @@ import (
 	"runtime/debug"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"bgpc/internal/bipartite"
 	"bgpc/internal/core"
 	"bgpc/internal/failpoint"
 	"bgpc/internal/gen"
-	"bgpc/internal/graph"
 	"bgpc/internal/limits"
 	"bgpc/internal/mtx"
 	"bgpc/internal/obs"
@@ -111,14 +111,10 @@ type Config struct {
 	// canceled and completed by the sequential fallback (degraded 200,
 	// livelock flagged). 0 disables the watchdog.
 	WatchdogWindow time.Duration
-	// Logf, when set, receives one line per contained fault (worker
-	// panic stacks, quarantine transitions, watchdog trips). Nil routes
-	// fault lines to Log instead. Retained for embedders that want raw
-	// printf-style fault lines; the daemon itself uses Log.
-	Logf func(format string, args ...any)
 	// Log receives structured logs: one access line per request (id,
-	// variant, status, rounds, conflicts, duration, outcome) plus the
-	// contained-fault reports when Logf is unset. Nil discards.
+	// variant, status, rounds, conflicts, duration, outcome) plus one
+	// warning per contained fault (worker panic stacks, quarantine
+	// transitions, watchdog trips, the WAL fuse). Nil discards.
 	Log *slog.Logger
 	// WAL, when set, makes acknowledged colorings durable: every
 	// verified full coloring and delta application is appended to the
@@ -194,14 +190,9 @@ func (c *Config) withDefaults() Config {
 	return out
 }
 
-// logf emits one operator-facing fault line through Config.Logf, or —
-// when no printf hook is installed — as a structured warning on the
-// server's logger (a no-op with the default discard logger).
+// logf emits one operator-facing fault line as a structured warning on
+// the server's logger (a no-op with the default discard logger).
 func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
-		return
-	}
 	s.log.Warn(fmt.Sprintf(format, args...))
 }
 
@@ -314,6 +305,8 @@ type Server struct {
 	traces *trace.Ring // nil when tracing is disabled
 	start  time.Time
 	warmed int // (fingerprint, mode) colorings re-verified from the WAL at boot
+	// walWarn limits the WAL degrade report to the fuse's one trip.
+	walWarn sync.Once
 }
 
 // New returns a ready Server with cfg's defaults applied and its
@@ -451,53 +444,86 @@ func (s *Server) handleColor(w http.ResponseWriter, r *http.Request) {
 	}
 	rec := obs.RecorderFromContext(r.Context())
 	decode := rec.StartSpanKind("decode", trace.KindDecode)
-	body := io.LimitReader(r.Body, s.cfg.MaxRequestBytes+1)
-	raw, err := io.ReadAll(body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading request: %v", err)
-		return
-	}
-	if int64(len(raw)) > s.cfg.MaxRequestBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, "request exceeds %d bytes", s.cfg.MaxRequestBytes)
+	raw, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
 	spec, status, err := s.decodeColorRequest(raw)
 	decode.End()
-	if spec != nil {
-		rec.Annotate("variant", spec.variant)
-		rec.Annotate("graph", spec.key)
-	}
 	if err != nil {
-		if status == http.StatusTooManyRequests {
-			// Budget-shaped rejections from resolve (e.g. an injected
-			// estimation fault) are retryable: tell the client when.
-			s.writeRetryable(w, err)
-			return
-		}
-		writeError(w, status, "%v", err)
+		s.writeStatus(w, status, err)
 		return
 	}
+	rec.Annotate("variant", spec.variant)
+	rec.Annotate("graph", spec.key)
+	s.serveJob(w, r, spec.key, spec.timeout, spec.estBytes, func(ctx context.Context, queued time.Duration) (stamper, int, error) {
+		return s.execute(ctx, spec, queued)
+	})
+}
 
+// readBody reads the request body under MaxRequestBytes, answering the
+// 400 or 413 itself when it cannot.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	raw, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxRequestBytes+1))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "reading request: %v", err)
+		return nil, false
+	}
+	if int64(len(raw)) > s.cfg.MaxRequestBytes {
+		writeError(w, http.StatusRequestEntityTooLarge, "request exceeds %d bytes", s.cfg.MaxRequestBytes)
+		return nil, false
+	}
+	return raw, true
+}
+
+// stamper is a response body that echoes the request's correlation ids.
+type stamper interface {
+	stamp(requestID, traceID string)
+}
+
+func (r *ColorResponse) stamp(id, tid string) { r.RequestID, r.TraceID = id, tid }
+func (r *DeltaResponse) stamp(id, tid string) { r.RequestID, r.TraceID = id, tid }
+func (r *ErrorResponse) stamp(id, tid string) { r.RequestID, r.TraceID = id, tid }
+
+// writeStamped writes body under status with the correlation ids
+// stamped in. ServeHTTP sets them as response headers before any
+// handler runs, so every path — the recover middleware's 500 included —
+// carries them without threading the ids around.
+func writeStamped(w http.ResponseWriter, status int, body stamper) {
+	body.stamp(w.Header().Get("X-Request-ID"), w.Header().Get("X-BGPC-Trace"))
+	writeJSON(w, status, body)
+}
+
+// serveJob is the admission-to-response path of every job route: the
+// quarantine gate, the per-request deadline, pool admission, the wait
+// for the worker, panic containment and the response. run executes on
+// a pooled worker with the job's context and the time it spent queued;
+// it returns the 200 body, or the status and error to answer with.
+func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, key string, timeout time.Duration, estBytes int64,
+	run func(ctx context.Context, queued time.Duration) (stamper, int, error)) {
+	rec := obs.RecorderFromContext(r.Context())
 	// Fault containment gate: inputs that keep crashing workers are
 	// refused during their cool-down so retry storms cannot re-poison
 	// the pool.
-	if blocked, retry := s.quar.check(spec.key); blocked {
+	if blocked, retry := s.quar.check(key); blocked {
 		obs.SvcQuarantined.Inc()
 		rec.Annotate("outcome", "quarantined")
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", int(retry.Round(time.Second).Seconds())))
-		writeError(w, http.StatusTooManyRequests, "graph %s is quarantined after repeated worker panics; retry in %s", spec.key, retry.Round(time.Second))
+		writeError(w, http.StatusTooManyRequests, "graph %s is quarantined after repeated worker panics; retry in %s", key, retry.Round(time.Second))
 		return
 	}
 
 	// Per-request deadline: the job context inherits the client
 	// connection's context, so a dropped client cancels the run too.
-	ctx, cancel := context.WithTimeout(r.Context(), spec.timeout)
+	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
-	j := &job{ctx: ctx, done: make(chan struct{}), bytes: spec.estBytes}
-	var resp *ColorResponse
-	var jobStatus int
-	var jobErr error
+	j := &job{ctx: ctx, done: make(chan struct{}), bytes: estBytes}
+	var out struct {
+		resp   stamper
+		status int
+		err    error
+	}
 	enqueued := time.Now()
 	j.run = func(ctx context.Context) {
 		// Queue wait — admission to worker pickup — is the backpressure
@@ -506,7 +532,15 @@ func (s *Server) handleColor(w http.ResponseWriter, r *http.Request) {
 		wait := time.Since(enqueued)
 		obs.SvcQueueWait.Observe(wait.Seconds())
 		rec.AddSpanKind("queue", trace.KindQueue, enqueued, wait)
-		resp, jobStatus, jobErr = s.execute(ctx, spec, wait)
+		if ctx.Err() != nil {
+			// Expired (or abandoned) while queued: nothing ran, so there
+			// is no partial state worth degrading — tell the client to
+			// back off and retry.
+			out.status = http.StatusTooManyRequests
+			out.err = fmt.Errorf("deadline expired before the job could start (queued %s)", wait.Round(time.Microsecond))
+			return
+		}
+		out.resp, out.status, out.err = run(ctx, wait)
 	}
 	if err := s.pool.submit(j); err != nil {
 		switch {
@@ -524,7 +558,7 @@ func (s *Server) handleColor(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	obs.SvcJobBytes.Observe(float64(spec.estBytes))
+	obs.SvcJobBytes.Observe(float64(estBytes))
 
 	select {
 	case <-j.done:
@@ -541,25 +575,19 @@ func (s *Server) handleColor(w http.ResponseWriter, r *http.Request) {
 		// a quarantine strike against this graph.
 		obs.SvcPanics.Inc()
 		rec.Annotate("outcome", "panic")
-		s.logf("service: job panicked (graph %s): %v\n%s", spec.key, j.panicked, j.stack)
-		if s.quar.strike(spec.key) {
-			s.logf("service: quarantining graph %s for %s after repeated panics", spec.key, s.cfg.QuarantineFor)
+		s.logf("service: job panicked (graph %s): %v\n%s", key, j.panicked, j.stack)
+		if s.quar.strike(key) {
+			s.logf("service: quarantining graph %s for %s after repeated panics", key, s.cfg.QuarantineFor)
 		}
 		writeError(w, http.StatusInternalServerError, "internal: job panicked: %v", j.panicked)
 		return
 	}
-	if jobErr != nil {
-		if jobStatus == http.StatusTooManyRequests {
-			s.writeRetryable(w, jobErr)
-			return
-		}
-		writeError(w, jobStatus, "%v", jobErr)
+	if out.err != nil {
+		s.writeStatus(w, out.status, out.err)
 		return
 	}
-	s.quar.clear(spec.key)
-	resp.RequestID = w.Header().Get("X-Request-ID")
-	resp.TraceID = w.Header().Get("X-BGPC-Trace")
-	writeJSON(w, http.StatusOK, resp)
+	s.quar.clear(key)
+	writeStamped(w, http.StatusOK, out.resp)
 }
 
 // jobSpec is a fully validated request, ready to execute. It carries
@@ -591,15 +619,9 @@ func (s *Server) resolve(req *ColorRequest) (*jobSpec, int, error) {
 	if (req.Matrix == "") == (req.Preset == "") {
 		return nil, http.StatusBadRequest, errors.New("give exactly one of matrix or preset")
 	}
-	if req.TimeoutMS < 0 {
-		return nil, http.StatusBadRequest, fmt.Errorf("negative timeout_ms %d", req.TimeoutMS)
-	}
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
-		}
+	timeout, err := s.deadline(req.TimeoutMS)
+	if err != nil {
+		return nil, http.StatusBadRequest, err
 	}
 
 	algo := req.Algorithm
@@ -628,13 +650,9 @@ func (s *Server) resolve(req *ColorRequest) (*jobSpec, int, error) {
 		opts.Threads = s.cfg.MaxThreads
 	}
 
-	var d2mode bool
-	switch strings.ToLower(req.Mode) {
-	case "", "bgpc":
-	case "d2", "d2gc":
-		d2mode = true
-	default:
-		return nil, http.StatusBadRequest, fmt.Errorf("unknown mode %q (want bgpc or d2)", req.Mode)
+	d2mode, err := ParseMode(req.Mode)
+	if err != nil {
+		return nil, http.StatusBadRequest, err
 	}
 
 	spec := &jobSpec{
@@ -669,18 +687,9 @@ func (s *Server) resolve(req *ColorRequest) (*jobSpec, int, error) {
 	}
 	shape.D2 = d2mode
 	shape.Threads = opts.Threads
-	est, err := limits.Estimate(shape)
-	if err != nil {
-		// Estimation itself failed (injected chaos fault): treat the
-		// job as unbudgetable-right-now, a retryable condition.
-		return nil, http.StatusTooManyRequests, err
+	if spec.estBytes, status, err = s.jobBytes(shape); err != nil {
+		return nil, status, err
 	}
-	if s.cfg.MaxJobBytes > 0 && est > s.cfg.MaxJobBytes {
-		obs.SvcTooLarge.Inc()
-		return nil, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("%w: job needs ~%d bytes, per-job cap is %d", limits.ErrTooLarge, est, s.cfg.MaxJobBytes)
-	}
-	spec.estBytes = est
 
 	spec.variant = algo
 	spec.label = "svc/" + algo
@@ -692,6 +701,62 @@ func (s *Server) resolve(req *ColorRequest) (*jobSpec, int, error) {
 		spec.opts.Obs = s.cfg.Obs.WithAlgo(spec.label)
 	}
 	return spec, 0, nil
+}
+
+// deadline resolves a request's timeout_ms: 0 means the server
+// default, negative is rejected, and anything above MaxTimeout clamps
+// to it. The comparison runs in milliseconds, before any conversion, so
+// no value overflows into a short or negative deadline.
+func (s *Server) deadline(ms int64) (time.Duration, error) {
+	switch {
+	case ms < 0:
+		return 0, fmt.Errorf("negative timeout_ms %d", ms)
+	case ms == 0:
+		return s.cfg.DefaultTimeout, nil
+	case ms > s.cfg.MaxTimeout.Milliseconds():
+		return s.cfg.MaxTimeout, nil
+	}
+	return time.Duration(ms) * time.Millisecond, nil
+}
+
+// ParseMode reports whether a request's mode field selects distance-2
+// coloring: "" and "bgpc" mean BGPC, "d2" and "d2gc" mean D2GC, in any
+// letter case. Exported so the fleet router labels requests the way
+// the daemon does.
+func ParseMode(mode string) (d2 bool, err error) {
+	switch strings.ToLower(mode) {
+	case "", "bgpc":
+		return false, nil
+	case "d2", "d2gc":
+		return true, nil
+	}
+	return false, fmt.Errorf("unknown mode %q (want bgpc or d2)", mode)
+}
+
+// modeName is the name a coloring is retained and logged under.
+func modeName(d2 bool) string {
+	if d2 {
+		return "d2"
+	}
+	return "bgpc"
+}
+
+// jobBytes estimates a job's peak footprint from its declared shape
+// and applies the per-job cap. The returned status applies when err is
+// non-nil.
+func (s *Server) jobBytes(shape limits.Shape) (int64, int, error) {
+	est, err := limits.Estimate(shape)
+	if err != nil {
+		// Estimation itself failed (injected chaos fault): treat the
+		// job as unbudgetable-right-now, a retryable condition.
+		return 0, http.StatusTooManyRequests, err
+	}
+	if s.cfg.MaxJobBytes > 0 && est > s.cfg.MaxJobBytes {
+		obs.SvcTooLarge.Inc()
+		return 0, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("%w: job needs ~%d bytes, per-job cap is %d", limits.ErrTooLarge, est, s.cfg.MaxJobBytes)
+	}
+	return est, 0, nil
 }
 
 // jobShape derives the declared Shape of spec's graph material. Matrix
@@ -742,18 +807,12 @@ func (s *Server) buildGraph(spec *jobSpec) (*cacheEntry, bool, error) {
 
 // execute runs a validated job on a worker: graph construction (cache
 // miss), the coloring run, and result verification. It never returns
-// 5xx for predictable conditions: deadline-before-start is 429
-// (admission could not schedule the job in time — a backpressure
-// signal), bad graph material is 400, and a deadline mid-run degrades
-// to the sequential completion path. Iteration exhaustion — a
+// 5xx for predictable conditions: bad graph material is 400, and a
+// deadline mid-run degrades to the sequential completion path
+// (serveJob answers a deadline that expired while queued with 429).
+// Iteration exhaustion — a
 // server-side algorithm limit the client cannot fix — is 500.
 func (s *Server) execute(ctx context.Context, spec *jobSpec, queued time.Duration) (*ColorResponse, int, error) {
-	if err := ctx.Err(); err != nil {
-		// Expired (or abandoned) while queued: nothing ran, so there
-		// is no partial state worth degrading — tell the client to
-		// back off and retry.
-		return nil, http.StatusTooManyRequests, fmt.Errorf("deadline expired before the job could start (queued %s)", queued.Round(time.Microsecond))
-	}
 	rec := obs.RecorderFromContext(ctx)
 	build := rec.StartSpanKind("build", trace.KindBuild)
 	entry, hit, err := s.buildGraph(spec)
@@ -766,18 +825,11 @@ func (s *Server) execute(ctx context.Context, spec *jobSpec, queued time.Duratio
 		}
 		return nil, http.StatusBadRequest, err
 	}
-	// The kernel colors the matrix itself, or for D2GC the closed-
-	// neighbourhood view of its undirected graph (ParseAlgorithm only
-	// yields the two-pass net coloring that view needs).
-	kg := entry.g
-	var ug *graph.Graph
-	if spec.d2mode {
-		// The symmetric-structure requirement is a property of the
-		// request's matrix; surface its failure as a client error.
-		if ug, err = entry.undirected(); err != nil {
-			return nil, http.StatusBadRequest, fmt.Errorf("d2 mode: %w", err)
-		}
-		kg = ug.Closed()
+	// The symmetric-structure requirement of d2 mode is a property of
+	// the request's matrix; surface its failure as a client error.
+	kg, err := entry.kernelGraph(spec.d2mode)
+	if err != nil {
+		return nil, http.StatusBadRequest, fmt.Errorf("d2 mode: %w", err)
 	}
 
 	// Progress watchdog: tap the run's trace-event stream through a
@@ -846,11 +898,7 @@ func (s *Server) execute(ctx context.Context, spec *jobSpec, queued time.Duratio
 	// A service must not hand out invalid colorings: the check is one
 	// O(nnz) pass, far cheaper than the run itself.
 	vspan := rec.StartSpanKind("verify", trace.KindVerify)
-	if spec.d2mode {
-		err = verify.D2GC(ug, res.Colors)
-	} else {
-		err = verify.BGPC(entry.g, res.Colors)
-	}
+	err = entry.verify(spec.d2mode, res.Colors)
 	vspan.End()
 	if err != nil {
 		return nil, http.StatusInternalServerError, fmt.Errorf("internal: produced an invalid coloring: %w", err)
@@ -860,12 +908,9 @@ func (s *Server) execute(ctx context.Context, spec *jobSpec, queued time.Duratio
 	// API (POST /color/{fingerprint}/delta), and make the acceptance
 	// durable before the 200 goes out. Stored per mode: a bgpc coloring
 	// is not a valid distance-2 warm start.
-	mode := "bgpc"
-	if spec.d2mode {
-		mode = "d2"
-	}
+	mode := modeName(spec.d2mode)
 	entry.storeColoring(mode, res.Colors)
-	s.walAppendFull(rec, entry, mode, res.Colors)
+	s.walAppend(rec, entry, mode, res.Colors, 0, nil)
 
 	resp.Colors = res.Colors
 	resp.Iterations = res.Iterations
@@ -882,16 +927,19 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// writeError writes the structured error body. The request id rides in
-// the X-Request-ID response header — set by ServeHTTP before any
-// handler runs — so every error path, including the recover
-// middleware's 500, carries it without threading the id around.
+// writeError writes the structured error body.
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, ErrorResponse{
-		Error:     fmt.Sprintf(format, args...),
-		RequestID: w.Header().Get("X-Request-ID"),
-		TraceID:   w.Header().Get("X-BGPC-Trace"),
-	})
+	writeStamped(w, status, &ErrorResponse{Error: fmt.Sprintf(format, args...)})
+}
+
+// writeStatus answers a failed request with err under status: the
+// retryable 429 shape for 429, the plain error body otherwise.
+func (s *Server) writeStatus(w http.ResponseWriter, status int, err error) {
+	if status == http.StatusTooManyRequests {
+		s.writeRetryable(w, err)
+		return
+	}
+	writeError(w, status, "%v", err)
 }
 
 // writeRetryable answers a retryable rejection (queue full, byte budget
@@ -905,11 +953,6 @@ func (s *Server) writeRetryable(w http.ResponseWriter, err error) {
 		retry = 30
 	}
 	w.Header().Set("Retry-After", strconv.Itoa(retry))
-	writeJSON(w, http.StatusTooManyRequests, ErrorResponse{
-		Error:       err.Error(),
-		QueueDepth:  depth,
-		RetryAfterS: retry,
-		RequestID:   w.Header().Get("X-Request-ID"),
-		TraceID:     w.Header().Get("X-BGPC-Trace"),
-	})
+	writeStamped(w, http.StatusTooManyRequests,
+		&ErrorResponse{Error: err.Error(), QueueDepth: depth, RetryAfterS: retry})
 }

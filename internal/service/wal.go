@@ -3,13 +3,11 @@ package service
 import (
 	"errors"
 	"strconv"
-	"sync"
 	"time"
 
 	"bgpc/internal/delta"
 	"bgpc/internal/obs"
 	"bgpc/internal/trace"
-	"bgpc/internal/verify"
 	"bgpc/internal/wal"
 )
 
@@ -32,34 +30,24 @@ func (s *Server) durability() string {
 	return "none"
 }
 
-// walWarnOnce rate-limits the degrade log line to the transition: the
-// fuse is one-way, so one line tells the whole story.
-var walWarnOnce sync.Once
-
-// walAppendFull logs one verified full coloring. Already-logged
-// (fingerprint, mode) pairs are skipped — any verified coloring for a
-// pair is interchangeable warm-start material, and re-coloring a hot
-// cached graph must not grow the log.
-func (s *Server) walAppendFull(rec *obs.Recorder, entry *cacheEntry, mode string, colors []int32) {
+// walAppend logs one verified coloring of entry before its 200: a
+// full coloring when d is nil, else the delta d applied to the graph
+// fingerprinted baseFPU (base fingerprint plus edge lists — the graph
+// is reconstructible by chain replay). Already-logged (fingerprint,
+// mode) pairs are skipped — any verified coloring for a pair is
+// interchangeable warm-start material, and re-coloring a hot cached
+// graph must not grow the log.
+func (s *Server) walAppend(rec *obs.Recorder, entry *cacheEntry, mode string, colors []int32, baseFPU uint64, d *delta.Delta) {
 	if s.cfg.WAL == nil || s.cfg.WAL.HasColoring(entry.fpU, mode) {
 		return
 	}
 	t0, syncs0 := time.Now(), obs.WalSyncs.Load()
-	err := s.cfg.WAL.AppendFull(entry.fpU, mode, entry.g, colors)
-	s.walSpan(rec, t0, syncs0, err)
-	if err != nil {
-		s.walDegraded(err)
+	var err error
+	if d == nil {
+		err = s.cfg.WAL.AppendFull(entry.fpU, mode, entry.g, colors)
+	} else {
+		err = s.cfg.WAL.AppendDelta(baseFPU, entry.fpU, mode, d.Insert, d.Remove, colors)
 	}
-}
-
-// walAppendDelta logs one verified delta application (base fingerprint
-// plus edge lists — the graph is reconstructible by chain replay).
-func (s *Server) walAppendDelta(rec *obs.Recorder, baseFPU uint64, entry *cacheEntry, mode string, d delta.Delta, colors []int32) {
-	if s.cfg.WAL == nil || s.cfg.WAL.HasColoring(entry.fpU, mode) {
-		return
-	}
-	t0, syncs0 := time.Now(), obs.WalSyncs.Load()
-	err := s.cfg.WAL.AppendDelta(baseFPU, entry.fpU, mode, d.Insert, d.Remove, colors)
 	s.walSpan(rec, t0, syncs0, err)
 	if err != nil {
 		s.walDegraded(err)
@@ -82,8 +70,10 @@ func (s *Server) walSpan(rec *obs.Recorder, start time.Time, syncs0 int64, err e
 	rec.AddSpanFull("", "wal.append", trace.KindWAL, start, time.Since(start), attrs)
 }
 
+// walDegraded reports the fuse trip once per Server: the fuse is
+// one-way, so one log line and one bundle tell the whole story.
 func (s *Server) walDegraded(err error) {
-	walWarnOnce.Do(func() {
+	s.walWarn.Do(func() {
 		s.logf("service: WAL degraded to in-memory-only mode: %v", err)
 		if s.cfg.Diag != nil {
 			s.cfg.Diag.TriggerAsync("wal_fuse", err.Error(), nil, s.traces.List())
@@ -118,12 +108,7 @@ func (s *Server) rehydrate(fpHex, mode string) (entry *cacheEntry, recoverable b
 	// Never let unverified recovered state into the cache: the log's
 	// CRCs and fingerprint checks prove integrity, only the verifier
 	// proves validity.
-	if mode == "d2" {
-		ug, uerr := e.undirected()
-		if uerr != nil || verify.D2GC(ug, colors) != nil {
-			return nil, false
-		}
-	} else if verify.BGPC(g, colors) != nil {
+	if e.verify(mode == "d2", colors) != nil {
 		return nil, false
 	}
 	pub := s.cache.putEntry(e)

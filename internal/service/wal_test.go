@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -141,6 +142,34 @@ func TestWALDiskFullDegrades(t *testing.T) {
 	}
 	if got := w.Header().Get("X-BGPC-Durability"); got != "none" {
 		t.Fatalf("degraded durability header = %q, want \"none\"", got)
+	}
+}
+
+// TestWALDegradeReportedPerServer: the degrade report is once per
+// Server, not once per process — in a process hosting two WAL-backed
+// Servers (an in-process fleet), each fuse trip is logged.
+func TestWALDegradeReportedPerServer(t *testing.T) {
+	t.Cleanup(failpoint.Reset)
+	var logs [2]*syncBuffer
+	var servers [2]*Server
+	for i := range servers {
+		logs[i] = &syncBuffer{}
+		servers[i] = newTestServer(t, Config{
+			Workers: 2,
+			WAL:     openTestWAL(t, t.TempDir()),
+			Log:     slog.New(slog.NewTextHandler(logs[i], nil)),
+		})
+	}
+	if err := failpoint.ArmFromSpec(wal.FPAppend + "=err"); err != nil {
+		t.Fatalf("arm failpoint: %v", err)
+	}
+	for i, s := range servers {
+		if w := post(t, s, ColorRequest{Matrix: tinyMtx}); w.Code != http.StatusOK {
+			t.Fatalf("server %d: status %d: %s", i, w.Code, w.Body)
+		}
+		if !strings.Contains(logs[i].String(), "WAL degraded to in-memory-only mode") {
+			t.Fatalf("server %d did not log its WAL degrade; log:\n%s", i, logs[i])
+		}
 	}
 }
 

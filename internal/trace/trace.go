@@ -28,6 +28,8 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"strings"
+
+	"bgpc/internal/obs"
 )
 
 // Span kinds. A kind classifies what a span measures so tools filter
@@ -100,32 +102,6 @@ func Traceparent(traceID, spanID string, sampled bool) string {
 	return b.String()
 }
 
-// ParseTraceparent fully parses a traceparent header: trace id, parent
-// span id, and the sampled flag. ok is false for malformed values, the
-// forbidden version ff, the all-zero trace id and the all-zero parent
-// id (both declared invalid by the spec).
-func ParseTraceparent(h string) (traceID, parentID string, sampled, ok bool) {
-	parts := strings.Split(strings.TrimSpace(h), "-")
-	if len(parts) < 4 {
-		return "", "", false, false
-	}
-	ver, tid, pid, flags := parts[0], parts[1], parts[2], parts[3]
-	if len(ver) != 2 || !isHex(ver) || ver == "ff" {
-		return "", "", false, false
-	}
-	if !ValidTraceID(strings.ToLower(tid)) {
-		return "", "", false, false
-	}
-	if !ValidSpanID(strings.ToLower(pid)) {
-		return "", "", false, false
-	}
-	if len(flags) != 2 || !isHex(flags) {
-		return "", "", false, false
-	}
-	f, _ := hex.DecodeString(flags)
-	return strings.ToLower(tid), strings.ToLower(pid), f[0]&0x01 != 0, true
-}
-
 // Extract resolves a request's SpanContext at ingress. A valid inbound
 // traceparent is adopted — trace id and sampled flag are the caller's
 // decision, and a fresh root span id is minted for this process. With
@@ -134,7 +110,7 @@ func ParseTraceparent(h string) (traceID, parentID string, sampled, ok bool) {
 // in exactly that shape, so request id == trace id for minted ids),
 // and the head sampler decides.
 func Extract(traceparent, fallbackTraceID string, s Sampler) SpanContext {
-	if tid, pid, sampled, ok := ParseTraceparent(traceparent); ok {
+	if tid, pid, sampled, ok := obs.ParseTraceparent(traceparent); ok {
 		return SpanContext{TraceID: tid, SpanID: NewSpanID(), ParentID: pid, Sampled: sampled}
 	}
 	tid := fallbackTraceID
@@ -263,16 +239,6 @@ func fnv1aByte(h uint64, bs ...byte) uint64 {
 		h *= 1099511628211
 	}
 	return h
-}
-
-func isHex(s string) bool {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if !(c >= '0' && c <= '9' || c >= 'a' && c <= 'f' || c >= 'A' && c <= 'F') {
-			return false
-		}
-	}
-	return true
 }
 
 func isLowerHex(s string) bool {

@@ -19,7 +19,7 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	if h != "00-"+tid1+"-"+pid1+"-01" {
 		t.Fatalf("rendered %q", h)
 	}
-	tid, pid, sampled, ok := ParseTraceparent(h)
+	tid, pid, sampled, ok := obs.ParseTraceparent(h)
 	if !ok || tid != tid1 || pid != pid1 || !sampled {
 		t.Fatalf("round trip lost data: %q %q %v %v", tid, pid, sampled, ok)
 	}
@@ -41,7 +41,7 @@ func TestParseTraceparentRejectsMalformed(t *testing.T) {
 		"not a traceparent at all",
 	}
 	for _, h := range bad {
-		if _, _, _, ok := ParseTraceparent(h); ok {
+		if _, _, _, ok := obs.ParseTraceparent(h); ok {
 			t.Errorf("accepted malformed %q", h)
 		}
 	}
@@ -49,7 +49,7 @@ func TestParseTraceparentRejectsMalformed(t *testing.T) {
 
 func TestParseTraceparentNormalizesCase(t *testing.T) {
 	up := "00-" + strings.ToUpper(tid1) + "-" + strings.ToUpper(pid1) + "-01"
-	tid, pid, _, ok := ParseTraceparent(up)
+	tid, pid, _, ok := obs.ParseTraceparent(up)
 	if !ok || tid != tid1 || pid != pid1 {
 		t.Fatalf("uppercase ids must parse lowercased: %q %q %v", tid, pid, ok)
 	}
@@ -58,7 +58,7 @@ func TestParseTraceparentNormalizesCase(t *testing.T) {
 func TestParseTraceparentFutureVersionExtraFields(t *testing.T) {
 	// A future version may append fields; parsing must tolerate them.
 	h := "01-" + tid1 + "-" + pid1 + "-01-extrastuff"
-	tid, _, sampled, ok := ParseTraceparent(h)
+	tid, _, sampled, ok := obs.ParseTraceparent(h)
 	if !ok || tid != tid1 || !sampled {
 		t.Fatalf("future-version header rejected: %q %v %v", tid, sampled, ok)
 	}
