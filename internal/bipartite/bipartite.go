@@ -33,6 +33,8 @@ type Graph struct {
 	vtxPtr []int64 // len numVtx+1
 	vtxAdj []int32 // nets of each vertex, sorted within a vertex
 	vtxOff int64   // entries skipped at the head of each vertex segment (ClosedView: 1)
+	// unsorted marks the views whose nets are not in ascending order.
+	unsorted bool
 }
 
 // Edge is one (net, vertex) incidence, i.e. one nonzero of the
@@ -54,6 +56,11 @@ func (g *Graph) NumEdges() int64 { return int64(len(g.netAdj)) }
 // Vtxs returns the sorted vertex list of net v (vtxs(v) in the paper).
 // The slice aliases internal storage and must not be modified.
 func (g *Graph) Vtxs(v int32) []int32 { return g.netAdj[g.netPtr[v]:g.netPtr[v+1]] }
+
+// SortedNets reports whether every vtxs(v) is in ascending order. It
+// holds for every graph this package builds except ClosedView and
+// OwnNetView, whose nets list their own vertex first.
+func (g *Graph) SortedNets() bool { return !g.unsorted }
 
 // Nets returns the sorted net list of vertex u (nets(u) in the paper).
 // The slice aliases internal storage and must not be modified.
@@ -87,7 +94,7 @@ func (g *Graph) VtxDeg(u int32) int { return int(g.vtxPtr[u+1] - g.vtxPtr[u] - g
 // Transpose do not describe the underlying graph on it.
 func ClosedView(ptr []int64, adj []int32) *Graph {
 	n := len(ptr) - 1
-	return &Graph{numVtx: n, numNet: n, netPtr: ptr, netAdj: adj, vtxPtr: ptr, vtxAdj: adj, vtxOff: 1}
+	return &Graph{numVtx: n, numNet: n, netPtr: ptr, netAdj: adj, vtxPtr: ptr, vtxAdj: adj, vtxOff: 1, unsorted: true}
 }
 
 // OwnNetView returns the distance-1 form of an undirected graph given
@@ -117,7 +124,7 @@ func OwnNetView(ptr []int64, adj []int32) *Graph {
 		}
 		vtxPtr[v+1] = int64(len(vtxAdj))
 	}
-	return &Graph{numVtx: n, numNet: n, netPtr: ptr, netAdj: adj, vtxPtr: vtxPtr, vtxAdj: vtxAdj}
+	return &Graph{numVtx: n, numNet: n, netPtr: ptr, netAdj: adj, vtxPtr: vtxPtr, vtxAdj: vtxAdj, unsorted: true}
 }
 
 // ErrInvalidEdge reports an incidence outside the declared dimensions.
@@ -380,5 +387,7 @@ func (g *Graph) Transpose() *Graph {
 		netAdj: g.vtxAdj,
 		vtxPtr: g.netPtr,
 		vtxAdj: g.netAdj,
+		// A view's vertex direction is no better ordered than its nets.
+		unsorted: g.unsorted,
 	}
 }

@@ -101,19 +101,14 @@ func repairBGPC(g *bipartite.Graph, colors []int32) (colored int) {
 // coloring.
 func FinishSequential(g *bipartite.Graph, colors []int32) int {
 	f := NewForbidden(g.MaxColorUpperBound() + 1)
+	c := &Colors{c: colors}
 	finished := 0
 	for u := int32(0); int(u) < g.NumVertices(); u++ {
 		if colors[u] != Uncolored {
 			continue
 		}
 		f.Reset()
-		for _, v := range g.Nets(u) {
-			for _, w := range g.Vtxs(v) {
-				if w != u && colors[w] != Uncolored {
-					f.Add(colors[w])
-				}
-			}
-		}
+		f.addNbrs(g, u, c, fullScan)
 		colors[u] = FirstFit(f)
 		finished++
 	}

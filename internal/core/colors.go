@@ -7,7 +7,12 @@
 // heuristics (paper Algorithms 1–8, 11, 12).
 package core
 
-import "sync/atomic"
+import (
+	"math"
+	"sync/atomic"
+
+	"bgpc/internal/bipartite"
+)
 
 // Uncolored is the color of a not-yet-colored vertex, as in the paper.
 const Uncolored int32 = -1
@@ -45,7 +50,10 @@ func (c *Colors) Raw() []int32 { return c.c }
 
 // Forbidden is a per-thread forbidden-color set realized as a stamped
 // array, following the paper's implementation notes: it is allocated
-// once, never cleared, and reset in O(1) by bumping the stamp.
+// once, never cleared, and reset in O(1) by bumping the stamp. Color c
+// lives in slot c+1; slot 0 belongs to Uncolored, which no color query
+// reads, so the distance-2 scans add every neighbour's color without
+// testing it for Uncolored first.
 type Forbidden struct {
 	mark  []int32
 	stamp int32
@@ -57,7 +65,7 @@ func NewForbidden(size int) *Forbidden {
 	if size < 1 {
 		size = 1
 	}
-	return &Forbidden{mark: make([]int32, size), stamp: 0}
+	return &Forbidden{mark: make([]int32, size+1), stamp: 0}
 }
 
 // Reset starts a new epoch. The zero-initialized mark array matches no
@@ -74,23 +82,61 @@ func (f *Forbidden) Reset() {
 }
 
 // Add marks col as forbidden in the current epoch, growing the array if
-// an adversarial balancing Policy walked past the sizing bound.
+// an adversarial balancing Policy walked past the sizing bound. Adding
+// Uncolored marks slot 0 and forbids no color.
 func (f *Forbidden) Add(col int32) {
-	if int(col) >= len(f.mark) {
-		f.grow(int(col) + 1)
+	i := int(col) + 1
+	if i >= len(f.mark) {
+		f.grow(i + 1)
 	}
-	f.mark[col] = f.stamp
+	f.mark[i] = f.stamp
 }
 
-// Has reports whether col is forbidden in the current epoch.
+// Has reports whether color col ≥ 0 is forbidden in the current epoch.
 func (f *Forbidden) Has(col int32) bool {
-	if int(col) >= len(f.mark) {
+	i := int(col) + 1
+	if i >= len(f.mark) {
 		return false
 	}
-	return f.mark[col] == f.stamp
+	return f.mark[i] == f.stamp
 }
 
-func (f *Forbidden) grow(minLen int) {
+// fullScan is the addNbrs bound that scans every net to its end.
+const fullScan = math.MaxInt32
+
+// addNbrs forbids the colors of w's distance-2 neighbourhood, the other
+// vertices of w's nets, and returns the work model's charge for the
+// scan, |vtxs(v)|+1 per net. It reads colors through Get, so parallel
+// phases may call it while other threads write. An Uncolored
+// neighbour, and w itself, mark slot 0, so the scan does not branch on
+// a neighbour's color. Each net's scan ends at its first vertex
+// ≥ below; a caller may pass less than fullScan only when the nets are
+// sorted and every vertex ≥ below is Uncolored, so that the colors
+// and the charge are those of the full scan.
+func (f *Forbidden) addNbrs(g *bipartite.Graph, w int32, c *Colors, below int32) (work int64) {
+	mark, stamp := f.mark, f.stamp
+	for _, v := range g.Nets(w) {
+		vt := g.Vtxs(v)
+		work += int64(len(vt)) + 1
+		for _, u := range vt {
+			if u >= below {
+				break
+			}
+			cu := c.Get(u)
+			if u == w {
+				cu = Uncolored
+			}
+			i := int(cu) + 1
+			if i >= len(mark) {
+				mark = f.grow(i + 1)
+			}
+			mark[i] = stamp
+		}
+	}
+	return work
+}
+
+func (f *Forbidden) grow(minLen int) []int32 {
 	newLen := 2 * len(f.mark)
 	if newLen < minLen {
 		newLen = minLen
@@ -98,4 +144,5 @@ func (f *Forbidden) grow(minLen int) {
 	next := make([]int32, newLen)
 	copy(next, f.mark)
 	f.mark = next
+	return next
 }

@@ -111,6 +111,40 @@ func TestForbiddenStampWrap(t *testing.T) {
 	}
 }
 
+func TestAddNbrsUncoloredForbidsNothing(t *testing.T) {
+	g := tinyGraph(t) // vertex 3 shares net 1 with 2 and net 2 with 1
+	f := NewForbidden(4)
+	f.Reset()
+	f.addNbrs(g, 3, &Colors{c: []int32{Uncolored, Uncolored, Uncolored, 2}}, fullScan)
+	for col := int32(0); col < 4; col++ {
+		if f.Has(col) {
+			t.Fatalf("Uncolored neighbours (or the vertex's own color) forbid %d", col)
+		}
+	}
+	if got := FirstFit(f); got != 0 {
+		t.Fatalf("FirstFit = %d, want 0", got)
+	}
+}
+
+func TestAddNbrsGrowsPastBound(t *testing.T) {
+	g := tinyGraph(t)
+	colors := &Colors{c: []int32{Uncolored, 40, 0, Uncolored}}
+	for _, b := range []Balance{BalanceB1, BalanceB2} {
+		for _, w := range []int32{3, 0} { // B1 reverse-fits even ids, first-fits odd ones
+			f := NewForbidden(1)
+			f.Reset()
+			f.addNbrs(g, w, colors, fullScan)
+			if !f.Has(40) || !f.Has(0) {
+				t.Fatalf("%v, vertex %d: neighbour colors 40 and 0 not both forbidden", b, w)
+			}
+			pol := NewPolicy(b)
+			if col := pol.Pick(f, w); col < 0 || f.Has(col) {
+				t.Fatalf("%v, vertex %d: picked forbidden color %d", b, w, col)
+			}
+		}
+	}
+}
+
 func TestForbiddenProperty(t *testing.T) {
 	// After reset, has(col) is true iff col was added this epoch.
 	check := func(adds []uint8, probe uint8) bool {

@@ -1,0 +1,135 @@
+package core
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+	"time"
+
+	"bgpc/internal/bipartite"
+	"bgpc/internal/gen"
+	"bgpc/internal/graph"
+)
+
+// kernelPresets are the presets perfbench's batch-kernel workload
+// colors: two skewed (copapers, movielens) and two regular (channel,
+// nlpkkt).
+var kernelPresets = []string{"copapers", "movielens", "channel", "nlpkkt"}
+
+// kernelAlgos are the kernels batch-kernel runs on each preset ("seq"
+// is Sequential).
+var kernelAlgos = []string{"seq", "N1-N2", "V-V-64D"}
+
+// runKernel colors g once with Sequential (algo "seq") or the named
+// parallel schedule.
+func runKernel(tb testing.TB, g *bipartite.Graph, algo string, threads int) *Result {
+	tb.Helper()
+	if algo == "seq" {
+		return Sequential(g, nil)
+	}
+	opts, err := ParseAlgorithm(algo)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	opts.Threads = threads
+	res, err := Color(g, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
+// TestSequentialEarlyStopExact checks natural-order Sequential, which
+// stops each net's scan at the vertex being colored when nets are
+// sorted, against the identity order, which always scans in full:
+// colors and work must be identical. The views' nets list their own
+// vertex first, so a view that took the early stop would skip colored
+// neighbours and fail here.
+func TestSequentialEarlyStopExact(t *testing.T) {
+	gs := smallPresets(t)
+	for seed := uint64(1); seed <= 3; seed++ {
+		gs[fmt.Sprintf("zipf/%d", seed)] = gen.ZipfBipartite(60, 300, 2, 40, 1.1, 0.9, seed)
+		gs[fmt.Sprintf("rmat/%d", seed)] = gen.RMAT(8, 4, 0.57, 0.19, 0.19, false, seed)
+	}
+	ug, err := graph.FromBipartite(gs["copapers"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs["copapers/closed"], gs["copapers/ownnet"] = ug.Closed(), ug.OwnNet()
+	for name, g := range gs {
+		identity := make([]int32, g.NumVertices())
+		for i := range identity {
+			identity[i] = int32(i)
+		}
+		early, full := Sequential(g, nil), Sequential(g, identity)
+		if !slices.Equal(early.Colors, full.Colors) {
+			t.Errorf("%s: natural order colors differ from the full scan", name)
+		}
+		if early.TotalWork != full.TotalWork {
+			t.Errorf("%s: TotalWork %d with early stop, %d with the full scan", name, early.TotalWork, full.TotalWork)
+		}
+	}
+}
+
+// TestWorkModelPinned pins the deterministic work model behind the
+// paper's speedup tables, TotalWork and CriticalWork at threads = 1, so
+// a kernel speed change that moves the model fails here rather than in
+// review. The values were recorded from full scans: the early stops
+// must charge the same units.
+func TestWorkModelPinned(t *testing.T) {
+	want := map[string][2]int64{
+		"copapers/seq":      {477150, 477150},
+		"copapers/N1-N2":    {240079, 240079},
+		"copapers/V-V-64D":  {954308, 954308},
+		"movielens/seq":     {28634, 28634},
+		"movielens/N1-N2":   {12072, 12072},
+		"movielens/V-V-64D": {57276, 57276},
+		"channel/seq":       {47084, 47084},
+		"channel/N1-N2":     {29503, 29503},
+		"channel/V-V-64D":   {94176, 94176},
+		"nlpkkt/seq":        {42610, 42610},
+		"nlpkkt/N1-N2":      {21663, 21663},
+		"nlpkkt/V-V-64D":    {85228, 85228},
+	}
+	gs := smallPresets(t)
+	for _, name := range kernelPresets {
+		for _, algo := range kernelAlgos {
+			key := name + "/" + algo
+			res := runKernel(t, gs[name], algo, 1)
+			got := [2]int64{res.TotalWork, res.CriticalWork}
+			if got != want[key] {
+				t.Errorf("%s: work (total, critical) = %v, want %v", key, got, want[key])
+			}
+		}
+	}
+}
+
+// BenchmarkKernel times the coloring kernels batch-kernel runs: every
+// scale-1 preset with Sequential, N1-N2 and V-V-64D at threads = 2.
+//
+//	go test -run '^$' -bench Kernel -benchmem ./internal/core
+func BenchmarkKernel(b *testing.B) {
+	for _, name := range kernelPresets {
+		g, err := gen.Preset(name, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, algo := range kernelAlgos {
+			b.Run(fmt.Sprintf("%s/%s", name, algo), func(b *testing.B) {
+				b.ReportAllocs()
+				var color, conflict time.Duration
+				for i := 0; i < b.N; i++ {
+					benchSink = runKernel(b, g, algo, 2)
+					color += benchSink.ColoringTime
+					conflict += benchSink.ConflictTime
+				}
+				n := float64(b.N)
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n/float64(g.NumEdges()), "ns/nnz")
+				b.ReportMetric(float64(color.Microseconds())/n/1e3, "color-ms/op")
+				b.ReportMetric(float64(conflict.Microseconds())/n/1e3, "conflict-ms/op")
+			})
+		}
+	}
+}
+
+var benchSink *Result

@@ -57,18 +57,7 @@ func colorVertexPhase(g *bipartite.Graph, W []int32, c *Colors, s *scratch, o *O
 		for i := lo; i < hi; i++ {
 			w := W[i]
 			f.Reset()
-			for _, v := range g.Nets(w) {
-				vt := g.Vtxs(v)
-				work += int64(len(vt)) + 1
-				for _, u := range vt {
-					if u == w {
-						continue
-					}
-					if cu := c.Get(u); cu != Uncolored {
-						f.Add(cu)
-					}
-				}
-			}
+			work += f.addNbrs(g, w, c, fullScan)
 			c.Set(w, pol.Pick(f, w))
 		}
 		obs.CountForbiddenScans(int64(hi - lo))
@@ -110,19 +99,26 @@ func conflictVertexLazy(g *bipartite.Graph, W []int32, c *Colors, l *par.LocalQu
 // vertexConflicts scans w's neighbourhood and reports whether w must be
 // recolored: some u with c[u] = c[w] and w > u exists (Algorithm 3's
 // tie-break keeps the smaller id). Early-exits on the first conflict.
+// Only smaller ids count, so on sorted nets each net's scan ends at its
+// first vertex ≥ w; the work model charges the full net either way.
 func vertexConflicts(g *bipartite.Graph, w int32, c *Colors, work *int64) bool {
 	cw := c.Get(w)
+	below := int32(fullScan)
+	if g.SortedNets() {
+		below = w
+	}
 	for _, v := range g.Nets(w) {
 		vt := g.Vtxs(v)
-		scanned := int64(1)
-		for _, u := range vt {
-			scanned++
-			if u != w && u < w && c.Get(u) == cw {
-				*work += scanned
+		for i, u := range vt {
+			if u >= below {
+				break
+			}
+			if u < w && c.Get(u) == cw {
+				*work += int64(i) + 2
 				return true
 			}
 		}
-		*work += scanned
+		*work += int64(len(vt)) + 1
 	}
 	return false
 }

@@ -68,15 +68,10 @@ func Recolor(g *bipartite.Graph, colors []int32) ([]int32, int, error) {
 		out[i] = Uncolored
 	}
 	f := NewForbidden(int(maxColor) + 2)
+	c := &Colors{c: out}
 	for _, u := range reversed {
 		f.Reset()
-		for _, v := range g.Nets(u) {
-			for _, w := range g.Vtxs(v) {
-				if w != u && out[w] != Uncolored {
-					f.Add(out[w])
-				}
-			}
-		}
+		f.addNbrs(g, u, c, fullScan)
 		out[u] = FirstFit(f)
 	}
 

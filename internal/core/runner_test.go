@@ -26,7 +26,7 @@ func tinyGraph(t testing.TB) *bipartite.Graph {
 func smallPresets(t testing.TB) map[string]*bipartite.Graph {
 	t.Helper()
 	out := map[string]*bipartite.Graph{}
-	for _, name := range []string{"movielens", "copapers", "channel", "nlpkkt"} {
+	for _, name := range kernelPresets {
 		g, err := gen.Preset(name, 0.05)
 		if err != nil {
 			t.Fatal(err)

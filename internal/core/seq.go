@@ -10,40 +10,37 @@ import (
 // are colored one by one in the given order (nil = natural) with the
 // first-fit Policy. No conflict detection is needed (paper Table II's
 // sequential baseline). The result's TotalWork is the sequential work
-// baseline T₁ used by the cost model.
+// baseline T₁ used by the cost model: every net of every vertex is
+// charged in full, also where natural order lets the scan stop early.
 func Sequential(g *bipartite.Graph, vertexOrder []int32) *Result {
 	n := g.NumVertices()
 	start := time.Now()
-	c := make([]int32, n)
-	for i := range c {
-		c[i] = Uncolored
-	}
+	c := NewColors(n)
 	f := NewForbidden(g.MaxColorUpperBound() + 1)
 	var work int64
-	colorOne := func(u int32) {
+	colorOne := func(u, below int32) {
 		f.Reset()
-		for _, v := range g.Nets(u) {
-			vt := g.Vtxs(v)
-			work += int64(len(vt)) + 1
-			for _, w := range vt {
-				if w != u && c[w] != Uncolored {
-					f.Add(c[w])
-				}
-			}
-		}
-		c[u] = FirstFit(f)
+		work += f.addNbrs(g, u, c, below)
+		c.c[u] = FirstFit(f)
 	}
 	if vertexOrder == nil {
+		// In natural order every vertex ≥ u is still Uncolored when u
+		// is colored, so on sorted nets u's scan can stop there.
+		sorted := g.SortedNets()
 		for u := int32(0); int(u) < n; u++ {
-			colorOne(u)
+			below := int32(fullScan)
+			if sorted {
+				below = u
+			}
+			colorOne(u, below)
 		}
 	} else {
 		for _, u := range vertexOrder {
-			colorOne(u)
+			colorOne(u, fullScan)
 		}
 	}
 	res := &Result{
-		Colors:       c,
+		Colors:       c.c,
 		Iterations:   1,
 		Time:         time.Since(start),
 		TotalWork:    work,

@@ -251,3 +251,41 @@ func TestHealthzAndStatsz(t *testing.T) {
 		t.Fatalf("/statsz still routed: %d", w.Code)
 	}
 }
+
+// TestColorHandlerAllocs pins the allocations of one POST /color for
+// the tiny 3×4 matrix through Server.ServeHTTP, as a cache miss and as
+// a cache hit. The ceilings are the counts measured before the serving
+// path's speed pass (go1.24, linux/amd64), so that work has a baseline
+// that fails when it regresses.
+func TestColorHandlerAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	body, err := json.Marshal(ColorRequest{Matrix: tinyMtx, Algorithm: "V-V"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		max  float64
+	}{
+		{"miss", Config{Workers: 2, CacheEntries: -1}, 179},
+		{"hit", Config{Workers: 2}, 137},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newTestServer(t, tc.cfg)
+			serve := func() {
+				w := httptest.NewRecorder()
+				s.ServeHTTP(w, httptest.NewRequest("POST", "/color", bytes.NewReader(body)))
+				if w.Code != http.StatusOK {
+					t.Fatalf("status %d: %s", w.Code, w.Body)
+				}
+			}
+			serve() // a hit needs the graph cached
+			if got := testing.AllocsPerRun(200, serve); got > tc.max {
+				t.Errorf("POST /color (%s) allocates %v times, ceiling %v", tc.name, got, tc.max)
+			}
+		})
+	}
+}
