@@ -11,7 +11,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"strings"
 	"time"
 
 	"bgpc/internal/client"
@@ -98,7 +97,7 @@ func selftest(ctx context.Context, cfg service.Config, stdout io.Writer) error {
 			if err != nil {
 				return err
 			}
-			g, err := mtx.ReadLimited(strings.NewReader(tiny), limits.DefaultParseLimits())
+			g, err := mtx.ParseString(tiny, limits.DefaultParseLimits())
 			if err != nil {
 				return err
 			}
@@ -143,7 +142,7 @@ func selftest(ctx context.Context, cfg service.Config, stdout io.Writer) error {
 			if err != nil {
 				return err
 			}
-			g, err := mtx.ReadLimited(strings.NewReader(tiny), limits.DefaultParseLimits())
+			g, err := mtx.ParseString(tiny, limits.DefaultParseLimits())
 			if err != nil {
 				return err
 			}
@@ -236,7 +235,7 @@ func selftest(ctx context.Context, cfg service.Config, stdout io.Writer) error {
 					return fmt.Errorf("recovered chain base %s, want %s (full-recolor fallback?)",
 						dresp.BaseFingerprint, tipFP)
 				}
-				g, err := mtx.ReadLimited(strings.NewReader(tiny), limits.DefaultParseLimits())
+				g, err := mtx.ParseString(tiny, limits.DefaultParseLimits())
 				if err != nil {
 					return err
 				}

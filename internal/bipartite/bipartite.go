@@ -20,7 +20,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Graph is an immutable bipartite graph in dual CSR form.
@@ -186,7 +186,7 @@ func dedupeCSR(ptr []int64, adj []int32) []int32 {
 	for v := 0; v < n; v++ {
 		lo, hi := ptr[v], ptr[v+1]
 		seg := adj[lo:hi]
-		sort.Slice(seg, func(i, j int) bool { return seg[i] < seg[j] })
+		slices.Sort(seg)
 		start := write
 		for i := range seg {
 			if i > 0 && seg[i] == seg[i-1] {

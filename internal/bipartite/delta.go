@@ -1,8 +1,9 @@
 package bipartite
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // ApplyDelta returns a new Graph whose incidence set is
@@ -109,11 +110,11 @@ func sortDedupeEdges(edges []Edge) []Edge {
 		return nil
 	}
 	s := append([]Edge(nil), edges...)
-	sort.Slice(s, func(i, j int) bool {
-		if s[i].Net != s[j].Net {
-			return s[i].Net < s[j].Net
+	slices.SortFunc(s, func(a, b Edge) int {
+		if c := cmp.Compare(a.Net, b.Net); c != 0 {
+			return c
 		}
-		return s[i].Vtx < s[j].Vtx
+		return cmp.Compare(a.Vtx, b.Vtx)
 	})
 	w := 1
 	for i := 1; i < len(s); i++ {

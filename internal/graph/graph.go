@@ -18,7 +18,7 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"bgpc/internal/bipartite"
@@ -132,7 +132,7 @@ func dedupeTails(ptr []int64, adj []int32) []int32 {
 	var write int64
 	for v := 0; v < n; v++ {
 		seg := adj[ptr[v]+1 : ptr[v+1]]
-		sort.Slice(seg, func(i, j int) bool { return seg[i] < seg[j] })
+		slices.Sort(seg)
 		start := write
 		adj[write] = int32(v)
 		write++

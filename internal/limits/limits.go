@@ -22,6 +22,7 @@ package limits
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"runtime/debug"
 	"sync/atomic"
@@ -103,6 +104,35 @@ func (l ParseLimits) WithDefaults() ParseLimits {
 		l.MaxLineBytes = def.MaxLineBytes
 	}
 	return l
+}
+
+// ReadAll is io.ReadAll with its first buffer sized from declared, the
+// length the source announced (an HTTP Content-Length, or -1 when
+// unknown), instead of 512 bytes doubled until the body fits. The
+// first buffer never exceeds max, the most the caller accepts, nor
+// 64 KiB, so a lying declaration costs at most that; past it the
+// buffer grows as io.ReadAll's does.
+func ReadAll(r io.Reader, declared, max int64) ([]byte, error) {
+	size := int64(512)
+	if declared > 0 {
+		// One byte past the body lets the read that returns io.EOF
+		// land without a final grow.
+		size = min(declared, max, 64<<10) + 1
+	}
+	b := make([]byte, 0, size)
+	for {
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			if errors.Is(err, io.EOF) {
+				err = nil
+			}
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 // Shape is the declared size of a coloring job, the inputs to its

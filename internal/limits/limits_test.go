@@ -2,10 +2,13 @@ package limits
 
 import (
 	"errors"
+	"io"
 	"math"
 	"runtime/debug"
+	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 
 	"bgpc/internal/failpoint"
 )
@@ -206,5 +209,36 @@ func TestParseLimitsWithDefaults(t *testing.T) {
 	custom := ParseLimits{MaxRows: 7, MaxCols: 8, MaxNNZ: 9, MaxLineBytes: 10}
 	if got := custom.WithDefaults(); got != custom {
 		t.Fatalf("explicit limits must pass through unchanged: %+v", got)
+	}
+}
+
+// TestReadAllSized: ReadAll returns the whole body whatever the
+// declared length says, reads a body whose length was declared into a
+// single buffer, and never lets the declaration size that first buffer
+// past max or 64 KiB.
+func TestReadAllSized(t *testing.T) {
+	body := strings.Repeat("x", 3000)
+	for _, declared := range []int64{-1, 0, 10, 3000, 3001, 1 << 40} {
+		got, err := ReadAll(strings.NewReader(body), declared, 1<<20)
+		if err != nil || string(got) != body {
+			t.Fatalf("declared %d: got %d bytes, err %v", declared, len(got), err)
+		}
+	}
+	r := strings.NewReader(body)
+	if n := testing.AllocsPerRun(20, func() {
+		r.Reset(body)
+		_, _ = ReadAll(r, int64(len(body)), 1<<20)
+	}); n != 1 {
+		t.Errorf("declared-length read allocated %v times, want 1", n)
+	}
+	if got, _ := ReadAll(strings.NewReader(body), 1<<40, 1<<20); cap(got) != 64<<10+1 {
+		t.Errorf("a huge declared length sized the buffer to %d bytes", cap(got))
+	}
+	if got, _ := ReadAll(strings.NewReader("ab"), 1<<40, 100); cap(got) != 101 {
+		t.Errorf("declared length not clamped to max: cap %d", cap(got))
+	}
+	wantErr := errors.New("boom")
+	if _, err := ReadAll(io.MultiReader(strings.NewReader("ab"), iotest.ErrReader(wantErr)), 2, 100); !errors.Is(err, wantErr) {
+		t.Errorf("read error lost: %v", err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"bgpc/internal/failpoint"
+	"bgpc/internal/limits"
 )
 
 const fpTestMtx = `%%MatrixMarket matrix coordinate pattern general
@@ -22,24 +23,28 @@ const fpTestMtx = `%%MatrixMarket matrix coordinate pattern general
 // once disarmed.
 func TestReadEntryFailpoint(t *testing.T) {
 	t.Cleanup(failpoint.Reset)
-	failpoint.Reset()
-	if err := failpoint.Arm(FPReadEntry, "err@1#2"); err != nil {
-		t.Fatal(err)
-	}
-	_, err := Read(strings.NewReader(fpTestMtx))
-	if !errors.Is(err, ErrFormat) {
-		t.Fatalf("err = %v, want ErrFormat", err)
-	}
-	if !strings.Contains(err.Error(), "entry 3") {
-		t.Fatalf("fault fired at the wrong entry: %v", err)
-	}
+	for _, ep := range entryPoints {
+		t.Run(ep.name, func(t *testing.T) {
+			failpoint.Reset()
+			if err := failpoint.Arm(FPReadEntry, "err@1#2"); err != nil {
+				t.Fatal(err)
+			}
+			_, err := ep.parse(fpTestMtx, limits.DefaultParseLimits())
+			if !errors.Is(err, ErrFormat) {
+				t.Fatalf("err = %v, want ErrFormat", err)
+			}
+			if !strings.Contains(err.Error(), "entry 3") {
+				t.Fatalf("fault fired at the wrong entry: %v", err)
+			}
 
-	failpoint.Reset()
-	g, err := Read(strings.NewReader(fpTestMtx))
-	if err != nil {
-		t.Fatalf("disarmed read failed: %v", err)
-	}
-	if g.NumEdges() != 4 {
-		t.Fatalf("edges = %d, want 4", g.NumEdges())
+			failpoint.Reset()
+			g, err := ep.parse(fpTestMtx, limits.DefaultParseLimits())
+			if err != nil {
+				t.Fatalf("disarmed read failed: %v", err)
+			}
+			if g.NumEdges() != 4 {
+				t.Fatalf("edges = %d, want 4", g.NumEdges())
+			}
+		})
 	}
 }

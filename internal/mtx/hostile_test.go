@@ -20,7 +20,7 @@ func TestHostileDocsAllRejected(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
-		_, peekErr := PeekInfo(strings.NewReader(doc), lim)
+		_, peekErr := PeekInfo(doc, lim)
 		if HostileRejectedAtHeader(kind) {
 			if peekErr == nil {
 				t.Fatalf("%s: header peek accepted a hostile header", kind)
@@ -34,13 +34,13 @@ func TestHostileDocsAllRejected(t *testing.T) {
 	}
 
 	doc, _ := HostileDoc(HostileHugeNNZ)
-	_, err := PeekInfo(strings.NewReader(doc), lim)
+	_, err := PeekInfo(doc, lim)
 	if !errors.Is(err, limits.ErrTooLarge) {
 		t.Fatalf("huge-nnz peek error = %v, want limits.ErrTooLarge", err)
 	}
 
 	doc, _ = HostileDoc(HostileBadBanner)
-	if _, err := PeekInfo(strings.NewReader(doc), lim); !errors.Is(err, ErrFormat) {
+	if _, err := PeekInfo(doc, lim); !errors.Is(err, ErrFormat) {
 		t.Fatalf("bad-banner peek error = %v, want ErrFormat", err)
 	}
 }

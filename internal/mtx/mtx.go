@@ -14,6 +14,11 @@
 // Violations surface as two typed errors — ErrFormat for malformed
 // input, limits.ErrTooLarge for well-formed input over a cap — so
 // serving layers can map them to 400 and 413 respectively.
+//
+// One header parser and one entry loop serve two line sources: a
+// document already in memory (ParseString, PeekInfo) is parsed in
+// place, with lines and fields sliced out of it; a stream (Read,
+// ReadLimited, ReadFile) is read through one buffered reader.
 package mtx
 
 import (
@@ -25,6 +30,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"bgpc/internal/bipartite"
 	"bgpc/internal/failpoint"
@@ -68,13 +74,12 @@ type Info struct {
 	Field     string
 }
 
-// PeekInfo parses only the banner, comments, and size line, enforcing
-// lim's caps, and returns the declared shape. It reads a bounded prefix
-// of r (at most the header lines), never the data section.
-func PeekInfo(r io.Reader, lim limits.ParseLimits) (Info, error) {
+// PeekInfo parses only the banner, comments, and size line of doc,
+// enforcing lim's caps, and returns the declared shape. It never looks
+// at the data section and copies nothing out of doc.
+func PeekInfo(doc string, lim limits.ParseLimits) (Info, error) {
 	lim = lim.WithDefaults()
-	br := bufio.NewReaderSize(r, 1<<16)
-	h, err := readHeader(br, lim)
+	h, err := readHeader(&lines{rest: doc, max: lim.MaxLineBytes}, lim)
 	if err != nil {
 		return Info{}, err
 	}
@@ -98,11 +103,78 @@ func Read(r io.Reader) (*bipartite.Graph, error) {
 // defaults.
 func ReadLimited(r io.Reader, lim limits.ParseLimits) (*bipartite.Graph, error) {
 	lim = lim.WithDefaults()
-	// 64KiB read buffer: readLine accumulates longer lines itself (up
+	// 64KiB read buffer: lines.next accumulates longer lines itself (up
 	// to lim.MaxLineBytes), so the buffer need not fit a whole line —
 	// and a rejected hostile header must not have cost a big buffer.
-	br := bufio.NewReaderSize(r, 1<<16)
-	h, err := readHeader(br, lim)
+	return parse(&lines{br: bufio.NewReaderSize(r, 1<<16), max: lim.MaxLineBytes}, lim)
+}
+
+// ParseString is ReadLimited for a document already in memory. It
+// parses doc in place: lines and fields are substrings of doc, so the
+// only allocations are the edge list and the graph itself.
+func ParseString(doc string, lim limits.ParseLimits) (*bipartite.Graph, error) {
+	lim = lim.WithDefaults()
+	return parse(&lines{rest: doc, max: lim.MaxLineBytes}, lim)
+}
+
+// lines is the line source both entry points feed the one parser: a
+// string source (br == nil) slices lines out of rest without copying;
+// a reader source reads them from br, one string per line. Either way
+// a line longer than max bytes, counting its newline, is a format
+// violation reported before more than max bytes are held.
+type lines struct {
+	rest string        // string source: the unparsed part of the document
+	br   *bufio.Reader // reader source; nil for a string source
+	long []byte        // reader source: a line spanning several buffer fills
+	max  int
+}
+
+// next returns the next line, newline included, or io.EOF once the
+// input is exhausted.
+func (l *lines) next() (string, error) {
+	if l.br == nil {
+		if l.rest == "" {
+			return "", io.EOF
+		}
+		n := strings.IndexByte(l.rest[:min(len(l.rest), l.max)], '\n') + 1
+		if n == 0 {
+			if len(l.rest) > l.max {
+				return "", l.tooLong()
+			}
+			n = len(l.rest)
+		}
+		line := l.rest[:n]
+		l.rest = l.rest[n:]
+		return line, nil
+	}
+	l.long = l.long[:0]
+	for {
+		frag, err := l.br.ReadSlice('\n')
+		if len(l.long)+len(frag) > l.max {
+			return "", l.tooLong()
+		}
+		if errors.Is(err, bufio.ErrBufferFull) {
+			l.long = append(l.long, frag...)
+			continue
+		}
+		if err != nil && (!errors.Is(err, io.EOF) || len(l.long)+len(frag) == 0) {
+			return "", err
+		}
+		if len(l.long) == 0 {
+			return string(frag), nil
+		}
+		return string(append(l.long, frag...)), nil
+	}
+}
+
+func (l *lines) tooLong() error {
+	return fmt.Errorf("%w: line exceeds %d bytes", ErrFormat, l.max)
+}
+
+// parse reads a whole document from l: the header, then every entry
+// line, into a graph.
+func parse(l *lines, lim limits.ParseLimits) (*bipartite.Graph, error) {
+	h, err := readHeader(l, lim)
 	if err != nil {
 		return nil, err
 	}
@@ -110,16 +182,18 @@ func ReadLimited(r io.Reader, lim limits.ParseLimits) (*bipartite.Graph, error) 
 	// allocation tracks bytes actually scanned (append grows the slice
 	// geometrically), not the header's claim. A crafted "nnz=10^12"
 	// costs the attacker one small slice, not gigabytes.
-	capHint := h.nnz * int64(expandFactor(h.symmetry))
-	if capHint > 4096 {
-		capHint = 4096
-	}
+	capHint := min(h.nnz*int64(expandFactor(h.symmetry)), 4096)
 	edges := make([]bipartite.Edge, 0, capHint)
-	sc := bufio.NewScanner(br)
-	sc.Buffer(make([]byte, 1<<16), lim.MaxLineBytes)
 	seen := int64(0)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
+	for {
+		line, err := l.next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		line = strings.TrimSpace(line)
 		if line == "" || line[0] == '%' {
 			continue
 		}
@@ -142,15 +216,6 @@ func ReadLimited(r io.Reader, lim limits.ParseLimits) (*bipartite.Graph, error) 
 		}
 		seen++
 	}
-	if err := sc.Err(); err != nil {
-		if errors.Is(err, bufio.ErrTooLong) {
-			// The raw bufio error must not leak to API error paths: a
-			// too-long line is a malformed document, same as any other
-			// format violation.
-			return nil, fmt.Errorf("%w: entry line exceeds %d bytes", ErrFormat, lim.MaxLineBytes)
-		}
-		return nil, err
-	}
 	if seen != h.nnz {
 		return nil, fmt.Errorf("%w: declared %d entries, found %d", ErrFormat, h.nnz, seen)
 	}
@@ -164,40 +229,48 @@ func expandFactor(symmetry string) int {
 	return 2
 }
 
-// readLine reads one newline-terminated line of at most max bytes from
-// br. Longer lines are a format violation, reported before more than
-// one buffer's worth has been accumulated — header parsing must never
-// buffer an attacker-sized "line". io.EOF is returned alongside the
-// final unterminated line, mirroring bufio.Reader.ReadString.
-func readLine(br *bufio.Reader, max int) (string, error) {
-	var sb strings.Builder
-	for {
-		frag, err := br.ReadSlice('\n')
-		sb.Write(frag)
-		if sb.Len() > max {
-			return "", fmt.Errorf("%w: header line exceeds %d bytes", ErrFormat, max)
+// splitFields splits s around runs of white space into f and returns
+// how many fields s holds, which may exceed len(f). It agrees with
+// strings.Fields, which it falls back to for a line with non-ASCII
+// bytes so that Unicode spaces still separate fields, but it allocates
+// nothing for an ASCII line.
+func splitFields(s string, f []string) int {
+	n, start := 0, -1
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			all := strings.Fields(s)
+			copy(f, all)
+			return len(all)
 		}
-		switch {
-		case err == nil:
-			return sb.String(), nil
-		case errors.Is(err, bufio.ErrBufferFull):
-			continue
-		case errors.Is(err, io.EOF):
-			return sb.String(), io.EOF
-		default:
-			return "", err
+		if c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r' {
+			if start >= 0 {
+				if n < len(f) {
+					f[n] = s[start:i]
+				}
+				n, start = n+1, -1
+			}
+		} else if start < 0 {
+			start = i
 		}
 	}
+	if start >= 0 {
+		if n < len(f) {
+			f[n] = s[start:]
+		}
+		n++
+	}
+	return n
 }
 
-func readHeader(br *bufio.Reader, lim limits.ParseLimits) (header, error) {
+func readHeader(l *lines, lim limits.ParseLimits) (header, error) {
 	var h header
-	banner, err := readLine(br, lim.MaxLineBytes)
+	banner, err := l.next()
 	if err != nil && !errors.Is(err, io.EOF) {
 		return h, err
 	}
-	fields := strings.Fields(strings.ToLower(banner))
-	if len(fields) != 5 || fields[0] != "%%matrixmarket" || fields[1] != "matrix" {
+	var fields [5]string
+	if splitFields(strings.ToLower(banner), fields[:]) != 5 || fields[0] != "%%matrixmarket" || fields[1] != "matrix" {
 		return h, fmt.Errorf("%w: bad banner %q", ErrFormat, strings.TrimSpace(banner))
 	}
 	if fields[2] != "coordinate" {
@@ -221,22 +294,22 @@ func readHeader(br *bufio.Reader, lim limits.ParseLimits) (header, error) {
 	}
 	// Skip comments, then read the size line.
 	for {
-		line, err := readLine(br, lim.MaxLineBytes)
-		if err != nil && !errors.Is(err, io.EOF) {
+		line, err := l.next()
+		if errors.Is(err, io.EOF) {
+			return h, fmt.Errorf("%w: missing size line", ErrFormat)
+		}
+		if err != nil {
 			return h, err
 		}
 		trimmed := strings.TrimSpace(line)
 		if trimmed == "" || trimmed[0] == '%' {
-			if errors.Is(err, io.EOF) {
-				return h, fmt.Errorf("%w: missing size line", ErrFormat)
-			}
 			continue
 		}
-		parts := strings.Fields(trimmed)
-		if len(parts) != 3 {
+		var parts [3]string
+		if splitFields(trimmed, parts[:]) != 3 {
 			return h, fmt.Errorf("%w: bad size line %q", ErrFormat, trimmed)
 		}
-		dims := make([]int64, 3)
+		var dims [3]int64
 		for i, p := range parts {
 			v, convErr := strconv.ParseInt(p, 10, 64)
 			if convErr != nil || v < 0 {
@@ -267,10 +340,10 @@ func readHeader(br *bufio.Reader, lim limits.ParseLimits) (header, error) {
 }
 
 func parseEntry(line string, h header) (row, col int, err error) {
-	parts := strings.Fields(line)
+	var parts [4]string
 	want := 2 + h.valueCols
-	if len(parts) != want {
-		return 0, 0, fmt.Errorf("%w: entry %q has %d fields, want %d", ErrFormat, line, len(parts), want)
+	if n := splitFields(line, parts[:]); n != want {
+		return 0, 0, fmt.Errorf("%w: entry %q has %d fields, want %d", ErrFormat, line, n, want)
 	}
 	row, err = strconv.Atoi(parts[0])
 	if err != nil {
@@ -280,7 +353,7 @@ func parseEntry(line string, h header) (row, col int, err error) {
 	if err != nil {
 		return 0, 0, fmt.Errorf("%w: bad column index in %q", ErrFormat, line)
 	}
-	for _, p := range parts[2:] {
+	for _, p := range parts[2:want] {
 		if _, err := strconv.ParseFloat(p, 64); err != nil {
 			return 0, 0, fmt.Errorf("%w: bad value in %q", ErrFormat, line)
 		}

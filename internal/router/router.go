@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"bgpc/internal/failpoint"
+	"bgpc/internal/limits"
 	"bgpc/internal/obs"
 	"bgpc/internal/service"
 	"bgpc/internal/trace"
@@ -293,7 +294,7 @@ func (rt *Router) handleDelta(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxRequestBytes))
+	body, err := limits.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxRequestBytes), r.ContentLength, rt.cfg.MaxRequestBytes)
 	if err != nil {
 		rt.writeError(w, r, http.StatusRequestEntityTooLarge, "reading request: %v", err)
 		return nil, false

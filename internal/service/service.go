@@ -464,7 +464,7 @@ func (s *Server) handleColor(w http.ResponseWriter, r *http.Request) {
 // readBody reads the request body under MaxRequestBytes, answering the
 // 400 or 413 itself when it cannot.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	raw, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxRequestBytes+1))
+	raw, err := limits.ReadAll(io.LimitReader(r.Body, s.cfg.MaxRequestBytes+1), r.ContentLength, s.cfg.MaxRequestBytes+1)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "reading request: %v", err)
 		return nil, false
@@ -764,7 +764,7 @@ func (s *Server) jobBytes(shape limits.Shape) (int64, int, error) {
 // caps; preset jobs use the generator's predicted dimensions.
 func (s *Server) jobShape(spec *jobSpec) (limits.Shape, int, error) {
 	if spec.matrix != "" {
-		info, err := mtx.PeekInfo(strings.NewReader(spec.matrix), s.cfg.ParseLimits)
+		info, err := mtx.PeekInfo(spec.matrix, s.cfg.ParseLimits)
 		switch {
 		case errors.Is(err, limits.ErrTooLarge):
 			obs.SvcTooLarge.Inc()
@@ -793,7 +793,7 @@ func (s *Server) buildGraph(spec *jobSpec) (*cacheEntry, bool, error) {
 	var g *bipartite.Graph
 	var err error
 	if spec.matrix != "" {
-		g, err = mtx.ReadLimited(strings.NewReader(spec.matrix), s.cfg.ParseLimits)
+		g, err = mtx.ParseString(spec.matrix, s.cfg.ParseLimits)
 	} else {
 		// TryPreset contains generator panics: a build that blows up
 		// is a rejected request, not a crashed worker.

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -254,9 +255,11 @@ func TestHealthzAndStatsz(t *testing.T) {
 
 // TestColorHandlerAllocs pins the allocations of one POST /color for
 // the tiny 3×4 matrix through Server.ServeHTTP, as a cache miss and as
-// a cache hit. The ceilings are the counts measured before the serving
-// path's speed pass (go1.24, linux/amd64), so that work has a baseline
-// that fails when it regresses.
+// a cache hit: the count, and the bytes, so that a fixed-size buffer
+// creeping back onto the request path fails even when it is a single
+// allocation. The count ceilings are the counts measured on go1.24,
+// linux/amd64; the byte ceilings sit a few KB above the measured
+// 16.9 KB (miss) and 15.8 KB (hit), far less than one 64 KiB buffer.
 func TestColorHandlerAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -266,12 +269,13 @@ func TestColorHandlerAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name string
-		cfg  Config
-		max  float64
+		name     string
+		cfg      Config
+		allocs   float64
+		bytesMax uint64
 	}{
-		{"miss", Config{Workers: 2, CacheEntries: -1}, 179},
-		{"hit", Config{Workers: 2}, 137},
+		{"miss", Config{Workers: 2, CacheEntries: -1}, 145, 20 << 10},
+		{"hit", Config{Workers: 2}, 131, 18 << 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := newTestServer(t, tc.cfg)
@@ -283,8 +287,18 @@ func TestColorHandlerAllocs(t *testing.T) {
 				}
 			}
 			serve() // a hit needs the graph cached
-			if got := testing.AllocsPerRun(200, serve); got > tc.max {
-				t.Errorf("POST /color (%s) allocates %v times, ceiling %v", tc.name, got, tc.max)
+			if got := testing.AllocsPerRun(200, serve); got > tc.allocs {
+				t.Errorf("POST /color (%s) allocates %v times, ceiling %v", tc.name, got, tc.allocs)
+			}
+			const runs = 200
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				serve()
+			}
+			runtime.ReadMemStats(&after)
+			if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > tc.bytesMax {
+				t.Errorf("POST /color (%s) allocates %d bytes, ceiling %d", tc.name, got, tc.bytesMax)
 			}
 		})
 	}
