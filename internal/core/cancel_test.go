@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -218,5 +219,62 @@ func TestFinishSequentialFromEmpty(t *testing.T) {
 			t.Fatalf("vertex %d: FinishSequential %d, Sequential %d",
 				u, colors[u], want.Colors[u])
 		}
+	}
+}
+
+// TestColorCtxOneThreadInline: at threads = 1 a cancelable context
+// runs every loop on the calling goroutine, chunk by chunk. It colors
+// exactly as context.Background() does, and its work is the one a
+// one-worker team charged, chunk dispatches included (pinned, as
+// measured with the team). On go1.24, linux/amd64 one run allocated
+// 37, 23 and 22 times; with a goroutine, a WaitGroup and a panic box
+// per loop it allocated 57, 33 and 32 times. The ceilings sit halfway
+// between, so they catch the per-loop goroutine coming back and leave
+// room for another toolchain's counts.
+func TestColorCtxOneThreadInline(t *testing.T) {
+	g := smallPresets(t)["channel"]
+	for _, tc := range []struct {
+		algo   string
+		work   int64
+		allocs float64
+	}{
+		{"N1-N2", 29543, 47},
+		{"V-V-64D", 94200, 28},
+		{"V-V", 96168, 27},
+	} {
+		algo := tc.algo
+		t.Run(algo, func(t *testing.T) {
+			opts, err := ParseAlgorithm(algo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Threads = 1
+			base, err := ColorCtx(context.Background(), g, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			run := func() *Result {
+				res, err := ColorCtx(ctx, g, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			res := run()
+			if !slices.Equal(res.Colors, base.Colors) {
+				t.Fatal("a cancelable context colors differently from context.Background()")
+			}
+			if res.TotalWork != tc.work {
+				t.Errorf("work = %d, want %d", res.TotalWork, tc.work)
+			}
+			if testutil.RaceEnabled {
+				return
+			}
+			if got := testing.AllocsPerRun(20, func() { run() }); got > tc.allocs {
+				t.Errorf("one run allocates %v times, ceiling %v", got, tc.allocs)
+			}
+		})
 	}
 }

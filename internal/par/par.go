@@ -72,14 +72,20 @@ func (b *panicBox) capture(tid int) {
 	if r := recover(); r != nil {
 		b.mu.Lock()
 		if b.p == nil {
-			if wp, ok := r.(*WorkerPanic); ok {
-				b.p = wp // nested loop already wrapped it
-			} else {
-				b.p = &WorkerPanic{Tid: tid, Value: r, Stack: debug.Stack()}
-			}
+			b.p = workerPanic(tid, r)
 		}
 		b.mu.Unlock()
 	}
+}
+
+// workerPanic wraps a panic value recovered from a body on thread tid.
+// Called from the deferred recover, it records the stack of the panic
+// site.
+func workerPanic(tid int, r any) *WorkerPanic {
+	if wp, ok := r.(*WorkerPanic); ok {
+		return wp // nested loop already wrapped it
+	}
+	return &WorkerPanic{Tid: tid, Value: r, Stack: debug.Stack()}
 }
 
 // rethrow re-raises the first captured panic on the caller goroutine.
@@ -221,8 +227,12 @@ func For(n int, opts Options, body func(tid, lo, hi int)) {
 	if t > n {
 		t = n
 	}
-	if t == 1 && opts.Cancel == nil {
-		body(0, 0, n)
+	if t == 1 {
+		if opts.Cancel == nil {
+			body(0, 0, n)
+		} else {
+			inlineFor(n, opts, body)
+		}
 		return
 	}
 	switch opts.Schedule {
@@ -235,11 +245,29 @@ func For(n int, opts Options, body func(tid, lo, hi int)) {
 	}
 }
 
-func staticFor(n, threads int, cn *Canceler, body func(tid, lo, hi int)) {
-	if threads == 1 {
-		staticBlock(0, 0, n, cn, body)
-		return
+// inlineFor runs a one-thread loop with a Canceler armed on the
+// calling goroutine. It hands out the chunks a one-worker team would,
+// with the same Canceler polls, FPDispatch probes and dispatch counts,
+// and a body panic still surfaces as a *WorkerPanic; only the
+// goroutine and the barrier are gone.
+func inlineFor(n int, opts Options, body func(tid, lo, hi int)) {
+	defer func() {
+		if r := recover(); r != nil {
+			panic(workerPanic(0, r))
+		}
+	}()
+	var next atomic.Int64
+	switch opts.Schedule {
+	case Static:
+		staticBlock(0, 0, n, opts.Cancel, body)
+	case Guided:
+		guidedWorker(0, n, 1, opts.chunk(), &next, opts.Cancel, opts.Stats, body)
+	default:
+		dynamicWorker(0, n, opts.chunk(), &next, opts.Cancel, opts.Stats, body)
 	}
+}
+
+func staticFor(n, threads int, cn *Canceler, body func(tid, lo, hi int)) {
 	var box panicBox
 	var wg sync.WaitGroup
 	wg.Add(threads)
@@ -290,24 +318,30 @@ func dynamicFor(n, threads, chunk int, cn *Canceler, st *obs.LoopStats, body fun
 		go func(tid int) {
 			defer wg.Done()
 			defer box.capture(tid)
-			for {
-				lo := int(next.Add(int64(chunk))) - chunk
-				if lo >= n || cn.Canceled() {
-					return
-				}
-				obs.CountDispatch()
-				st.CountDispatch()
-				dispatchFailpoint(cn)
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				body(tid, lo, hi)
-			}
+			dynamicWorker(tid, n, chunk, &next, cn, st, body)
 		}(tid)
 	}
 	wg.Wait()
 	box.rethrow()
+}
+
+// dynamicWorker is one worker of a dynamic loop: it takes chunks from
+// next until the range or the loop is done.
+func dynamicWorker(tid, n, chunk int, next *atomic.Int64, cn *Canceler, st *obs.LoopStats, body func(tid, lo, hi int)) {
+	for {
+		lo := int(next.Add(int64(chunk))) - chunk
+		if lo >= n || cn.Canceled() {
+			return
+		}
+		obs.CountDispatch()
+		st.CountDispatch()
+		dispatchFailpoint(cn)
+		hi := lo + chunk
+		if hi > n {
+			hi = n
+		}
+		body(tid, lo, hi)
+	}
 }
 
 func guidedFor(n, threads, minChunk int, cn *Canceler, st *obs.LoopStats, body func(tid, lo, hi int)) {
@@ -319,34 +353,39 @@ func guidedFor(n, threads, minChunk int, cn *Canceler, st *obs.LoopStats, body f
 		go func(tid int) {
 			defer wg.Done()
 			defer box.capture(tid)
-			for {
-				// Reserve a chunk sized to half the remaining work per
-				// thread via compare-and-swap, so the computed size and
-				// the reservation are consistent.
-				lo := int(next.Load())
-				if lo >= n || cn.Canceled() {
-					return
-				}
-				chunk := (n - lo) / (2 * threads)
-				if chunk < minChunk {
-					chunk = minChunk
-				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				if !next.CompareAndSwap(int64(lo), int64(hi)) {
-					continue
-				}
-				obs.CountDispatch()
-				st.CountDispatch()
-				dispatchFailpoint(cn)
-				body(tid, lo, hi)
-			}
+			guidedWorker(tid, n, threads, minChunk, &next, cn, st, body)
 		}(tid)
 	}
 	wg.Wait()
 	box.rethrow()
+}
+
+// guidedWorker is one worker of a guided loop over threads workers.
+func guidedWorker(tid, n, threads, minChunk int, next *atomic.Int64, cn *Canceler, st *obs.LoopStats, body func(tid, lo, hi int)) {
+	for {
+		// Reserve a chunk sized to half the remaining work per thread
+		// via compare-and-swap, so the computed size and the
+		// reservation are consistent.
+		lo := int(next.Load())
+		if lo >= n || cn.Canceled() {
+			return
+		}
+		chunk := (n - lo) / (2 * threads)
+		if chunk < minChunk {
+			chunk = minChunk
+		}
+		hi := lo + chunk
+		if hi > n {
+			hi = n
+		}
+		if !next.CompareAndSwap(int64(lo), int64(hi)) {
+			continue
+		}
+		obs.CountDispatch()
+		st.CountDispatch()
+		dispatchFailpoint(cn)
+		body(tid, lo, hi)
+	}
 }
 
 // ForEach is a convenience wrapper that invokes body once per index.

@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
 	"bgpc/internal/bipartite"
 )
@@ -116,48 +118,48 @@ func BenchmarkAppend(b *testing.B) {
 }
 
 // copyDir copies every regular file of src into a fresh directory.
-func copyDir(b *testing.B, src string) string {
-	b.Helper()
-	dst := b.TempDir()
+func copyDir(tb testing.TB, src string) string {
+	tb.Helper()
+	dst := tb.TempDir()
 	entries, err := os.ReadDir(src)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	for _, e := range entries {
 		buf, err := os.ReadFile(filepath.Join(src, e.Name()))
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if err := os.WriteFile(filepath.Join(dst, e.Name()), buf, 0o644); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	return dst
 }
 
-// BenchmarkSnapshot measures one compaction of a log holding 2,000
+// snapshotState writes, into a fresh directory, a log holding 2,000
 // fingerprints an earlier snapshot already wrote as full records, plus
 // 512 fresh delta records (128 chains of 4, each rooted at a
 // snapshotted fingerprint) — the state a serving log is in when its
-// every-512-appends threshold fires. Each iteration compacts its own
-// copy of that log; only the Snapshot call is timed.
-func BenchmarkSnapshot(b *testing.B) {
+// every-512-appends threshold fires. It returns the directory and the
+// fingerprint count a compaction of it must keep.
+func snapshotState(tb testing.TB) (string, int64) {
 	const snapshotted, chains, hops = 2000, 128, 4
-	tmpl := b.TempDir()
-	l, _, err := Open(Options{Dir: tmpl, Sync: SyncNever, SnapshotEvery: -1})
+	dir := tb.TempDir()
+	l, _, err := Open(Options{Dir: dir, Sync: SyncNever, SnapshotEvery: -1})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(11))
 	roots := make([]*bipartite.Graph, snapshotted)
 	for i := range roots {
-		roots[i] = testGraph(b, r, 40, 50, 200)
-		if err := l.AppendFull(roots[i].Fingerprint(), "bgpc", roots[i], colorBGPC(b, roots[i])); err != nil {
-			b.Fatal(err)
+		roots[i] = testGraph(tb, r, 40, 50, 200)
+		if err := l.AppendFull(roots[i].Fingerprint(), "bgpc", roots[i], colorBGPC(tb, roots[i])); err != nil {
+			tb.Fatal(err)
 		}
 	}
 	if err := l.Snapshot(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	for c := 0; c < chains; c++ {
 		g := roots[r.Intn(len(roots))]
@@ -167,19 +169,26 @@ func BenchmarkSnapshot(b *testing.B) {
 			rem := g.Edges()[:1]
 			next, _, _, err := g.ApplyDelta(ins, rem)
 			if err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
-			if err := l.AppendDelta(g.Fingerprint(), next.Fingerprint(), "bgpc", ins, rem, colorBGPC(b, next)); err != nil {
-				b.Fatal(err)
+			if err := l.AppendDelta(g.Fingerprint(), next.Fingerprint(), "bgpc", ins, rem, colorBGPC(tb, next)); err != nil {
+				tb.Fatal(err)
 			}
 			g = next
 		}
 	}
 	want := l.FingerprintCount()
 	if err := l.Close(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return dir, want
+}
 
+// BenchmarkSnapshot measures one compaction of snapshotState's log.
+// Each iteration compacts its own copy of that log; only the Snapshot
+// call is timed.
+func BenchmarkSnapshot(b *testing.B) {
+	tmpl, want := snapshotState(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -199,4 +208,86 @@ func BenchmarkSnapshot(b *testing.B) {
 		l.Close()
 		b.StartTimer()
 	}
+}
+
+// BenchmarkSnapshotChainHeap measures the peak heap of one compaction
+// of a log holding one 64-delta chain over a 100,000-edge graph, the
+// shape one client's deltas between two snapshots leave. peak-heap-MB
+// is the most HeapInuse rose above its value before the Snapshot call,
+// sampled every 100 µs while the call runs; the largest over b.N
+// compactions is reported.
+func BenchmarkSnapshotChainHeap(b *testing.B) {
+	const hops = 64
+	tmpl := b.TempDir()
+	l, _, err := Open(Options{Dir: tmpl, Sync: SyncNever, SnapshotEvery: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(64))
+	g := testGraph(b, r, 2000, 2000, 100_000)
+	if err := l.AppendFull(g.Fingerprint(), "bgpc", g, colorBGPC(b, g)); err != nil {
+		b.Fatal(err)
+	}
+	for h := 0; h < hops; h++ {
+		ins := []bipartite.Edge{{Net: int32(r.Intn(2000)), Vtx: int32(r.Intn(2000))}}
+		rem := g.Edges()[:1]
+		next, _, _, err := g.ApplyDelta(ins, rem)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := l.AppendDelta(g.Fingerprint(), next.Fingerprint(), "bgpc", ins, rem, colorBGPC(b, next)); err != nil {
+			b.Fatal(err)
+		}
+		g = next
+	}
+	if err := l.Close(); err != nil {
+		b.Fatal(err)
+	}
+	g = nil
+
+	var peak uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		l, _, err := Open(Options{Dir: copyDir(b, tmpl), Sync: SyncNever, SnapshotEvery: -1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		base := ms.HeapInuse
+		done := make(chan struct{})
+		sampled := make(chan uint64)
+		go func() {
+			var top uint64
+			tick := time.NewTicker(100 * time.Microsecond)
+			defer tick.Stop()
+			for {
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				top = max(top, ms.HeapInuse)
+				select {
+				case <-done:
+					sampled <- top
+					return
+				case <-tick.C:
+				}
+			}
+		}()
+		b.StartTimer()
+		err = l.Snapshot()
+		b.StopTimer()
+		close(done)
+		top := <-sampled
+		if err != nil {
+			b.Fatal(err)
+		}
+		if top > base {
+			peak = max(peak, top-base)
+		}
+		l.Close()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(peak)/(1<<20), "peak-heap-MB")
 }

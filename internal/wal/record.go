@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"bgpc/internal/bipartite"
 )
@@ -80,6 +81,9 @@ type record struct {
 	edges  []bipartite.Edge // full: all incidences; delta: insert list
 	remove []bipartite.Edge // kind == kindDelta
 	colors []int32
+	// graph, when set on a full record being encoded, supplies the
+	// incidences in place of edges. Decoding never sets it.
+	graph *bipartite.Graph
 }
 
 // modeByte maps the service's mode strings onto the on-disk byte.
@@ -112,39 +116,66 @@ func appendColors(b []byte, colors []int32) []byte {
 	return b
 }
 
-// encodeRecord renders r as one framed record (header + payload),
-// ready to be written with a single Write call.
-func encodeRecord(r *record) []byte {
-	size := 10
+// appendRecord appends r to dst as one framed record (header +
+// payload), ready to be written with a single Write call. The header
+// is filled in place once the payload is known, so the frame is built
+// in one buffer, which callers reuse across records.
+func appendRecord(dst []byte, r *record) []byte {
+	start := len(dst)
+	size := frameHeaderLen + 10
 	switch r.kind {
 	case kindFull:
-		size += 8 + 8 + 8*len(r.edges) + 4 + 4*len(r.colors)
+		size += 8 + 8 + 8*r.numEdges() + 4 + 4*len(r.colors)
 	case kindDelta:
 		size += 8 + 4 + 8*len(r.edges) + 4 + 8*len(r.remove) + 4 + 4*len(r.colors)
 	}
-	payload := make([]byte, 0, size)
-	payload = append(payload, r.kind, r.mode)
-	payload = binary.LittleEndian.AppendUint64(payload, r.fp)
+	dst = slices.Grow(dst, size)[:start+frameHeaderLen]
+	dst = append(dst, r.kind, r.mode)
+	dst = binary.LittleEndian.AppendUint64(dst, r.fp)
 	switch r.kind {
 	case kindFull:
-		payload = binary.LittleEndian.AppendUint32(payload, uint32(r.nets))
-		payload = binary.LittleEndian.AppendUint32(payload, uint32(r.vtxs))
-		payload = binary.LittleEndian.AppendUint64(payload, uint64(len(r.edges)))
-		for _, e := range r.edges {
-			payload = binary.LittleEndian.AppendUint32(payload, uint32(e.Net))
-			payload = binary.LittleEndian.AppendUint32(payload, uint32(e.Vtx))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(r.nets))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(r.vtxs))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(r.numEdges()))
+		if r.graph != nil {
+			for v := range int32(r.nets) {
+				for _, u := range r.graph.Vtxs(v) {
+					dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
+					dst = binary.LittleEndian.AppendUint32(dst, uint32(u))
+				}
+			}
+		} else {
+			for _, e := range r.edges {
+				dst = binary.LittleEndian.AppendUint32(dst, uint32(e.Net))
+				dst = binary.LittleEndian.AppendUint32(dst, uint32(e.Vtx))
+			}
 		}
-		payload = appendColors(payload, r.colors)
+		dst = appendColors(dst, r.colors)
 	case kindDelta:
-		payload = binary.LittleEndian.AppendUint64(payload, r.baseFP)
-		payload = appendEdges(payload, r.edges)
-		payload = appendEdges(payload, r.remove)
-		payload = appendColors(payload, r.colors)
+		dst = binary.LittleEndian.AppendUint64(dst, r.baseFP)
+		dst = appendEdges(dst, r.edges)
+		dst = appendEdges(dst, r.remove)
+		dst = appendColors(dst, r.colors)
 	}
-	frame := make([]byte, frameHeaderLen, frameHeaderLen+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
-	return append(frame, payload...)
+	payload := dst[start+frameHeaderLen:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, castagnoli))
+	return dst
+}
+
+// fullRecord is the full record of g's coloring in mode mb. Its edges
+// are read from g's CSR when it is encoded, in the net-major order of
+// g.Edges, so no edge list is built.
+func fullRecord(mb byte, fp uint64, g *bipartite.Graph, colors []int32) *record {
+	return &record{kind: kindFull, mode: mb, fp: fp, nets: g.NumNets(), vtxs: g.NumVertices(), graph: g, colors: colors}
+}
+
+// numEdges is the edge count of a full record.
+func (r *record) numEdges() int {
+	if r.graph != nil {
+		return int(r.graph.NumEdges())
+	}
+	return len(r.edges)
 }
 
 // reader walks a payload with bounds-checked takes; any overrun marks

@@ -211,13 +211,16 @@ func (l *Log) syncLoop() {
 // per segment, kept for the length of one pass — a rehydration or a
 // snapshot write — so a pass pays one open per segment, not one per
 // record. The frame buffer is reused: a returned frame is valid only
-// until the next read. So is rec, the record a snapshot decodes each
-// coloring into.
+// until the next read. So are rec, the record a snapshot decodes each
+// coloring into, walk, the one chainGraph decodes chain records into,
+// and enc, the buffer a snapshot re-encodes colorings into.
 type segReader struct {
 	dir   string
 	files map[uint64]segHandle
 	buf   []byte
 	rec   record
+	walk  record
+	enc   []byte
 }
 
 // segHandle is an open segment and its size when it was opened; every
@@ -278,27 +281,106 @@ func (sr *segReader) frame(r ref) ([]byte, error) {
 	return sr.buf, nil
 }
 
-// record reads and decodes the record at r.
-func (sr *segReader) record(r ref) (*record, error) {
+// record reads and decodes the record at r into rec, reusing rec's
+// slices.
+func (sr *segReader) record(r ref, rec *record) error {
 	frame, err := sr.frame(r)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return decodeRecord(frame[frameHeaderLen:])
+	return decodeInto(rec, frame[frameHeaderLen:])
+}
+
+// chainMemo is what one snapshot pass keeps of the graphs chainGraph
+// has materialized and fingerprint-checked, so a chain written in
+// touch order replays each delta once. It keeps only what a walk can
+// stop at: a delta entry not yet written (its other mode may follow)
+// and the direct base of one. refs counts those holds per fingerprint,
+// and a graph is kept only while its count is above zero, so for a
+// chain written in touch order the memo holds the chain's frontier,
+// not the chain. A nil memo keeps nothing.
+type chainMemo struct {
+	graphs map[uint64]memoGraph
+	refs   map[uint64]int
+	peak   int // most graphs held at once
+}
+
+// memoGraph is a materialized graph and the number of deltas replayed
+// onto its full record to reach it.
+type memoGraph struct {
+	g    *bipartite.Graph
+	hops int
+}
+
+// newChainMemo counts the holds of entries' delta entries, all
+// unwritten.
+func newChainMemo(entries []snapEntry) *chainMemo {
+	m := &chainMemo{graphs: make(map[uint64]memoGraph), refs: make(map[uint64]int)}
+	for i := range entries {
+		if st := &entries[i].st; st.chained() {
+			m.refs[entries[i].fp]++
+			m.refs[st.baseFP]++
+		}
+	}
+	return m
+}
+
+// written releases the holds of the entry fp, st once it is written.
+func (m *chainMemo) written(fp uint64, st *fpState) {
+	if st.chained() {
+		m.release(fp)
+		m.release(st.baseFP)
+	}
+}
+
+func (m *chainMemo) release(fp uint64) {
+	if m.refs[fp]--; m.refs[fp] <= 0 {
+		delete(m.refs, fp)
+		delete(m.graphs, fp)
+	}
+}
+
+func (m *chainMemo) get(fp uint64) (memoGraph, bool) {
+	if m == nil {
+		return memoGraph{}, false
+	}
+	mg, ok := m.graphs[fp]
+	return mg, ok
+}
+
+// put keeps g, whose fingerprint is fp, while fp is held.
+func (m *chainMemo) put(fp uint64, g *bipartite.Graph, hops int) {
+	if m != nil && m.refs[fp] > 0 {
+		m.graphs[fp] = memoGraph{g, hops}
+		m.peak = max(m.peak, len(m.graphs))
+	}
 }
 
 // chainGraph materializes the graph behind fp by walking its chain in
-// index back to the nearest full record and replaying deltas forward,
-// checking the fingerprint at every hop. The caller owns index for the
-// duration: the live index under l.mu, or a snapshot's private copy.
-func chainGraph(index map[uint64]*fpState, sr *segReader, fp uint64, maxChain int) (*bipartite.Graph, error) {
-	// Walk back: collect the delta refs between fp and a full record.
+// index back to the nearest full record, or to the nearest graph memo
+// holds, and replaying deltas forward, checking the fingerprint at
+// every hop. The graphs it builds go into memo; Rehydrate passes nil.
+// The caller owns index for the duration: the live index under l.mu,
+// or a snapshot's private copy.
+func chainGraph(index map[uint64]*fpState, sr *segReader, fp uint64, maxChain int, memo *chainMemo) (*bipartite.Graph, error) {
+	// Walk back: collect the delta refs between fp and a full record
+	// or a memo hit. A hit counts its own hops against maxChain, so the
+	// memo never lets a chain through that the full walk would refuse.
 	var chain []ref // newest first
 	cur := fp
 	var fullRef ref
+	var g *bipartite.Graph
+	var hops int // deltas between g and its full record
 	for depth := 0; ; depth++ {
 		if depth > maxChain {
 			return nil, fmt.Errorf("wal: fingerprint %016x: chain longer than %d", fp, maxChain)
+		}
+		if mg, ok := memo.get(cur); ok {
+			if depth+mg.hops > maxChain {
+				return nil, fmt.Errorf("wal: fingerprint %016x: chain longer than %d", fp, maxChain)
+			}
+			g, hops = mg.g, mg.hops
+			break
 		}
 		st, ok := index[cur]
 		if !ok {
@@ -318,32 +400,36 @@ func chainGraph(index map[uint64]*fpState, sr *segReader, fp uint64, maxChain in
 		cur = st.baseFP
 	}
 
-	rec, err := sr.record(fullRef)
-	if err != nil {
-		return nil, err
-	}
-	g, err := bipartite.FromEdges(rec.nets, rec.vtxs, rec.edges)
-	if err != nil {
-		return nil, fmt.Errorf("wal: rebuild %016x: %w", rec.fp, err)
-	}
-	if got := g.Fingerprint(); got != rec.fp {
-		return nil, fmt.Errorf("%w: rebuilt graph fingerprint %016x != logged %016x", ErrCorrupt, got, rec.fp)
+	rec := &sr.walk
+	if g == nil {
+		if err := sr.record(fullRef, rec); err != nil {
+			return nil, err
+		}
+		var err error
+		if g, err = bipartite.FromEdges(rec.nets, rec.vtxs, rec.edges); err != nil {
+			return nil, fmt.Errorf("wal: rebuild %016x: %w", rec.fp, err)
+		}
+		if got := g.Fingerprint(); got != rec.fp {
+			return nil, fmt.Errorf("%w: rebuilt graph fingerprint %016x != logged %016x", ErrCorrupt, got, rec.fp)
+		}
+		memo.put(rec.fp, g, 0)
 	}
 
 	// Replay deltas oldest first.
 	for i := len(chain) - 1; i >= 0; i-- {
-		drec, err := sr.record(chain[i])
-		if err != nil {
+		if err := sr.record(chain[i], rec); err != nil {
 			return nil, err
 		}
-		next, _, _, err := g.ApplyDelta(drec.edges, drec.remove)
+		next, _, _, err := g.ApplyDelta(rec.edges, rec.remove)
 		if err != nil {
-			return nil, fmt.Errorf("wal: replay delta onto %016x: %w", drec.baseFP, err)
+			return nil, fmt.Errorf("wal: replay delta onto %016x: %w", rec.baseFP, err)
 		}
-		if got := next.Fingerprint(); got != drec.fp {
-			return nil, fmt.Errorf("%w: delta replay fingerprint %016x != logged %016x", ErrCorrupt, got, drec.fp)
+		if got := next.Fingerprint(); got != rec.fp {
+			return nil, fmt.Errorf("%w: delta replay fingerprint %016x != logged %016x", ErrCorrupt, got, rec.fp)
 		}
 		g = next
+		hops++
+		memo.put(rec.fp, g, hops)
 	}
 	return g, nil
 }
@@ -379,13 +465,13 @@ func (l *Log) Rehydrate(fp uint64, mode string) (*bipartite.Graph, []int32, erro
 	}
 	sr := l.newSegReader()
 	defer sr.close()
-	g, err := chainGraph(l.index, sr, fp, l.opts.MaxChain)
+	g, err := chainGraph(l.index, sr, fp, l.opts.MaxChain, nil)
 	if err != nil {
 		obs.WalReplaySkipped.Inc()
 		return nil, nil, err
 	}
-	crec, err := sr.record(*cref)
-	if err != nil {
+	crec := &record{}
+	if err := sr.record(*cref, crec); err != nil {
 		obs.WalReplaySkipped.Inc()
 		return nil, nil, err
 	}

@@ -1,9 +1,12 @@
 package wal
 
 import (
+	"bufio"
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -345,5 +348,229 @@ func TestSnapshotFailureTripsFuse(t *testing.T) {
 	}
 	if _, _, err := l.Rehydrate(g.Fingerprint(), "bgpc"); err != nil {
 		t.Fatalf("Rehydrate after failed snapshot: %v", err)
+	}
+}
+
+// TestWALSnapshotBytesPinned pins the exact bytes of one snapshot
+// segment, so a change to how snapshots are built cannot change what
+// they hold. The log mixes the shapes a snapshot pass has to order and
+// replay: three interleaved 4-delta chains off full roots (one root
+// also colored in d2), a delta fingerprint colored in both modes, a
+// base re-touched by Rehydrate after its child, and a fourth chain
+// whose root sits in a quarantined segment. That chain's four
+// colorings are dropped and counted as replay-skipped; everything else
+// must rehydrate from the snapshot.
+func TestWALSnapshotBytesPinned(t *testing.T) {
+	const wantSHA = "3ae9b9921dfb66cd446044a22f9aa4396e292f16547659e4c87848a710d50776"
+	dir := t.TempDir()
+	r := rand.New(rand.NewSource(2017))
+	// SegmentBytes 1 puts every record in a segment of its own, so the
+	// quarantined root takes nothing else with it.
+	l, _ := mustOpen(t, Options{Dir: dir, Sync: SyncNever, SegmentBytes: 1, SnapshotEvery: -1})
+	var all []acked
+	full := func(g *bipartite.Graph, mode string) {
+		t.Helper()
+		cols := colorBGPC(t, g)
+		if err := l.AppendFull(g.Fingerprint(), mode, g, cols); err != nil {
+			t.Fatalf("AppendFull: %v", err)
+		}
+		all = append(all, acked{g.Fingerprint(), mode, cols})
+	}
+	const chains, hops = 4, 4
+	tips := make([]*bipartite.Graph, chains)
+	for c := range tips {
+		tips[c] = testGraph(t, r, 24, 32, 90)
+		full(tips[c], "bgpc")
+	}
+	full(tips[0], "d2")
+	var bothModes, retouched uint64
+	quarantined := map[uint64]bool{}
+	for h := 0; h < hops; h++ {
+		for c, g := range tips {
+			ins := []bipartite.Edge{{Net: int32(r.Intn(24)), Vtx: int32(r.Intn(32))}}
+			rem := g.Edges()[:1]
+			next, _, _, err := g.ApplyDelta(ins, rem)
+			if err != nil {
+				t.Fatalf("ApplyDelta: %v", err)
+			}
+			modes := []string{"bgpc"}
+			if c == 1 && h == 2 {
+				modes = append(modes, "d2")
+				bothModes = next.Fingerprint()
+			}
+			if c == 0 && h == 1 {
+				retouched = next.Fingerprint()
+			}
+			for _, mode := range modes {
+				cols := colorBGPC(t, next)
+				if err := l.AppendDelta(g.Fingerprint(), next.Fingerprint(), mode, ins, rem, cols); err != nil {
+					t.Fatalf("AppendDelta: %v", err)
+				}
+				if c == chains-1 {
+					quarantined[next.Fingerprint()] = true
+				} else {
+					all = append(all, acked{next.Fingerprint(), mode, cols})
+				}
+			}
+			tips[c] = next
+		}
+	}
+	if bothModes == 0 || retouched == 0 {
+		t.Fatal("plan did not produce the both-modes or re-touched fingerprint")
+	}
+
+	// Quarantine the last chain's root: flip a payload byte of its
+	// one-record segment.
+	l.mu.Lock()
+	rootSeg := l.index[all[chains-1].fp].full.seq
+	l.mu.Unlock()
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	path := l.segPath(rootSeg)
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read root segment: %v", err)
+	}
+	buf[len(segMagic)+frameHeaderLen+4] ^= 0xff
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatalf("corrupt root segment: %v", err)
+	}
+	all = slices.DeleteFunc(all, func(a acked) bool { return a.fp == all[chains-1].fp })
+
+	l2, stats := mustOpen(t, Options{Dir: dir, Sync: SyncNever, SnapshotEvery: -1})
+	if stats.QuarantinedSegments != 1 {
+		t.Fatalf("quarantined = %d, want 1", stats.QuarantinedSegments)
+	}
+	// Re-touch chain 0's second fingerprint after its children.
+	if _, _, err := l2.Rehydrate(retouched, "bgpc"); err != nil {
+		t.Fatalf("Rehydrate(%016x): %v", retouched, err)
+	}
+	skipped := obs.WalReplaySkipped.Load()
+	if err := l2.Snapshot(); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	if got := obs.WalReplaySkipped.Load() - skipped; got != hops {
+		t.Errorf("snapshot skipped %d colorings, want the quarantined chain's %d", got, hops)
+	}
+	seqs, names, err := l2.listSegments()
+	if err != nil || len(seqs) != 2 {
+		t.Fatalf("segments after Snapshot = %d (err %v), want snapshot + active", len(seqs), err)
+	}
+	snap, err := os.ReadFile(filepath.Join(dir, names[seqs[0]]))
+	if err != nil {
+		t.Fatalf("read snapshot: %v", err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(snap)); got != wantSHA {
+		t.Errorf("snapshot segment (%d bytes) SHA-256 = %s, want %s", len(snap), got, wantSHA)
+	}
+	checkAcked(t, l2, all)
+	for fp := range quarantined {
+		if _, _, err := l2.Rehydrate(fp, "bgpc"); !errors.Is(err, ErrUnknown) {
+			t.Errorf("Rehydrate of quarantined-chain %016x = %v, want ErrUnknown", fp, err)
+		}
+	}
+	l2.Close()
+	l3, _ := mustOpen(t, Options{Dir: dir})
+	checkAcked(t, l3, all)
+}
+
+// TestWALSnapshotKeepsMaxChain: a snapshot pass that resumes a chain
+// from a graph it already built still refuses what a full walk would.
+// With MaxChain 2, the third and fourth deltas of a chain are too deep
+// to rehydrate, so the snapshot drops and counts them even though it
+// holds the second delta's graph when it reaches them.
+func TestWALSnapshotKeepsMaxChain(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	l, _ := mustOpen(t, Options{Dir: t.TempDir(), Sync: SyncNever, SnapshotEvery: -1, MaxChain: 2})
+	g := testGraph(t, r, 16, 24, 60)
+	if err := l.AppendFull(g.Fingerprint(), "bgpc", g, colorBGPC(t, g)); err != nil {
+		t.Fatalf("AppendFull: %v", err)
+	}
+	var fps []uint64
+	for h := 0; h < 4; h++ {
+		ins := []bipartite.Edge{{Net: int32(h), Vtx: int32(h)}}
+		rem := g.Edges()[:1]
+		next, _, _, err := g.ApplyDelta(ins, rem)
+		if err != nil {
+			t.Fatalf("ApplyDelta: %v", err)
+		}
+		if err := l.AppendDelta(g.Fingerprint(), next.Fingerprint(), "bgpc", ins, rem, colorBGPC(t, next)); err != nil {
+			t.Fatalf("AppendDelta: %v", err)
+		}
+		fps = append(fps, next.Fingerprint())
+		g = next
+	}
+	skipped := obs.WalReplaySkipped.Load()
+	if err := l.Snapshot(); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	if got := obs.WalReplaySkipped.Load() - skipped; got != 2 {
+		t.Errorf("snapshot skipped %d colorings, want the 2 past MaxChain", got)
+	}
+	for h, fp := range fps {
+		_, _, err := l.Rehydrate(fp, "bgpc")
+		if h < 2 && err != nil {
+			t.Errorf("Rehydrate of delta %d: %v", h+1, err)
+		}
+		if h >= 2 && !errors.Is(err, ErrUnknown) {
+			t.Errorf("Rehydrate of delta %d past MaxChain = %v, want ErrUnknown", h+1, err)
+		}
+	}
+}
+
+// TestWALSnapshotMemoFrontier: a snapshot pass over a 16-delta chain
+// written in touch order holds at most two graphs at once, the last
+// hop's base and the hop itself, and lets go of all of them by the end
+// of the pass. Holding every graph on the chain until its tip is
+// written would keep 17 full graphs alive.
+func TestWALSnapshotMemoFrontier(t *testing.T) {
+	r := rand.New(rand.NewSource(16))
+	l, _ := mustOpen(t, Options{Dir: t.TempDir(), Sync: SyncNever, SnapshotEvery: -1})
+	g := testGraph(t, r, 24, 32, 90)
+	if err := l.AppendFull(g.Fingerprint(), "bgpc", g, colorBGPC(t, g)); err != nil {
+		t.Fatalf("AppendFull: %v", err)
+	}
+	const hops = 16
+	for h := 0; h < hops; h++ {
+		ins := []bipartite.Edge{{Net: int32(r.Intn(24)), Vtx: int32(r.Intn(32))}}
+		rem := g.Edges()[:1]
+		next, _, _, err := g.ApplyDelta(ins, rem)
+		if err != nil {
+			t.Fatalf("ApplyDelta: %v", err)
+		}
+		if err := l.AppendDelta(g.Fingerprint(), next.Fingerprint(), "bgpc", ins, rem, colorBGPC(t, next)); err != nil {
+			t.Fatalf("AppendDelta: %v", err)
+		}
+		g = next
+	}
+	l.mu.Lock()
+	entries := make([]snapEntry, 0, len(l.index))
+	for fp, st := range l.index {
+		entries = append(entries, snapEntry{fp: fp, st: *st})
+	}
+	l.mu.Unlock()
+	if len(entries) != hops+1 {
+		t.Fatalf("index holds %d fingerprints, want %d", len(entries), hops+1)
+	}
+
+	memo := newChainMemo(entries)
+	skipped := obs.WalReplaySkipped.Load()
+	w := bufio.NewWriter(io.Discard)
+	w.WriteString(segMagic)
+	l.writeFrames(w, entries, memo)
+	if got := obs.WalReplaySkipped.Load() - skipped; got != 0 {
+		t.Fatalf("pass skipped %d colorings, want 0", got)
+	}
+	for _, e := range entries {
+		if e.placed[modeBGPC] == 0 {
+			t.Fatalf("fingerprint %016x was not written", e.fp)
+		}
+	}
+	if memo.peak < 1 || memo.peak > 2 {
+		t.Errorf("memo held up to %d graphs at once, want 1 or 2", memo.peak)
+	}
+	if len(memo.graphs) != 0 || len(memo.refs) != 0 {
+		t.Errorf("memo keeps %d graphs and %d holds after the pass, want none", len(memo.graphs), len(memo.refs))
 	}
 }

@@ -23,7 +23,7 @@
 // and lookups proceed while the snapshot is written. A coloring already
 // held as a full record is carried into the next snapshot byte for
 // byte; only fingerprints produced by deltas since the last snapshot
-// are rebuilt from their chains.
+// are rebuilt from their chains, each chain replayed once per pass.
 //
 // Failure handling is one-way and non-fatal. An IO error on the write
 // path (disk full, injected fault) trips a degraded fuse: the log stops
@@ -36,11 +36,12 @@ package wal
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -165,11 +166,19 @@ type fpState struct {
 	touch    uint64 // recency clock for warm-start ordering
 }
 
+// chained reports whether the entry's graph comes only from a delta
+// chain, which a snapshot replays.
+func (st *fpState) chained() bool { return st.full == nil && st.deltaSrc != nil }
+
 // live reports whether the entry still has a graph source and at least
 // one coloring; an entry that is not live is dropped from the index.
 func (st *fpState) live() bool {
 	return (st.full != nil || st.deltaSrc != nil) && (st.colors[modeBGPC] != nil || st.colors[modeD2] != nil)
 }
+
+// maxKeptBuf is the largest encode buffer the Log keeps between
+// appends.
+const maxKeptBuf = 1 << 20
 
 // Log is the write-ahead log. All methods are safe for concurrent use;
 // there is exactly one writer goroutine at a time by construction (the
@@ -188,6 +197,9 @@ type Log struct {
 	queued     int // threshold crossings not yet compacted
 	unsynced   bool
 	closed     bool
+	// buf is the encode buffer appends reuse, dropped after a frame
+	// larger than maxKeptBuf.
+	buf []byte
 
 	degraded atomic.Bool
 
@@ -264,7 +276,7 @@ func (l *Log) RecentFingerprints(n int) []uint64 {
 	for fp, st := range l.index {
 		all = append(all, pair{fp, st.touch})
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].touch > all[j].touch })
+	slices.SortFunc(all, func(a, b pair) int { return cmp.Compare(b.touch, a.touch) })
 	if n > 0 && len(all) > n {
 		all = all[:n]
 	}
@@ -302,15 +314,7 @@ func (l *Log) AppendFull(fp uint64, mode string, g *bipartite.Graph, colors []in
 	if err != nil {
 		return err
 	}
-	return l.append(&record{
-		kind:   kindFull,
-		mode:   mb,
-		fp:     fp,
-		nets:   g.NumNets(),
-		vtxs:   g.NumVertices(),
-		edges:  g.Edges(),
-		colors: colors,
-	})
+	return l.append(fullRecord(mb, fp, g, colors))
 }
 
 // AppendDelta logs an accepted delta application: base fingerprint,
@@ -347,7 +351,11 @@ func (l *Log) append(rec *record) error {
 	if err := failpoint.Inject(FPAppend); err != nil {
 		return l.degrade(fmt.Errorf("wal: append: %w", err))
 	}
-	frame := encodeRecord(rec)
+	frame := appendRecord(l.buf[:0], rec)
+	l.buf = frame
+	if cap(frame) > maxKeptBuf {
+		l.buf = nil // a whale graph's frame is not kept for the next append
+	}
 	if l.activeSize+int64(len(frame)) > l.opts.SegmentBytes && l.activeSize > int64(len(segMagic)) {
 		if err := l.rotateLocked(l.activeSeq + 1); err != nil {
 			return l.degrade(err)
@@ -641,33 +649,7 @@ func (l *Log) writeSnapshot(job *snapJob) error {
 	w := bufio.NewWriterSize(tmp, 1<<16)
 	w.WriteString(segMagic) // a bufio.Writer reports write errors at Flush
 
-	// Deterministic order keeps snapshot bytes reproducible for a given
-	// index state (tests) and recency intact across the rewrite.
-	entries := job.entries
-	sort.Slice(entries, func(i, j int) bool { return entries[i].st.touch < entries[j].st.touch })
-	view := make(map[uint64]*fpState, len(entries))
-	for i := range entries {
-		view[entries[i].fp] = &entries[i].st
-	}
-	sr := l.newSegReader()
-	defer sr.close()
-	size := int64(len(segMagic))
-	for i := range entries {
-		e := &entries[i]
-		for mb, cref := range e.st.colors {
-			if cref == nil {
-				continue
-			}
-			frame, err := l.snapshotFrame(sr, view, e.fp, byte(mb), *cref)
-			if err != nil {
-				obs.WalReplaySkipped.Inc()
-				continue
-			}
-			w.Write(frame)
-			e.placed[mb] = size
-			size += int64(len(frame))
-		}
-	}
+	l.writeFrames(w, job.entries, newChainMemo(job.entries))
 	if err := w.Flush(); err != nil {
 		tmp.Close()
 		return fmt.Errorf("wal: snapshot write: %w", err)
@@ -690,14 +672,49 @@ func (l *Log) writeSnapshot(job *snapJob) error {
 	return nil
 }
 
+// writeFrames writes to w, which already holds segMagic, the snapshot
+// frame of every coloring in entries, and records in each entry where
+// its frames land. Write errors surface at w's Flush. Entries go in touch order: that keeps snapshot bytes
+// reproducible for a given index state (tests), keeps recency intact
+// across the rewrite, and writes a chain base before its deltas, so
+// memo resumes each chain where the last entry left it.
+func (l *Log) writeFrames(w *bufio.Writer, entries []snapEntry, memo *chainMemo) {
+	slices.SortFunc(entries, func(a, b snapEntry) int { return cmp.Compare(a.st.touch, b.st.touch) })
+	view := make(map[uint64]*fpState, len(entries))
+	for i := range entries {
+		view[entries[i].fp] = &entries[i].st
+	}
+	sr := l.newSegReader()
+	defer sr.close()
+	size := int64(len(segMagic))
+	for i := range entries {
+		e := &entries[i]
+		for mb, cref := range e.st.colors {
+			if cref == nil {
+				continue
+			}
+			frame, err := l.snapshotFrame(sr, view, memo, e.fp, byte(mb), *cref)
+			if err != nil {
+				obs.WalReplaySkipped.Inc()
+				continue
+			}
+			w.Write(frame)
+			e.placed[mb] = size
+			size += int64(len(frame))
+		}
+		memo.written(e.fp, &e.st)
+	}
+}
+
 // snapshotFrame returns the full-record frame the snapshot holds for
 // fp's coloring in mode mb, recorded at cref. A coloring that already is
 // a full record — from the previous snapshot or an AppendFull — is
 // carried forward byte for byte once it decodes as recovery would
-// decode it, with one color per vertex; its graph is not rebuilt. A delta's coloring is re-encoded as a
-// full record over the graph its chain walk produces. The frame is valid
-// until sr's next read.
-func (l *Log) snapshotFrame(sr *segReader, view map[uint64]*fpState, fp uint64, mb byte, cref ref) ([]byte, error) {
+// decode it, with one color per vertex; its graph is not rebuilt. A
+// delta's coloring is re-encoded, into sr's encode buffer, as a full
+// record over the graph its chain walk produces; the walk starts from
+// what memo already holds. The frame is valid until sr's next use.
+func (l *Log) snapshotFrame(sr *segReader, view map[uint64]*fpState, memo *chainMemo, fp uint64, mb byte, cref ref) ([]byte, error) {
 	frame, err := sr.frame(cref)
 	if err != nil {
 		return nil, err
@@ -715,22 +732,15 @@ func (l *Log) snapshotFrame(sr *segReader, view map[uint64]*fpState, fp uint64, 
 		}
 		return frame, nil
 	}
-	g, err := chainGraph(view, sr, fp, l.opts.MaxChain)
+	g, err := chainGraph(view, sr, fp, l.opts.MaxChain, memo)
 	if err != nil {
 		return nil, err
 	}
 	if len(crec.colors) != g.NumVertices() {
 		return nil, fmt.Errorf("%w: coloring length %d != %d vertices", ErrCorrupt, len(crec.colors), g.NumVertices())
 	}
-	return encodeRecord(&record{
-		kind:   kindFull,
-		mode:   mb,
-		fp:     fp,
-		nets:   g.NumNets(),
-		vtxs:   g.NumVertices(),
-		edges:  g.Edges(),
-		colors: crec.colors,
-	}), nil
+	sr.enc = appendRecord(sr.enc[:0], fullRecord(mb, fp, g, crec.colors))
+	return sr.enc, nil
 }
 
 // installSnapshot points every index ref at or below the sealed
@@ -793,7 +803,7 @@ func (l *Log) listSegments() ([]uint64, map[uint64]string, error) {
 		seqs = append(seqs, seq)
 		names[seq] = e.Name()
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	slices.Sort(seqs)
 	return seqs, names, nil
 }
 
