@@ -105,7 +105,10 @@ func TestWorkModelPinned(t *testing.T) {
 }
 
 // BenchmarkKernel times the coloring kernels batch-kernel runs: every
-// scale-1 preset with Sequential, N1-N2 and V-V-64D at threads = 2.
+// scale-1 preset with Sequential, and N1-N2 and V-V-64D at threads = 2
+// and at threads = 1, where the colorings are those of the scan. Each
+// reports mask-KB, the memory of the net color masks the run keeps
+// pooled (0 on presets without a net of maskMinNetDeg vertices).
 //
 //	go test -run '^$' -bench Kernel -benchmem ./internal/core
 func BenchmarkKernel(b *testing.B) {
@@ -115,19 +118,31 @@ func BenchmarkKernel(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, algo := range kernelAlgos {
-			b.Run(fmt.Sprintf("%s/%s", name, algo), func(b *testing.B) {
-				b.ReportAllocs()
-				var color, conflict time.Duration
-				for i := 0; i < b.N; i++ {
-					benchSink = runKernel(b, g, algo, 2)
-					color += benchSink.ColoringTime
-					conflict += benchSink.ConflictTime
+			for _, threads := range []int{2, 1} {
+				if algo == "seq" && threads == 1 {
+					continue // Sequential has no thread count
 				}
-				n := float64(b.N)
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n/float64(g.NumEdges()), "ns/nnz")
-				b.ReportMetric(float64(color.Microseconds())/n/1e3, "color-ms/op")
-				b.ReportMetric(float64(conflict.Microseconds())/n/1e3, "conflict-ms/op")
-			})
+				sub := fmt.Sprintf("%s/%s", name, algo)
+				if threads == 1 {
+					sub += "/t1"
+				}
+				b.Run(sub, func(b *testing.B) {
+					b.ReportAllocs()
+					var color, conflict time.Duration
+					for i := 0; i < b.N; i++ {
+						benchSink = runKernel(b, g, algo, threads)
+						color += benchSink.ColoringTime
+						conflict += benchSink.ConflictTime
+					}
+					b.StopTimer()
+					n := float64(b.N)
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n/float64(g.NumEdges()), "ns/nnz")
+					b.ReportMetric(float64(color.Microseconds())/n/1e3, "color-ms/op")
+					b.ReportMetric(float64(conflict.Microseconds())/n/1e3, "conflict-ms/op")
+					kb := runMaskBytes(func() { runKernel(b, g, algo, threads) })
+					b.ReportMetric(float64(kb)/1024, "mask-KB")
+				})
+			}
 		}
 	}
 }

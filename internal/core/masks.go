@@ -1,0 +1,253 @@
+package core
+
+import (
+	"math/bits"
+	"sync"
+	"sync/atomic"
+
+	"bgpc/internal/bipartite"
+	"bgpc/internal/par"
+)
+
+// maskMinNetDeg is the smallest net that gets a color mask: a vertex
+// reads a mask in one word per 64 colors instead of the net's
+// |vtxs(v)| colors, which pays once nets are this large. Smaller nets
+// are scanned.
+const maskMinNetDeg = 32
+
+// maskNNZPerWord caps the mask words of a run at one per maskNNZPerWord
+// nonzeros, 2 bytes per nonzero. Every masked net holds at least
+// maskMinNetDeg nonzeros, so the cap always leaves room for
+// maskMinNetDeg/maskNNZPerWord = 8 blocks (512 colors); colors past the
+// last maskable block are found by scanning.
+const maskNNZPerWord = 4
+
+// netMasks is the per-run color mask of every large net: bit c%64 of
+// blocks[c/64][row] is set once a vertex of the row's net holds color
+// c. A vertex that starts Uncolored then finds its first-fit color by
+// OR-ing its large nets' words block by block, and scans only its small
+// nets.
+//
+// The masks equal the scan's forbidden set only while every vertex
+// being colored starts Uncolored: bits are added, never removed. So a
+// run uses them in the first vertex coloring phase and in vertex phases
+// that follow a net-based conflict removal (after build), not after a
+// vertex-based one, whose queue keeps its stale colors.
+//
+// Concurrency: coloring phases read words with atomic loads and
+// publish a new color with a CAS loop after the vertex's Colors.Set, so
+// a reader that misses a concurrent publish picks a color the
+// unchanged conflict detection, which reads Colors, catches. Blocks are
+// added under mu and published through nblocks. build writes with
+// plain stores, one row per worker, ordered before the next phase by
+// the par.For barrier; that is why the words are plain uint64s.
+type netMasks struct {
+	rowOf     []int32 // row of each net, -1 for a net that is scanned
+	nets      []int32 // net of each row
+	maxBlocks int     // blocks the cap and the color bound allow
+
+	mu      sync.Mutex
+	nblocks atomic.Int32
+	blocks  [][]uint64 // len maxBlocks; blocks ≥ nblocks are not in use
+
+	big [][]int32 // per-thread rows of the vertex being colored
+}
+
+// maskPool keeps masks between runs, so repeated jobs on graphs of a
+// similar shape allocate no mask memory.
+var maskPool sync.Pool
+
+// acquireMasks returns cleared masks for one run on g with the given
+// threads, where every color is below colorBound, or nil when the run
+// must scan: on a view, whose Nets() direction is not the transpose of
+// Vtxs() (they are the graphs with unsorted nets), and on a graph
+// without a net of maskMinNetDeg vertices.
+func acquireMasks(g *bipartite.Graph, threads, colorBound int) *netMasks {
+	if !g.SortedNets() {
+		return nil
+	}
+	numNets := g.NumNets()
+	rows := 0
+	for v := int32(0); int(v) < numNets; v++ {
+		if g.NetDeg(v) >= maskMinNetDeg {
+			rows++
+		}
+	}
+	if rows == 0 {
+		return nil
+	}
+	m, _ := maskPool.Get().(*netMasks)
+	if m == nil {
+		m = new(netMasks)
+	}
+	m.rowOf = resize(m.rowOf, numNets)
+	m.nets = resize(m.nets, rows)
+	rows = 0
+	for v := int32(0); int(v) < numNets; v++ {
+		m.rowOf[v] = -1
+		if g.NetDeg(v) >= maskMinNetDeg {
+			m.rowOf[v] = int32(rows)
+			m.nets[rows] = v
+			rows++
+		}
+	}
+	m.maxBlocks = min((colorBound+63)/64, max(1, int(g.NumEdges()/maskNNZPerWord)/rows))
+	m.blocks = resize(m.blocks, m.maxBlocks)
+	m.big = resize(m.big, threads)
+	m.nblocks.Store(0)
+	return m
+}
+
+// release returns m to the pool; m must not be used afterwards.
+func (m *netMasks) release() {
+	if m != nil {
+		maskPool.Put(m)
+	}
+}
+
+// resize returns s with length n. It reuses s's array when the
+// capacity allows, keeping the elements past its old length, and else
+// copies them into an array of exactly n.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		t := make([]T, n)
+		copy(t, s[:cap(s)])
+		return t
+	}
+	return s[:n]
+}
+
+// grow puts blocks up to n-1 in use, cleared.
+func (m *netMasks) grow(n int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for b := int(m.nblocks.Load()); b < n; b++ {
+		m.blocks[b] = resize(m.blocks[b], len(m.nets))
+		clear(m.blocks[b])
+	}
+	if n > int(m.nblocks.Load()) {
+		m.nblocks.Store(int32(n))
+	}
+}
+
+// build sets the masks from the colors of a run whose previous phase
+// was not a masked vertex coloring: each row ORs in its net's colors.
+func (m *netMasks) build(g *bipartite.Graph, c *Colors, o *Options, cn *par.Canceler) {
+	maxColor := Uncolored
+	for _, col := range c.Raw() {
+		maxColor = max(maxColor, col)
+	}
+	nb := min(m.maxBlocks, int(maxColor+64)/64)
+	m.nblocks.Store(0)
+	m.grow(nb)
+	limit := int32(nb * 64)
+	par.For(len(m.nets), o.parOpts(cn), func(_, lo, hi int) {
+		for r := lo; r < hi; r++ {
+			for _, u := range g.Vtxs(m.nets[r]) {
+				if col := c.Get(u); col >= 0 && col < limit {
+					m.blocks[col>>6][r] |= 1 << (col & 63)
+				}
+			}
+		}
+	})
+}
+
+// color gives w, which must be Uncolored, its first-fit color and
+// publishes it, and returns the work model's charge for w's scan,
+// |vtxs(v)|+1 per net, as addNbrs does. f must be reset; tid selects
+// the caller's row buffer. below bounds the small nets' scans as in
+// addNbrs.
+func (m *netMasks) color(g *bipartite.Graph, w int32, c *Colors, f *Forbidden, tid int, below int32) (work int64) {
+	work, big := m.scanSmall(g, w, c, f, below, m.big[tid][:0])
+	m.big[tid] = big
+	col := m.firstFit(f, big)
+	if col < 0 {
+		// Every maskable color is taken: scan the large nets too for
+		// the colors past the last block.
+		for _, r := range big {
+			for _, u := range g.Vtxs(m.nets[r]) {
+				if u != w {
+					f.Add(c.Get(u))
+				}
+			}
+		}
+		col = FirstFitFrom(f, int32(m.maxBlocks*64))
+	}
+	c.Set(w, col)
+	m.publish(col, big)
+	return work
+}
+
+// scanSmall is Forbidden.addNbrs for the mask path: a large net is
+// charged but not scanned, and its row is appended to big, which is
+// returned. The scan path keeps its own loop, which runs faster
+// without the row test.
+func (m *netMasks) scanSmall(g *bipartite.Graph, w int32, c *Colors, f *Forbidden, below int32, big []int32) (work int64, _ []int32) {
+	mark, stamp := f.mark, f.stamp
+	for _, v := range g.Nets(w) {
+		vt := g.Vtxs(v)
+		work += int64(len(vt)) + 1
+		if r := m.rowOf[v]; r >= 0 {
+			big = append(big, r)
+			continue
+		}
+		for _, u := range vt {
+			if u >= below {
+				break
+			}
+			cu := c.Get(u)
+			if u == w {
+				cu = Uncolored
+			}
+			i := int(cu) + 1
+			if i >= len(mark) {
+				mark = f.grow(i + 1)
+			}
+			mark[i] = stamp
+		}
+	}
+	return work, big
+}
+
+// firstFit returns the smallest color in the maskable blocks that
+// neither the rows' masks nor f forbid, or -1 when there is none.
+func (m *netMasks) firstFit(f *Forbidden, rows []int32) int32 {
+	n := int(m.nblocks.Load())
+	for b := 0; b < m.maxBlocks; b++ {
+		var taken uint64
+		if b < n {
+			blk := m.blocks[b]
+			for _, r := range rows {
+				taken |= atomic.LoadUint64(&blk[r])
+			}
+		}
+		for free := ^taken; free != 0; free &= free - 1 {
+			if col := int32(b*64 + bits.TrailingZeros64(free)); !f.Has(col) {
+				return col
+			}
+		}
+	}
+	return -1
+}
+
+// publish adds col to the masks of rows. A color past the last
+// maskable block is not recorded; firstFit never reports one.
+func (m *netMasks) publish(col int32, rows []int32) {
+	b := int(col >> 6)
+	if b >= m.maxBlocks {
+		return
+	}
+	if b >= int(m.nblocks.Load()) {
+		m.grow(b + 1)
+	}
+	blk, bit := m.blocks[b], uint64(1)<<(col&63)
+	for _, r := range rows {
+		p := &blk[r]
+		for {
+			old := atomic.LoadUint64(p)
+			if old&bit != 0 || atomic.CompareAndSwapUint64(p, old, old|bit) {
+				break
+			}
+		}
+	}
+}

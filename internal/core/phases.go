@@ -47,8 +47,10 @@ func (o *Options) parOpts(cn *par.Canceler) par.Options {
 // colorVertexPhase is BGPC-COLORWORKQUEUE-VERTEX (Algorithm 4) with the
 // balancing policies of Algorithms 11/12: each vertex of W scans its
 // distance-2 neighbourhood through its nets, builds a private forbidden
-// set, and picks a color.
-func colorVertexPhase(g *bipartite.Graph, W []int32, c *Colors, s *scratch, o *Options, wc *WorkCounters, cn *par.Canceler) {
+// set, and picks a color. With masks (first-fit only, every vertex of
+// W Uncolored) a vertex scans only its small nets and reads its large
+// nets' color masks.
+func colorVertexPhase(g *bipartite.Graph, W []int32, c *Colors, s *scratch, m *netMasks, o *Options, wc *WorkCounters, cn *par.Canceler) {
 	s.resetPolicies(o.Balance)
 	par.For(len(W), o.parOpts(cn), func(tid, lo, hi int) {
 		f := s.forb[tid]
@@ -57,6 +59,10 @@ func colorVertexPhase(g *bipartite.Graph, W []int32, c *Colors, s *scratch, o *O
 		for i := lo; i < hi; i++ {
 			w := W[i]
 			f.Reset()
+			if m != nil {
+				work += m.color(g, w, c, f, tid, fullScan)
+				continue
+			}
 			work += f.addNbrs(g, w, c, fullScan)
 			c.Set(w, pol.Pick(f, w))
 		}

@@ -46,6 +46,11 @@ func Color(g *bipartite.Graph, opts Options) (*Result, error) {
 // Callers that need a complete coloring can pass the partial state to
 // FinishSequential.
 func ColorCtx(ctx context.Context, g *bipartite.Graph, opts Options) (*Result, error) {
+	return colorCtx(ctx, g, opts, true)
+}
+
+// colorCtx is ColorCtx with the color masks switched on or off.
+func colorCtx(ctx context.Context, g *bipartite.Graph, opts Options, masks bool) (*Result, error) {
 	if err := opts.validate(g.NumVertices()); err != nil {
 		return nil, err
 	}
@@ -70,7 +75,17 @@ func ColorCtx(ctx context.Context, g *bipartite.Graph, opts Options) (*Result, e
 	threads := opts.threads()
 	c := NewColors(n)
 	wc := NewWorkCounters(threads)
-	scr := newScratch(threads, g.MaxColorUpperBound()+1, opts.Balance)
+	bound := g.MaxColorUpperBound() + 1
+	scr := newScratch(threads, bound, opts.Balance)
+	// The masks serve first fit only, in a vertex phase whose queue is
+	// all Uncolored (fresh): the first iteration's, and one after a
+	// net-based conflict removal, which rebuilds them from the colors.
+	var m *netMasks
+	if masks && opts.Balance == BalanceNone {
+		m = acquireMasks(g, threads, bound)
+		defer m.release()
+	}
+	fresh := true
 
 	// Build the initial work queue. Vertices incident to no net cannot
 	// conflict; they take color 0 immediately (as first-fit would) and
@@ -110,14 +125,22 @@ func ColorCtx(ctx context.Context, g *bipartite.Graph, opts Options) (*Result, e
 	// per-vertex hot paths see the Observer at all.
 	tr := opts.Obs
 	var netColor, netCR bool
+	var iter int
 	doColor := func() {
-		if netColor {
+		switch {
+		case netColor:
 			colorNetPhase(g, c, scr, &opts, wc, cn)
-		} else {
-			colorVertexPhase(g, W, c, scr, &opts, wc, cn)
+		case m != nil && fresh:
+			if iter > 1 {
+				m.build(g, c, &opts, cn)
+			}
+			colorVertexPhase(g, W, c, scr, m, &opts, wc, cn)
+		default:
+			colorVertexPhase(g, W, c, scr, nil, &opts, wc, cn)
 		}
 	}
 	doConflict := func() {
+		fresh = netCR
 		if netCR {
 			conflictNetPhase(g, c, scr, &opts, wc, cn)
 			W = gatherUncolored(g, c, &opts)
@@ -135,7 +158,7 @@ func ColorCtx(ctx context.Context, g *bipartite.Graph, opts Options) (*Result, e
 
 	res := &Result{Iterations: 0}
 	maxIters := opts.maxIters()
-	for iter := 1; len(W) > 0; iter++ {
+	for iter = 1; len(W) > 0; iter++ {
 		if iter > maxIters {
 			return nil, fmt.Errorf("core: %w after %d iterations (%d vertices still queued)", ErrNoFixedPoint, maxIters, len(W))
 		}

@@ -175,6 +175,7 @@ func Estimate(sh Shape) (int64, error) {
 //     int32 arrays), and one forbidden-color scratch array per thread,
 //     each bounded by the number of vertices
 //   - D2 jobs double the graph term for the undirected view
+//   - the coloring kernel's net color masks (MaskBytes)
 //
 // All arithmetic saturates at MaxInt64 so hostile shapes cannot
 // overflow their way under a budget. The result errs high by design —
@@ -219,7 +220,33 @@ func EstimateBytes(sh Shape) int64 {
 	}
 	runState := satAdd(satMul(cols, 3*colorBytes), satMul(satMul(threads, cols), colorBytes))
 
-	return satAdd(satAdd(staging, graph), runState)
+	return satAdd(satAdd(staging, graph), satAdd(runState, MaskBytes(sh)))
+}
+
+// MaskBytes bounds the color masks the coloring kernel keeps for the
+// nets of at least 32 vertices (internal/core, masks.go), term by term:
+//
+//   - mask words: capped at one 8-byte word per 4 nonzeros
+//   - a 4-byte row index per net, and a 4-byte list of the masked nets,
+//     at most one per 32 nonzeros
+//   - a table of 24-byte slice headers, one per 64 colors, and colors
+//     are fewer than Cols+1
+//   - per thread, a buffer of a vertex's masked nets: at most one per
+//     32 nonzeros, twice that after append growth, plus its header
+//
+// The masks are pooled between jobs, so a pooled set also outlives its
+// job, up to the largest job's bound.
+func MaskBytes(sh Shape) int64 {
+	rows, cols, e := max(int64(sh.Rows), 0), max(int64(sh.Cols), 0), max(sh.NNZ, 0)
+	if sh.Symmetric {
+		e = satMul(e, 2)
+	}
+	threads := max(int64(sh.Threads), 1)
+	words := satMul(e/4, 8)
+	index := satAdd(satMul(rows, 4), satMul(e/32, 4))
+	table := satMul(cols/64+2, 24)
+	buffers := satMul(threads, satAdd(satMul(e/32, 8), 24))
+	return satAdd(satAdd(words, index), satAdd(table, buffers))
 }
 
 func satAdd(a, b int64) int64 {

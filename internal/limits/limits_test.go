@@ -49,6 +49,25 @@ func TestEstimateBytesVariants(t *testing.T) {
 	}
 }
 
+// TestEstimateBytesIncludesMasks: the estimate charges the coloring
+// masks' bound on top of its other terms, at least 2 bytes per
+// nonzero for the mask words. internal/core's TestMasksWithinEstimate
+// checks the bound against the masks a run keeps.
+func TestEstimateBytesIncludesMasks(t *testing.T) {
+	sh := Shape{Rows: 1000, Cols: 1000, NNZ: 1 << 20, Threads: 4}
+	mask := MaskBytes(sh)
+	if mask < 2*sh.NNZ {
+		t.Fatalf("MaskBytes(%+v) = %d, want >= %d", sh, mask, 2*sh.NNZ)
+	}
+	if got, min := EstimateBytes(sh), int64(24)*sh.NNZ+mask; got < min {
+		t.Fatalf("EstimateBytes(%+v) = %d, want >= %d with the masks", sh, got, min)
+	}
+	hostile := Shape{Rows: math.MaxInt32, Cols: math.MaxInt32, NNZ: math.MaxInt64, Threads: 1 << 20}
+	if got := MaskBytes(hostile); got != math.MaxInt64 {
+		t.Fatalf("MaskBytes(%+v) = %d, want MaxInt64", hostile, got)
+	}
+}
+
 func TestEstimateBytesSaturates(t *testing.T) {
 	// A hostile header can claim shapes whose byte cost overflows
 	// int64. The estimate must clamp at MaxInt64, not wrap negative —
