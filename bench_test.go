@@ -7,7 +7,6 @@ package bgpc
 // EXPERIMENTS.md records the paper-vs-measured comparison.
 
 import (
-	"fmt"
 	"io"
 	"testing"
 
@@ -156,24 +155,3 @@ func BenchmarkOrderings(b *testing.B) {
 func BenchmarkAblationSchedule(b *testing.B)    { runExperiment(b, "ablation-sched") }
 func BenchmarkAblationD2Balance(b *testing.B)   { runExperiment(b, "ablation-d2balance") }
 func BenchmarkAblationNetVariants(b *testing.B) { runExperiment(b, "ablation-netvariants") }
-
-// Distance-k scaling ablation: cost of growing neighbourhood radius.
-func BenchmarkDistanceK(b *testing.B) {
-	bg, err := Preset("channel", 0.1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := UndirectedFromBipartite(bg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, k := range []int{1, 2, 3, 4} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := ColorDistK(g, k, Options{Threads: 4, Chunk: 16}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

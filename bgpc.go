@@ -39,7 +39,6 @@ import (
 	"bgpc/internal/d1"
 	"bgpc/internal/d2"
 	"bgpc/internal/dist"
-	"bgpc/internal/distk"
 	"bgpc/internal/gen"
 	"bgpc/internal/graph"
 	"bgpc/internal/limits"
@@ -207,23 +206,6 @@ func SequentialD1(g *Undirected, vertexOrder []int32) *Result {
 // VerifyD1 returns nil iff colors is a valid distance-1 coloring of g.
 func VerifyD1(g *Undirected, colors []int32) error {
 	return d1.Verify(g, colors)
-}
-
-// ColorDistK runs speculative parallel distance-k coloring for any
-// k ≥ 1 — the paper's future-work generalization. For k ≤ 2 the
-// specialized ColorD1/ColorD2 are faster.
-func ColorDistK(g *Undirected, k int, opts Options) (*Result, error) {
-	return distk.Color(g, k, opts)
-}
-
-// SequentialDistK runs the single-threaded greedy distance-k baseline.
-func SequentialDistK(g *Undirected, k int, vertexOrder []int32) (*Result, error) {
-	return distk.Sequential(g, k, vertexOrder)
-}
-
-// VerifyDistK returns nil iff colors is a valid distance-k coloring.
-func VerifyDistK(g *Undirected, k int, colors []int32) error {
-	return distk.Verify(g, k, colors)
 }
 
 // Recolor performs one iterated-greedy compaction pass over a valid

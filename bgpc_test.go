@@ -101,7 +101,7 @@ func TestFacadeStatsAndPresets(t *testing.T) {
 	}
 }
 
-func TestFacadeD1AndDistK(t *testing.T) {
+func TestFacadeD1(t *testing.T) {
 	b, err := Preset("channel", 0.02)
 	if err != nil {
 		t.Fatal(err)
@@ -120,24 +120,6 @@ func TestFacadeD1AndDistK(t *testing.T) {
 	}
 	if err := VerifyD1(g, res.Colors); err != nil {
 		t.Fatal(err)
-	}
-	k3, err := SequentialDistK(g, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyDistK(g, 3, k3.Colors); err != nil {
-		t.Fatal(err)
-	}
-	k3p, err := ColorDistK(g, 3, Options{Threads: 2, Chunk: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyDistK(g, 3, k3p.Colors); err != nil {
-		t.Fatal(err)
-	}
-	// Distance-k color counts are monotone in k.
-	if k3.NumColors < seq.NumColors {
-		t.Fatalf("k=3 used fewer colors (%d) than k=1 (%d)", k3.NumColors, seq.NumColors)
 	}
 }
 

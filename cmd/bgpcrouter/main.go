@@ -3,8 +3,9 @@
 // affinity), tracks per-backend health with passive proxy outcomes
 // plus active /healthz probes, fails over past dead or ejected
 // backends, spills past 429/413 budget rejections, walks a delta past
-// backends that answer 404 (they do not hold its base) up to -max-hops,
-// and collapses identical concurrent jobs into one backend execution.
+// backends that answer 404 (they do not hold its base) around the
+// whole ring, and collapses identical concurrent jobs into one backend
+// execution.
 //
 // Usage:
 //
@@ -85,7 +86,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	addr := fs.String("addr", ":8970", "listen address (use :0 for an ephemeral port)")
 	backends := fs.String("backends", "", "comma-separated bgpcd addresses forming the fleet (required)")
 	vnodes := fs.Int("vnodes", 0, "virtual nodes per backend on the hash ring (0 = default 128)")
-	maxHops := fs.Int("max-hops", 0, "backends one request may visit across failover, spillover and the delta miss walk (0 = default 3)")
+	maxHops := fs.Int("max-hops", 0, "backends one request may visit across failover and spillover; a delta's misses do not count (0 = default 3)")
 	failAfter := fs.Int("fail-after", 0, "consecutive passive failures before a backend turns suspect (0 = default 3)")
 	probeInterval := fs.Duration("probe-interval", 0, "active /healthz probe period (0 = default 500ms)")
 	recoverProbes := fs.Int("recover-probes", 0, "consecutive probe successes an ejected backend needs to rejoin (0 = default 2)")

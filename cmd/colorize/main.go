@@ -37,7 +37,6 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "deadline for the parallel run (BGPC and -d2); on expiry the partial coloring is completed sequentially and reported as degraded")
 	d2Mode := flag.Bool("d2", false, "distance-2 color the matrix (must be square, structurally symmetric)")
 	d1Mode := flag.Bool("d1", false, "distance-1 color the matrix (square symmetric; V-V* algorithms only)")
-	kDist := flag.Int("k", 0, "distance-k color the matrix for this k (square symmetric; V-V* algorithms only)")
 	perIter := flag.Bool("iters", false, "print per-iteration phase breakdown")
 	timeline := flag.Bool("timeline", false, "record the run's telemetry timeline (spans + per-round events, as the bgpcd daemon would) and print it; context-aware runs only (BGPC and -d2)")
 	recolor := flag.Int("recolor", 0, "BGPC only: run up to N iterated-greedy recoloring passes to compact the colors")
@@ -157,19 +156,13 @@ func main() {
 	var res *bgpc.Result
 	start := time.Now()
 	switch {
-	case *d1Mode || *kDist > 0:
+	case *d1Mode:
 		ug, err := bgpc.UndirectedFromBipartite(g)
 		if err != nil {
 			fatal(err)
 		}
-		k := *kDist
-		if *d1Mode {
-			k = 1
-		}
 		if strings.EqualFold(*algorithm, "seq") {
-			if res, err = bgpc.SequentialDistK(ug, k, ord); err != nil {
-				fatal(err)
-			}
+			res = bgpc.SequentialD1(ug, ord)
 		} else {
 			opts, err := bgpc.Algorithm(*algorithm)
 			if err != nil {
@@ -183,15 +176,11 @@ func main() {
 			opts.Balance = bal
 			opts.CollectPerIteration = *perIter
 			opts.Obs = observer
-			if k == 1 {
-				if res, err = bgpc.ColorD1(ug, opts); err != nil {
-					fatal(err)
-				}
-			} else if res, err = bgpc.ColorDistK(ug, k, opts); err != nil {
+			if res, err = bgpc.ColorD1(ug, opts); err != nil {
 				fatal(err)
 			}
 		}
-		if err := bgpc.VerifyDistK(ug, k, res.Colors); err != nil {
+		if err := bgpc.VerifyD1(ug, res.Colors); err != nil {
 			fatal(fmt.Errorf("result failed validation: %w", err))
 		}
 	case *d2Mode:
@@ -241,7 +230,7 @@ func main() {
 	}
 	elapsed := time.Since(start)
 
-	if *recolor > 0 && !*d1Mode && !*d2Mode && *kDist == 0 {
+	if *recolor > 0 && !*d1Mode && !*d2Mode {
 		compacted, count, rounds, err := bgpc.RecolorToConvergence(g, res.Colors, *recolor)
 		if err != nil {
 			fatal(err)

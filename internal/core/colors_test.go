@@ -137,7 +137,7 @@ func TestAddNbrsGrowsPastBound(t *testing.T) {
 			if !f.Has(40) || !f.Has(0) {
 				t.Fatalf("%v, vertex %d: neighbour colors 40 and 0 not both forbidden", b, w)
 			}
-			pol := NewPolicy(b)
+			pol := Policy{balance: b}
 			if col := pol.Pick(f, w); col < 0 || f.Has(col) {
 				t.Fatalf("%v, vertex %d: picked forbidden color %d", b, w, col)
 			}

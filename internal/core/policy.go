@@ -38,12 +38,6 @@ type Policy struct {
 	colnext int32
 }
 
-// NewPolicy returns a fresh thread-private policy for one coloring
-// phase. Callers (including the distance-k runner) create new
-// policies at each phase start, matching the pseudocode's
-// colmax/colnext initialization.
-func NewPolicy(b Balance) Policy { return Policy{balance: b} }
-
 // Pick selects a color given the populated Forbidden set f. id is the
 // vertex (or net-local vertex) id whose parity drives B1's alternation;
 // it is ignored by the other policies.

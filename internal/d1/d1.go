@@ -13,8 +13,8 @@
 // lazy queues), orderings, B1/B2 balancing, tracing and failpoints
 // are core's own. Net-based phases are rejected: a distance-1
 // conflict is a single edge, and on the view they would enforce
-// distance 2. Sequential stays a separate loop, the reference the
-// distance-k code is cross-checked against.
+// distance 2. Sequential stays a separate loop: the single-threaded
+// greedy baseline.
 package d1
 
 import (

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"testing"
 
@@ -33,7 +34,26 @@ func postDelta(rt *Router, fp, body string) *httptest.ResponseRecorder {
 // the first delta's ring owner is NOT that backend, so the chain only
 // holds if the router walks past the owner's 404.
 func TestE2EDeltaChainThroughRouter(t *testing.T) {
-	fl := newRealFleet(t, 3)
+	deltaChain(t, newRealFleet(t, 3), 1)
+}
+
+// TestE2EDeltaChainFiveBackends: in a fleet larger than MaxHops the
+// root's backend sits 4th or 5th in the first delta's ring order, so
+// the chain holds only if missed hops do not count toward MaxHops.
+func TestE2EDeltaChainFiveBackends(t *testing.T) {
+	fl := newRealFleet(t, 5)
+	if fl.rt.cfg.MaxHops >= 4 {
+		t.Fatalf("MaxHops %d; the test needs a root beyond it", fl.rt.cfg.MaxHops)
+	}
+	deltaChain(t, fl, 3)
+}
+
+// deltaChain colors a root document whose backend sits at ring
+// position ≥ minPos in its fingerprint's order, then sends five
+// chained deltas through the router. Each must be a 200 served by the
+// root's backend without X-BGPC-Rerouted: no delta falls back.
+func deltaChain(t *testing.T, fl *realFleet, minPos int) {
+	t.Helper()
 	g, err := mtx.Read(strings.NewReader(tinyMtxRouter))
 	if err != nil {
 		t.Fatal(err)
@@ -44,15 +64,16 @@ func TestE2EDeltaChainThroughRouter(t *testing.T) {
 	// text) but not the graph, so it moves the color's ring owner and
 	// leaves the first delta's owner where it is.
 	var doc, root string
+	fpOrder := fl.rt.Ring().Order("fp:" + fp)
 	for k := 0; k < 64 && root == ""; k++ {
 		doc = strings.Replace(tinyMtxRouter, "general\n", fmt.Sprintf("general\n%% variant %d\n", k), 1)
 		owner := fl.rt.Ring().Order(service.CacheKey(&service.ColorRequest{Matrix: doc}))[0]
-		if owner != fl.rt.Ring().Order("fp:" + fp)[0] {
+		if slices.Index(fpOrder, owner) >= minPos {
 			root = owner
 		}
 	}
 	if root == "" {
-		t.Fatal("no document variant whose color owner differs from its fingerprint owner")
+		t.Fatalf("no document variant whose color owner is at position ≥ %d of its fingerprint's order", minPos)
 	}
 
 	job, err := json.Marshal(map[string]any{"matrix": doc, "algorithm": "V-V"})

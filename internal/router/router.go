@@ -41,8 +41,9 @@ type Config struct {
 	// DefaultVNodes.
 	VNodes int
 	// MaxHops caps how many backends one request may visit across
-	// failover, spillover and the delta miss walk; < 1 means 3 (capped
-	// at the fleet size).
+	// failover and spillover; < 1 means 3 (capped at the fleet size).
+	// A delta's missed hops do not count, so its walk may cover the
+	// whole ring.
 	MaxHops int
 	// Health tunes the per-backend health machinery.
 	Health HealthConfig
@@ -273,8 +274,8 @@ func (rt *Router) handleColor(w http.ResponseWriter, r *http.Request) {
 // handleDelta routes a delta-recoloring job by the path fingerprint.
 // The base was colored on the owner of its graph cache key, which the
 // fingerprint alone cannot name, so a backend's 404 is not final here:
-// proxy walks the ring successors (up to MaxHops) until one holds the
-// base.
+// proxy walks the ring successors, the whole ring if need be, until one
+// holds the base.
 func (rt *Router) handleDelta(w http.ResponseWriter, r *http.Request) {
 	body, ok := rt.readBody(w, r)
 	if !ok {
@@ -462,8 +463,9 @@ var errNoBackend = errors.New("router: no eligible backend")
 // the base up before admission, so the rejecting one holds it. With
 // only misses, the first recoverable one (some WAL still holds the
 // base) is replayed, else the first definitive one. MaxHops bounds the
-// walk so a misbehaving fleet cannot turn one request into N; a base
-// held outside the first MaxHops members still misses.
+// failovers and spillovers so a misbehaving fleet cannot turn one
+// request into N. A delta miss is a lookup before admission and does
+// not count toward it, so a delta reaches its base in any fleet size.
 func (rt *Router) proxy(ctx context.Context, rec *obs.Recorder, sc trace.SpanContext, method, uri string, hdr http.Header, body []byte, key string, delta bool) (*flightResult, error) {
 	if err := failpoint.Inject(FPPick); err != nil {
 		return nil, fmt.Errorf("%w (injected)", errNoBackend)
@@ -534,7 +536,9 @@ func (rt *Router) proxy(ctx context.Context, rec *obs.Recorder, sc trace.SpanCon
 		case delta && res.status == http.StatusNotFound:
 			// Alive, just not holding the base. Not a reroute: the
 			// successor is where the walk looks next, not a stand-in
-			// for a failed owner.
+			// for a failed owner. Not a hop either: misses never
+			// exhaust MaxHops.
+			hops--
 			b.reportSuccess()
 			obs.RtrDeltaMissHops.Inc()
 			hopSpan(rec, hopID, trace.KindDeltaMiss, t0, "backend", name, "status", strconv.Itoa(res.status))
