@@ -301,17 +301,6 @@ func NewPlan(colors []int32) (*Plan, error) {
 	return schedule.NewPlan(colors)
 }
 
-// VerifyBGPCParallel is the multi-threaded validity check for large
-// graphs.
-func VerifyBGPCParallel(g *Bipartite, colors []int32, threads int) error {
-	return verify.BGPCParallel(g, colors, threads)
-}
-
-// VerifyD2Parallel is the multi-threaded distance-2 validity check.
-func VerifyD2Parallel(g *Undirected, colors []int32, threads int) error {
-	return verify.D2GCParallel(g, colors, threads)
-}
-
 // Observability re-exports (see internal/obs): structured per-phase
 // trace events, pluggable sinks, hot-path counters, and pprof phase
 // labels.

@@ -216,13 +216,13 @@ func TestFacadeJacobianPattern(t *testing.T) {
 	}
 }
 
-func TestFacadePlanAndParallelVerify(t *testing.T) {
+func TestFacadePlan(t *testing.T) {
 	g, err := Preset("nlpkkt", 0.02)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := Sequential(g, nil)
-	if err := VerifyBGPCParallel(g, res.Colors, 4); err != nil {
+	if err := VerifyBGPC(g, res.Colors); err != nil {
 		t.Fatal(err)
 	}
 	plan, err := NewPlan(res.Colors)
@@ -238,7 +238,7 @@ func TestFacadePlanAndParallelVerify(t *testing.T) {
 		t.Fatal(err)
 	}
 	d2res := SequentialD2(ug, nil)
-	if err := VerifyD2Parallel(ug, d2res.Colors, 4); err != nil {
+	if err := VerifyD2(ug, d2res.Colors); err != nil {
 		t.Fatal(err)
 	}
 	// Transpose is available directly on the aliased type.

@@ -8,10 +8,10 @@ import (
 	"bgpc/internal/verify"
 )
 
-// AblationSchedule sweeps the dynamic-scheduling chunk size and the
-// guided schedule for the V-V-64D-style vertex-based algorithm on
-// every workload, isolating the scheduling design choice the paper's
-// V-V → V-V-64 step makes (DESIGN.md ablation index).
+// AblationSchedule sweeps the dynamic-scheduling chunk size for the
+// V-V-64D-style vertex-based algorithm on every workload, isolating
+// the scheduling design choice the paper's V-V → V-V-64 step makes
+// (DESIGN.md ablation index).
 func AblationSchedule(cfg Config) (*Table, error) {
 	ws, err := LoadWorkloads(cfg.scale(), nil)
 	if err != nil {
@@ -19,38 +19,27 @@ func AblationSchedule(cfg Config) (*Table, error) {
 	}
 	t := &Table{
 		ID:     "Ablation A",
-		Title:  "Scheduling: dynamic chunk sweep and guided schedule (vertex-based, lazy queues)",
+		Title:  "Scheduling: dynamic chunk sweep (vertex-based, lazy queues)",
 		Note:   fmt.Sprintf("threads = %d; geomean model speedups vs sequential and wall ms totals over all workloads", cfg.maxThreads()),
 		Header: []string{"schedule", "model speedup", "wall ms (sum)"},
 	}
-	type variant struct {
-		name   string
-		chunk  int
-		guided bool
-	}
-	variants := []variant{
-		{"dynamic,1", 1, false},
-		{"dynamic,16", 16, false},
-		{"dynamic,64", 64, false},
-		{"dynamic,256", 256, false},
-		{"guided,16", 16, true},
-	}
-	for _, v := range variants {
+	for _, chunk := range []int{1, 16, 64, 256} {
+		name := fmt.Sprintf("dynamic,%d", chunk)
 		var speedups []float64
 		var wallSum float64
 		for _, w := range ws {
 			seq := RunBGPCSequential(w, nil)
 			opts := core.Options{
-				Threads: cfg.maxThreads(), Chunk: v.chunk, Guided: v.guided, LazyQueues: true,
+				Threads: cfg.maxThreads(), Chunk: chunk, LazyQueues: true,
 			}
-			m, err := RunBGPCVariant(w, v.name, opts)
+			m, err := RunBGPCVariant(w, name, opts)
 			if err != nil {
 				return nil, err
 			}
 			speedups = append(speedups, m.ModelSpeedup(seq.TotalWork))
 			wallSum += float64(m.Wall.Microseconds()) / 1000
 		}
-		t.Rows = append(t.Rows, []string{v.name, f2(GeoMean(speedups)), f2(wallSum)})
+		t.Rows = append(t.Rows, []string{name, f2(GeoMean(speedups)), f2(wallSum)})
 	}
 	return t, nil
 }

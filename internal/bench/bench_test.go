@@ -370,7 +370,7 @@ func TestAblationSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != 5 {
+	if len(tbl.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
 	for _, row := range tbl.Rows {

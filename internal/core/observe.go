@@ -15,14 +15,6 @@ func phaseKind(netBased bool) string {
 	return obs.KindVertex
 }
 
-// schedName names the loop schedule for trace events.
-func schedName(o *Options) string {
-	if o.Guided {
-		return "guided"
-	}
-	return "dynamic"
-}
-
 // usedColors counts the distinct colors currently assigned. It reads
 // the raw color array, so it must only run between parallel phases.
 // It is trace-path-only: the runner never calls it without an enabled
@@ -40,7 +32,7 @@ func emitPhaseEvent(tr *obs.Observer, o *Options, iter int, phase string, netBas
 		Iter:       iter,
 		Phase:      phase,
 		Kind:       phaseKind(netBased),
-		Sched:      schedName(o),
+		Sched:      "dynamic",
 		Chunk:      o.chunk(),
 		Threads:    o.threads(),
 		Items:      items,

@@ -85,11 +85,6 @@ type Options struct {
 	// queue to per-thread queues merged at the barrier (the "D" in
 	// V-V-64D).
 	LazyQueues bool
-	// Guided switches the parallel loops from OpenMP-style dynamic
-	// chunk self-scheduling to guided (geometrically shrinking chunks
-	// floored at Chunk). Not used by the paper's named algorithms; it
-	// exists for the scheduling ablation study.
-	Guided bool
 	// NetColorIters is the number of initial iterations that use
 	// net-based coloring (the leading "Nk" in Nk-N2). Must not exceed
 	// NetCRIters: net-based coloring relies on conflicts being marked

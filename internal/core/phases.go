@@ -37,11 +37,7 @@ func (s *scratch) resetPolicies(balance Balance) {
 }
 
 func (o *Options) parOpts(cn *par.Canceler) par.Options {
-	sched := par.Dynamic
-	if o.Guided {
-		sched = par.Guided
-	}
-	return par.Options{Threads: o.threads(), Chunk: o.chunk(), Schedule: sched, Cancel: cn, Stats: o.Stats}
+	return par.Options{Threads: o.threads(), Chunk: o.chunk(), Cancel: cn, Stats: o.Stats}
 }
 
 // colorVertexPhase is BGPC-COLORWORKQUEUE-VERTEX (Algorithm 4) with the
@@ -269,6 +265,6 @@ func colorNetV1(g *bipartite.Graph, c *Colors, s *scratch, o *Options, wc *WorkC
 // removal: all vertices left Uncolored, in ascending id order. Isolated
 // vertices are pre-colored by the runner and so never reappear.
 func gatherUncolored(g *bipartite.Graph, c *Colors, o *Options) []int32 {
-	return par.GatherInt32(g.NumVertices(), par.Options{Threads: o.threads(), Schedule: par.Static},
+	return par.GatherInt32(g.NumVertices(), par.Options{Threads: o.threads()},
 		func(u int32) bool { return c.Get(u) == Uncolored })
 }

@@ -56,27 +56,6 @@ func TestChunkSizeDoesNotChangeSingleThreadResult(t *testing.T) {
 	}
 }
 
-// TestGuidedScheduleValid: the guided schedule is an extension knob; it
-// must preserve validity across phase combinations.
-func TestGuidedScheduleValid(t *testing.T) {
-	g, err := gen.Preset("copapers", 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, spec := range NamedAlgorithms() {
-		opts := spec.Opts
-		opts.Threads = 4
-		opts.Guided = true
-		res, err := Color(g, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", spec.Name, err)
-		}
-		if err := verify.BGPC(g, res.Colors); err != nil {
-			t.Fatalf("%s guided: %v", spec.Name, err)
-		}
-	}
-}
-
 // TestManyThreadsStress drives far more workers than cores through all
 // named algorithms on a contended graph; validity must hold under any
 // interleaving.

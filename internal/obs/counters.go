@@ -32,7 +32,7 @@ func (c *Counter) Reset() { c.v.Store(0) }
 // enabled (EnableMetrics), so the default cost on every hot path is a
 // single atomic flag load.
 var (
-	// ChunkDispatches counts dynamic/guided schedule chunk hand-outs —
+	// ChunkDispatches counts dynamic schedule chunk hand-outs —
 	// each one is a contended atomic RMW on the loop counter.
 	ChunkDispatches Counter
 	// SharedQueuePushes counts pushes into the shared conflict queue
@@ -220,65 +220,70 @@ func countTraceEvent() {
 	}
 }
 
-// counterNames maps the dump names to the counters, in one place so
-// Snapshot, WriteMetrics and WritePrometheus cannot drift.
-var counterNames = map[string]*Counter{
-	"bgpc.chunk_dispatches":     &ChunkDispatches,
-	"bgpc.shared_queue_pushes":  &SharedQueuePushes,
-	"bgpc.forbidden_scans":      &ForbiddenScans,
-	"bgpc.trace_events":         &TraceEvents,
-	"bgpc.svc_accepted":         &SvcAccepted,
-	"bgpc.svc_rejected":         &SvcRejected,
-	"bgpc.svc_completed":        &SvcCompleted,
-	"bgpc.svc_degraded":         &SvcDegraded,
-	"bgpc.svc_cache_hits":       &SvcCacheHits,
-	"bgpc.svc_cache_misses":     &SvcCacheMisses,
-	"bgpc.svc_panics":           &SvcPanics,
-	"bgpc.svc_quarantined":      &SvcQuarantined,
-	"bgpc.svc_watchdog_fired":   &SvcWatchdogFired,
-	"bgpc.svc_too_large":        &SvcTooLarge,
-	"bgpc.svc_budget_rejected":  &SvcBudgetRejected,
-	"bgpc.svc_delta_applied":    &SvcDeltaApplied,
-	"bgpc.svc_delta_misses":     &SvcDeltaMisses,
-	"bgpc.svc_wal_rehydrated":   &SvcWalRehydrated,
-	"bgpc.wal_appends":          &WalAppends,
-	"bgpc.wal_append_errors":    &WalAppendErrors,
-	"bgpc.wal_syncs":            &WalSyncs,
-	"bgpc.wal_replayed":         &WalReplayed,
-	"bgpc.wal_replay_skipped":   &WalReplaySkipped,
-	"bgpc.wal_truncated":        &WalTruncatedRecords,
-	"bgpc.wal_quarantined":      &WalQuarantinedSegments,
-	"bgpc.wal_snapshots":        &WalSnapshots,
-	"bgpc.client_retries":       &ClientRetries,
-	"bgpc.client_breaker_opens": &ClientBreakerOpens,
-	"bgpc.rtr_proxied":          &RtrProxied,
-	"bgpc.rtr_dedup_hits":       &RtrDedupHits,
-	"bgpc.rtr_spillovers":       &RtrSpillovers,
-	"bgpc.rtr_failovers":        &RtrFailovers,
-	"bgpc.rtr_delta_miss_hops":  &RtrDeltaMissHops,
-	"bgpc.rtr_ejections":        &RtrEjections,
-	"bgpc.rtr_recoveries":       &RtrRecoveries,
-	"bgpc.trace_kept":           &TraceKept,
-	"bgpc.trace_dropped":        &TraceDropped,
-	"bgpc.diag_bundles":         &DiagBundles,
-	"bgpc.diag_suppressed":      &DiagSuppressed,
-	"bgpc.diag_errors":          &DiagErrors,
+// counters lists every counter with its dump name and its Prometheus
+// HELP text, in one place so Snapshot, WriteMetrics and
+// WritePrometheus cannot drift and no counter is exposed undocumented.
+var counters = []struct {
+	name string
+	c    *Counter
+	help string
+}{
+	{"bgpc.chunk_dispatches", &ChunkDispatches, "Dynamic schedule chunk hand-outs."},
+	{"bgpc.shared_queue_pushes", &SharedQueuePushes, "Pushes into the shared conflict queue."},
+	{"bgpc.forbidden_scans", &ForbiddenScans, "Forbidden-array scan epochs."},
+	{"bgpc.trace_events", &TraceEvents, "Trace events emitted through any Observer."},
+	{"bgpc.svc_accepted", &SvcAccepted, "Jobs admitted into the worker-pool queue."},
+	{"bgpc.svc_rejected", &SvcRejected, "Jobs refused at admission."},
+	{"bgpc.svc_completed", &SvcCompleted, "Jobs that ran to a fixed point in deadline."},
+	{"bgpc.svc_degraded", &SvcDegraded, "Jobs finished by the sequential degradation path."},
+	{"bgpc.svc_cache_hits", &SvcCacheHits, "Content-hash graph cache hits."},
+	{"bgpc.svc_cache_misses", &SvcCacheMisses, "Content-hash graph cache misses."},
+	{"bgpc.svc_panics", &SvcPanics, "Panics contained by the serving layer."},
+	{"bgpc.svc_quarantined", &SvcQuarantined, "Requests refused because their graph is quarantined."},
+	{"bgpc.svc_watchdog_fired", &SvcWatchdogFired, "Jobs canceled by the progress watchdog."},
+	{"bgpc.svc_too_large", &SvcTooLarge, "Jobs refused outright for exceeding a memory cap."},
+	{"bgpc.svc_budget_rejected", &SvcBudgetRejected, "Jobs refused because the byte budget was exhausted."},
+	{"bgpc.svc_delta_applied", &SvcDeltaApplied, "Delta-recoloring jobs that produced a verified coloring."},
+	{"bgpc.svc_delta_misses", &SvcDeltaMisses, "Delta requests 404ed on an uncached base fingerprint."},
+	{"bgpc.svc_wal_rehydrated", &SvcWalRehydrated, "Delta bases rebuilt from the write-ahead log after cache eviction."},
+	{"bgpc.wal_appends", &WalAppends, "Records durably accepted by the write-ahead log."},
+	{"bgpc.wal_append_errors", &WalAppendErrors, "WAL append attempts that failed on IO."},
+	{"bgpc.wal_syncs", &WalSyncs, "WAL fsyncs of the active segment: policy batches plus one per sealed segment."},
+	{"bgpc.wal_replayed", &WalReplayed, "Records recovered from the WAL during startup replay."},
+	{"bgpc.wal_replay_skipped", &WalReplaySkipped, "Records dropped in recovery for a broken fingerprint chain."},
+	{"bgpc.wal_truncated", &WalTruncatedRecords, "Torn tail records truncated at the first bad CRC."},
+	{"bgpc.wal_quarantined", &WalQuarantinedSegments, "Corrupted WAL segments renamed aside instead of blocking startup."},
+	{"bgpc.wal_snapshots", &WalSnapshots, "WAL snapshot compactions."},
+	{"bgpc.client_retries", &ClientRetries, "Client attempts beyond the first."},
+	{"bgpc.client_breaker_opens", &ClientBreakerOpens, "Client circuit-breaker closed-to-open transitions."},
+	{"bgpc.rtr_proxied", &RtrProxied, "Requests the router forwarded to a backend."},
+	{"bgpc.rtr_dedup_hits", &RtrDedupHits, "Requests collapsed into an identical in-flight job."},
+	{"bgpc.rtr_spillovers", &RtrSpillovers, "Budget-aware reroutes past a 429/413-rejecting owner."},
+	{"bgpc.rtr_failovers", &RtrFailovers, "Reroutes past a down or ejected owner to its successor."},
+	{"bgpc.rtr_delta_miss_hops", &RtrDeltaMissHops, "Delta hops answered 404 by a backend without the base, walked past."},
+	{"bgpc.rtr_ejections", &RtrEjections, "Backend suspect-to-ejected health transitions."},
+	{"bgpc.rtr_recoveries", &RtrRecoveries, "Ejected backends that passed recovery probes and rejoined."},
+	{"bgpc.trace_kept", &TraceKept, "Completed traces retained for export (head sampled, or tail-kept on error or slowness)."},
+	{"bgpc.trace_dropped", &TraceDropped, "Completed traces discarded by the sampler."},
+	{"bgpc.diag_bundles", &DiagBundles, "Diagnostic bundles written by the flight recorder."},
+	{"bgpc.diag_suppressed", &DiagSuppressed, "Anomaly triggers swallowed by the flight recorder cooldown or an in-progress bundle write."},
+	{"bgpc.diag_errors", &DiagErrors, "Diagnostic bundle writes that failed partway."},
 }
 
 // Snapshot returns the current value of every counter keyed by its
 // dump name.
 func Snapshot() map[string]int64 {
-	out := make(map[string]int64, len(counterNames))
-	for name, c := range counterNames {
-		out[name] = c.Load()
+	out := make(map[string]int64, len(counters))
+	for _, m := range counters {
+		out[m.name] = m.c.Load()
 	}
 	return out
 }
 
 // ResetMetrics zeroes all counters (tests and per-run CLI reporting).
 func ResetMetrics() {
-	for _, c := range counterNames {
-		c.Reset()
+	for _, m := range counters {
+		m.c.Reset()
 	}
 }
 
@@ -289,10 +294,7 @@ func ResetMetrics() {
 // so an operator's text scrape sees the daemon's current state next to
 // its history.
 func WriteMetrics(w io.Writer) error {
-	values := make(map[string]int64, len(counterNames))
-	for name, c := range counterNames {
-		values[name] = c.Load()
-	}
+	values := Snapshot()
 	for name, v := range GaugeSnapshot() {
 		values[name] = v
 	}

@@ -47,7 +47,7 @@ type Event struct {
 	Phase string `json:"phase"`
 	// Kind is KindNet or KindVertex.
 	Kind string `json:"kind"`
-	// Sched names the loop schedule ("dynamic" or "guided").
+	// Sched names the loop schedule; always "dynamic".
 	Sched string `json:"sched"`
 	// Chunk is the dynamic-scheduling grain.
 	Chunk int `json:"chunk"`

@@ -14,48 +14,6 @@ import (
 // family is written with HELP/TYPE lines in stable sorted order, so a
 // scrape diff is a metrics diff and the golden test can pin the shape.
 
-// counterHelp documents each counter for the exposition's HELP line,
-// keyed by the counter's Snapshot name. Counters without an entry get
-// a generated fallback, so forgetting one degrades the scrape's prose,
-// never its validity.
-var counterHelp = map[string]string{
-	"bgpc.chunk_dispatches":     "Dynamic/guided schedule chunk hand-outs.",
-	"bgpc.shared_queue_pushes":  "Pushes into the shared conflict queue.",
-	"bgpc.forbidden_scans":      "Forbidden-array scan epochs.",
-	"bgpc.trace_events":         "Trace events emitted through any Observer.",
-	"bgpc.svc_accepted":         "Jobs admitted into the worker-pool queue.",
-	"bgpc.svc_rejected":         "Jobs refused at admission.",
-	"bgpc.svc_completed":        "Jobs that ran to a fixed point in deadline.",
-	"bgpc.svc_degraded":         "Jobs finished by the sequential degradation path.",
-	"bgpc.svc_cache_hits":       "Content-hash graph cache hits.",
-	"bgpc.svc_cache_misses":     "Content-hash graph cache misses.",
-	"bgpc.svc_panics":           "Panics contained by the serving layer.",
-	"bgpc.svc_quarantined":      "Requests refused because their graph is quarantined.",
-	"bgpc.svc_watchdog_fired":   "Jobs canceled by the progress watchdog.",
-	"bgpc.svc_too_large":        "Jobs refused outright for exceeding a memory cap.",
-	"bgpc.svc_budget_rejected":  "Jobs refused because the byte budget was exhausted.",
-	"bgpc.svc_delta_applied":    "Delta-recoloring jobs that produced a verified coloring.",
-	"bgpc.svc_delta_misses":     "Delta requests 404ed on an uncached base fingerprint.",
-	"bgpc.svc_wal_rehydrated":   "Delta bases rebuilt from the write-ahead log after cache eviction.",
-	"bgpc.wal_appends":          "Records durably accepted by the write-ahead log.",
-	"bgpc.wal_append_errors":    "WAL append attempts that failed on IO.",
-	"bgpc.wal_syncs":            "WAL fsyncs of the active segment: policy batches plus one per sealed segment.",
-	"bgpc.wal_replayed":         "Records recovered from the WAL during startup replay.",
-	"bgpc.wal_replay_skipped":   "Records dropped in recovery for a broken fingerprint chain.",
-	"bgpc.wal_truncated":        "Torn tail records truncated at the first bad CRC.",
-	"bgpc.wal_quarantined":      "Corrupted WAL segments renamed aside instead of blocking startup.",
-	"bgpc.wal_snapshots":        "WAL snapshot compactions.",
-	"bgpc.client_retries":       "Client attempts beyond the first.",
-	"bgpc.client_breaker_opens": "Client circuit-breaker closed-to-open transitions.",
-	"bgpc.rtr_proxied":          "Requests the router forwarded to a backend.",
-	"bgpc.rtr_dedup_hits":       "Requests collapsed into an identical in-flight job.",
-	"bgpc.rtr_spillovers":       "Budget-aware reroutes past a 429/413-rejecting owner.",
-	"bgpc.rtr_failovers":        "Reroutes past a down or ejected owner to its successor.",
-	"bgpc.rtr_delta_miss_hops":  "Delta hops answered 404 by a backend without the base, walked past.",
-	"bgpc.rtr_ejections":        "Backend suspect-to-ejected health transitions.",
-	"bgpc.rtr_recoveries":       "Ejected backends that passed recovery probes and rejoined.",
-}
-
 // gaugeFunc is one registered live reading.
 type gaugeFunc struct {
 	help string
@@ -125,16 +83,11 @@ func WritePrometheus(w io.Writer) error {
 	}
 	var fams []family
 
-	for name, c := range counterNames {
-		name, c := name, c
-		pn := promName(name) + "_total"
-		help := counterHelp[name]
-		if help == "" {
-			help = "Counter " + name + "."
-		}
+	for _, m := range counters {
+		pn := promName(m.name) + "_total"
 		fams = append(fams, family{pn, func(w io.Writer) error {
 			_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n",
-				pn, escapeHelp(help), pn, pn, c.Load())
+				pn, escapeHelp(m.help), pn, pn, m.c.Load())
 			return err
 		}})
 	}

@@ -198,3 +198,30 @@ func TestRegisterGaugeReplaces(t *testing.T) {
 		t.Fatalf("gauge = %d, want last registration to win", got)
 	}
 }
+
+// TestCounterHelpDocumented: every counter family carries written HELP
+// prose, not an empty line or a placeholder generated from its name.
+func TestCounterHelpDocumented(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	families := 0
+	for _, line := range strings.Split(buf.String(), "\n") {
+		rest, ok := strings.CutPrefix(line, "# HELP ")
+		if !ok {
+			continue
+		}
+		name, help, _ := strings.Cut(rest, " ")
+		if !strings.HasSuffix(name, "_total") {
+			continue
+		}
+		families++
+		if strings.TrimSpace(help) == "" || strings.HasPrefix(help, "Counter ") {
+			t.Errorf("%s: HELP %q is not documentation", name, help)
+		}
+	}
+	if families != len(counters) {
+		t.Fatalf("exposition has %d counter families, want %d", families, len(counters))
+	}
+}

@@ -24,22 +24,7 @@ import (
 func BenchmarkDispatchDisarmed(b *testing.B) {
 	const n = 1 << 20
 	var sink atomic.Int64
-	opts := Options{Threads: 4, Schedule: Dynamic, Chunk: 64}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var local int64
-		For(n, opts, func(tid, lo, hi int) { local += int64(hi - lo) })
-		sink.Store(local)
-	}
-}
-
-// BenchmarkDispatchGuidedDisarmed is the same guard for the guided
-// schedule's CAS-based dispatch loop.
-func BenchmarkDispatchGuidedDisarmed(b *testing.B) {
-	const n = 1 << 20
-	var sink atomic.Int64
-	opts := Options{Threads: 4, Schedule: Guided, Chunk: 64}
+	opts := Options{Threads: 4, Chunk: 64}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -72,7 +57,7 @@ func TestDisarmedInjectNoAllocs(t *testing.T) {
 func TestChunkPathAllocationFree(t *testing.T) {
 	failpoint.Reset()
 	measure := func(n int) float64 {
-		opts := Options{Threads: 2, Schedule: Dynamic, Chunk: 64}
+		opts := Options{Threads: 2, Chunk: 64}
 		return testing.AllocsPerRun(20, func() {
 			For(n, opts, func(tid, lo, hi int) {})
 		})
@@ -92,46 +77,65 @@ func TestChunkPathAllocationFree(t *testing.T) {
 func TestForOneThreadInline(t *testing.T) {
 	failpoint.Reset()
 	const n = 1000
-	for _, tc := range []struct {
-		name   string
-		sched  Schedule
-		chunks [][2]int
-	}{
-		{"dynamic", Dynamic, [][2]int{{0, 64}, {64, 128}, {128, 192}, {192, 256}, {256, 320}, {320, 384}, {384, 448}, {448, 512},
-			{512, 576}, {576, 640}, {640, 704}, {704, 768}, {768, 832}, {832, 896}, {896, 960}, {960, 1000}}},
-		{"static", Static, [][2]int{{0, 1000}}},
-		{"guided", Guided, [][2]int{{0, 500}, {500, 750}, {750, 875}, {875, 939}, {939, 1000}}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			st := &obs.LoopStats{}
-			opts := Options{Threads: 1, Schedule: tc.sched, Chunk: 64, Cancel: NewCanceler(), Stats: st}
-			var chunks [][2]int
-			For(n, opts, func(tid, lo, hi int) { chunks = append(chunks, [2]int{lo, hi}) })
-			if !slices.Equal(chunks, tc.chunks) {
-				t.Errorf("chunks = %v, want %v", chunks, tc.chunks)
+	t.Run("dynamic", func(t *testing.T) {
+		want := [][2]int{{0, 64}, {64, 128}, {128, 192}, {192, 256}, {256, 320}, {320, 384}, {384, 448}, {448, 512},
+			{512, 576}, {576, 640}, {640, 704}, {704, 768}, {768, 832}, {832, 896}, {896, 960}, {960, 1000}}
+		st := &obs.LoopStats{}
+		opts := Options{Threads: 1, Chunk: 64, Cancel: NewCanceler(), Stats: st}
+		var chunks [][2]int
+		For(n, opts, func(tid, lo, hi int) { chunks = append(chunks, [2]int{lo, hi}) })
+		if !slices.Equal(chunks, want) {
+			t.Errorf("chunks = %v, want %v", chunks, want)
+		}
+		if got := st.TakeDispatches(); got != int64(len(want)) {
+			t.Errorf("dispatches = %d, want %d", got, len(want))
+		}
+		if !testutil.RaceEnabled {
+			if got := testing.AllocsPerRun(100, func() { For(n, opts, func(tid, lo, hi int) {}) }); got != 0 {
+				t.Errorf("one-thread cancelable loop allocates %v times, want 0", got)
 			}
-			wantDispatches := int64(len(tc.chunks))
-			if tc.sched == Static {
-				wantDispatches = 0
-			}
-			if got := st.TakeDispatches(); got != wantDispatches {
-				t.Errorf("dispatches = %d, want %d", got, wantDispatches)
-			}
-			if !testutil.RaceEnabled {
-				if got := testing.AllocsPerRun(100, func() { For(n, opts, func(tid, lo, hi int) {}) }); got != 0 {
-					t.Errorf("one-thread cancelable loop allocates %v times, want 0", got)
+		}
+		wp := recoverWorkerPanic(t, func() {
+			For(n, opts, func(tid, lo, hi int) {
+				if lo <= 900 && 900 < hi {
+					panic("boom at 900")
 				}
-			}
-			wp := recoverWorkerPanic(t, func() {
-				For(n, opts, func(tid, lo, hi int) {
-					if lo <= 900 && 900 < hi {
-						panic("boom at 900")
-					}
-				})
 			})
-			if wp.Tid != 0 || wp.Value != "boom at 900" || len(wp.Stack) == 0 {
-				t.Fatalf("WorkerPanic = {tid %d, %v, %d-byte stack}", wp.Tid, wp.Value, len(wp.Stack))
-			}
 		})
+		if wp.Tid != 0 || wp.Value != "boom at 900" || len(wp.Stack) == 0 {
+			t.Fatalf("WorkerPanic = {tid %d, %v, %d-byte stack}", wp.Tid, wp.Value, len(wp.Stack))
+		}
+	})
+}
+
+// TestForTeamAllocs pins the per-loop allocations of a worker team: the
+// loop's shared chunk counter and closure, one WaitGroup-and-panic-box
+// struct, and one closure per worker goroutine. GatherInt32 runs two
+// teams plus its counts and result. The ceilings are the counts
+// measured with go1.24 on amd64.
+func TestForTeamAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the race detector adds allocations")
+	}
+	failpoint.Reset()
+	for _, tc := range []struct {
+		threads        int
+		forMax, gather float64
+	}{
+		{2, 7, 16},
+		{4, 11, 24},
+	} {
+		for _, cn := range []*Canceler{nil, NewCanceler()} {
+			opts := Options{Threads: tc.threads, Chunk: 64, Cancel: cn}
+			if got := testing.AllocsPerRun(100, func() { For(10000, opts, func(tid, lo, hi int) {}) }); got > tc.forMax {
+				t.Errorf("For threads=%d canceler=%v: %v allocs, want <= %v", tc.threads, cn != nil, got, tc.forMax)
+			}
+		}
+		opts := Options{Threads: tc.threads}
+		if got := testing.AllocsPerRun(100, func() {
+			GatherInt32(10000, opts, func(i int32) bool { return i%3 == 0 })
+		}); got > tc.gather {
+			t.Errorf("GatherInt32 threads=%d: %v allocs, want <= %v", tc.threads, got, tc.gather)
+		}
 	}
 }

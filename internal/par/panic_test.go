@@ -31,39 +31,22 @@ func recoverWorkerPanic(t *testing.T, fn func()) *WorkerPanic {
 
 func TestForReraisesWorkerPanic(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
-	for _, sched := range []Schedule{Dynamic, Static, Guided} {
-		sched := sched
-		t.Run([...]string{"dynamic", "static", "guided"}[sched], func(t *testing.T) {
-			wp := recoverWorkerPanic(t, func() {
-				For(10_000, Options{Threads: 4, Schedule: sched, Chunk: 64, Cancel: NewCanceler()},
-					func(tid, lo, hi int) {
-						if lo <= 5000 && 5000 < hi {
-							panic("boom at 5000")
-						}
-					})
-			})
-			if wp.Value != "boom at 5000" {
-				t.Fatalf("panic value = %v", wp.Value)
-			}
-			if len(wp.Stack) == 0 || !strings.Contains(wp.String(), "boom at 5000") {
-				t.Fatalf("WorkerPanic carries no useful stack/string: %s", wp)
-			}
+	t.Run("dynamic", func(t *testing.T) {
+		wp := recoverWorkerPanic(t, func() {
+			For(10_000, Options{Threads: 4, Chunk: 64, Cancel: NewCanceler()},
+				func(tid, lo, hi int) {
+					if lo <= 5000 && 5000 < hi {
+						panic("boom at 5000")
+					}
+				})
 		})
-	}
-}
-
-func TestRunReraisesWorkerPanic(t *testing.T) {
-	testutil.CheckGoroutineLeaks(t)
-	wp := recoverWorkerPanic(t, func() {
-		Run(Options{Threads: 4}, func(tid int) {
-			if tid == 2 {
-				panic("tid 2 down")
-			}
-		})
+		if wp.Value != "boom at 5000" {
+			t.Fatalf("panic value = %v", wp.Value)
+		}
+		if len(wp.Stack) == 0 || !strings.Contains(wp.String(), "boom at 5000") {
+			t.Fatalf("WorkerPanic carries no useful stack/string: %s", wp)
+		}
 	})
-	if wp.Tid != 2 || wp.Value != "tid 2 down" {
-		t.Fatalf("WorkerPanic = {tid %d, %v}", wp.Tid, wp.Value)
-	}
 }
 
 // TestForPanicBarrierCompletes: the non-panicking workers run to

@@ -1,7 +1,7 @@
 // Package par is a small shared-memory parallel runtime that mirrors
 // the OpenMP constructs the paper's algorithms are written against:
-// a parallel-for with static or dynamic (chunk self-scheduling)
-// schedules, a shared concurrent work queue (ColPack's "immediate"
+// a parallel-for with OpenMP's dynamic (chunk self-scheduling)
+// schedule, a shared concurrent work queue (ColPack's "immediate"
 // next-iteration queue), lazy per-thread queues merged at a barrier
 // (the paper's "64D" variant), and parallel gather/prefix-sum helpers.
 //
@@ -27,9 +27,9 @@ import (
 	"bgpc/internal/obs"
 )
 
-// FPDispatch is the failpoint probed once per chunk hand-out in every
-// schedule. Arming it with "delay:DUR" turns a worker into a straggler
-// at chunk granularity; "cancel" trips the loop's Canceler (a no-op
+// FPDispatch is the failpoint probed once per chunk hand-out. Arming
+// it with "delay:DUR" turns a worker into a straggler at chunk
+// granularity; "cancel" trips the loop's Canceler (a no-op
 // when the caller armed none, preserving the covering guarantee);
 // "panic" exercises the worker-panic containment below. Disarmed it is
 // a single atomic load on the dispatch path — the same budget as the
@@ -152,34 +152,10 @@ func (c *Canceler) WatchContext(ctx context.Context) (stop func() bool) {
 	return stop
 }
 
-// staticCancelStride is the sub-block size cancelable static loops use
-// between flag polls. Large enough that the poll is noise, small enough
-// that cancellation latency stays in the microseconds on any body.
-const staticCancelStride = 4096
-
-// Schedule selects how loop iterations are handed to threads.
-type Schedule int
-
-const (
-	// Dynamic hands out chunks of iterations from a shared atomic
-	// counter, first-come first-served — OpenMP schedule(dynamic,chunk).
-	Dynamic Schedule = iota
-	// Static pre-partitions the range into Threads contiguous blocks —
-	// OpenMP schedule(static).
-	Static
-	// Guided hands out geometrically shrinking chunks (half the
-	// remaining work divided by the thread count, floored at Chunk) —
-	// OpenMP schedule(guided,chunk). Fewer dispatches than Dynamic for
-	// the bulk of the range, dynamic balance for the tail.
-	Guided
-)
-
 // Options configures a parallel loop.
 type Options struct {
 	// Threads is the number of workers. Values < 1 mean GOMAXPROCS.
 	Threads int
-	// Schedule picks the iteration hand-out policy. Default Dynamic.
-	Schedule Schedule
 	// Chunk is the dynamic-schedule grain. Values < 1 mean 1, which is
 	// OpenMP's default for schedule(dynamic) and deliberately expensive
 	// — the paper's V-V baseline depends on it.
@@ -191,10 +167,10 @@ type Options struct {
 	// treat their shared state as partial.
 	Cancel *Canceler
 	// Stats, when non-nil, accumulates per-loop scheduler telemetry
-	// (chunk dispatches on the dynamic and guided schedules) for
-	// request-scoped timelines. The runners arm it from a context
-	// Recorder; nil — the default — costs one pointer test per chunk
-	// hand-out, the same budget as the gated obs counter next to it.
+	// (chunk dispatches) for request-scoped timelines. The runners arm
+	// it from a context Recorder; nil — the default — costs one pointer
+	// test per chunk hand-out, the same budget as the gated obs counter
+	// next to it.
 	Stats *obs.LoopStats
 }
 
@@ -212,7 +188,9 @@ func (o Options) chunk() int {
 	return o.Chunk
 }
 
-// For runs body(tid, lo, hi) over subranges that exactly cover [0, n).
+// For runs body(tid, lo, hi) over subranges that exactly cover [0, n),
+// handing out chunks of opts.Chunk iterations from a shared atomic
+// counter, first-come first-served — OpenMP schedule(dynamic,chunk).
 // Each invocation's [lo, hi) is non-empty and disjoint from every other
 // invocation's. It returns after all workers finish (implicit barrier).
 //
@@ -235,14 +213,9 @@ func For(n int, opts Options, body func(tid, lo, hi int)) {
 		}
 		return
 	}
-	switch opts.Schedule {
-	case Static:
-		staticFor(n, t, opts.Cancel, body)
-	case Guided:
-		guidedFor(n, t, opts.chunk(), opts.Cancel, opts.Stats, body)
-	default:
-		dynamicFor(n, t, opts.chunk(), opts.Cancel, opts.Stats, body)
-	}
+	var next atomic.Int64
+	chunk, cn, st := opts.chunk(), opts.Cancel, opts.Stats
+	team(t, func(tid int) { dynamicWorker(tid, n, chunk, &next, cn, st, body) })
 }
 
 // inlineFor runs a one-thread loop with a Canceler armed on the
@@ -257,72 +230,7 @@ func inlineFor(n int, opts Options, body func(tid, lo, hi int)) {
 		}
 	}()
 	var next atomic.Int64
-	switch opts.Schedule {
-	case Static:
-		staticBlock(0, 0, n, opts.Cancel, body)
-	case Guided:
-		guidedWorker(0, n, 1, opts.chunk(), &next, opts.Cancel, opts.Stats, body)
-	default:
-		dynamicWorker(0, n, opts.chunk(), &next, opts.Cancel, opts.Stats, body)
-	}
-}
-
-func staticFor(n, threads int, cn *Canceler, body func(tid, lo, hi int)) {
-	var box panicBox
-	var wg sync.WaitGroup
-	wg.Add(threads)
-	for tid := 0; tid < threads; tid++ {
-		go func(tid int) {
-			defer wg.Done()
-			defer box.capture(tid)
-			lo := tid * n / threads
-			hi := (tid + 1) * n / threads
-			if lo < hi {
-				staticBlock(tid, lo, hi, cn, body)
-			}
-		}(tid)
-	}
-	wg.Wait()
-	box.rethrow()
-}
-
-// staticBlock runs body over [lo, hi). With cancellation armed the
-// block is walked in fixed strides so the static schedule — which has
-// no natural dispatch points — still observes Cancel promptly; the
-// un-armed path is the single call it always was.
-func staticBlock(tid, lo, hi int, cn *Canceler, body func(tid, lo, hi int)) {
-	if cn == nil {
-		body(tid, lo, hi)
-		return
-	}
-	for lo < hi {
-		if cn.Canceled() {
-			return
-		}
-		dispatchFailpoint(cn)
-		end := lo + staticCancelStride
-		if end > hi {
-			end = hi
-		}
-		body(tid, lo, end)
-		lo = end
-	}
-}
-
-func dynamicFor(n, threads, chunk int, cn *Canceler, st *obs.LoopStats, body func(tid, lo, hi int)) {
-	var next atomic.Int64
-	var box panicBox
-	var wg sync.WaitGroup
-	wg.Add(threads)
-	for tid := 0; tid < threads; tid++ {
-		go func(tid int) {
-			defer wg.Done()
-			defer box.capture(tid)
-			dynamicWorker(tid, n, chunk, &next, cn, st, body)
-		}(tid)
-	}
-	wg.Wait()
-	box.rethrow()
+	dynamicWorker(0, n, opts.chunk(), &next, opts.Cancel, opts.Stats, body)
 }
 
 // dynamicWorker is one worker of a dynamic loop: it takes chunks from
@@ -344,79 +252,24 @@ func dynamicWorker(tid, n, chunk int, next *atomic.Int64, cn *Canceler, st *obs.
 	}
 }
 
-func guidedFor(n, threads, minChunk int, cn *Canceler, st *obs.LoopStats, body func(tid, lo, hi int)) {
-	var next atomic.Int64
-	var box panicBox
-	var wg sync.WaitGroup
-	wg.Add(threads)
-	for tid := 0; tid < threads; tid++ {
-		go func(tid int) {
-			defer wg.Done()
-			defer box.capture(tid)
-			guidedWorker(tid, n, threads, minChunk, &next, cn, st, body)
-		}(tid)
-	}
-	wg.Wait()
-	box.rethrow()
-}
-
-// guidedWorker is one worker of a guided loop over threads workers.
-func guidedWorker(tid, n, threads, minChunk int, next *atomic.Int64, cn *Canceler, st *obs.LoopStats, body func(tid, lo, hi int)) {
-	for {
-		// Reserve a chunk sized to half the remaining work per thread
-		// via compare-and-swap, so the computed size and the
-		// reservation are consistent.
-		lo := int(next.Load())
-		if lo >= n || cn.Canceled() {
-			return
-		}
-		chunk := (n - lo) / (2 * threads)
-		if chunk < minChunk {
-			chunk = minChunk
-		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if !next.CompareAndSwap(int64(lo), int64(hi)) {
-			continue
-		}
-		obs.CountDispatch()
-		st.CountDispatch()
-		dispatchFailpoint(cn)
-		body(tid, lo, hi)
-	}
-}
-
-// ForEach is a convenience wrapper that invokes body once per index.
-func ForEach(n int, opts Options, body func(tid, i int)) {
-	For(n, opts, func(tid, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			body(tid, i)
-		}
-	})
-}
-
-// Run executes fn(tid) on each of opts.Threads workers concurrently and
-// waits for all of them — OpenMP's bare parallel region. A panic in any
-// fn is re-raised on the calling goroutine as a *WorkerPanic after the
-// barrier, like the loops above.
-func Run(opts Options, fn func(tid int)) {
-	t := opts.threads()
-	if t == 1 {
-		fn(0)
-		return
-	}
-	var box panicBox
-	var wg sync.WaitGroup
-	wg.Add(t)
+// team runs fn(tid) for every tid in [0, t) on its own goroutine and
+// waits for all of them — OpenMP's bare parallel region, and the
+// package's only goroutine-spawning site. A panic in any fn is
+// re-raised on the calling goroutine as a *WorkerPanic after the
+// barrier.
+func team(t int, fn func(tid int)) {
+	tm := &struct {
+		wg  sync.WaitGroup
+		box panicBox
+	}{}
+	tm.wg.Add(t)
 	for tid := 0; tid < t; tid++ {
 		go func(tid int) {
-			defer wg.Done()
-			defer box.capture(tid)
+			defer tm.wg.Done()
+			defer tm.box.capture(tid)
 			fn(tid)
 		}(tid)
 	}
-	wg.Wait()
-	box.rethrow()
+	tm.wg.Wait()
+	tm.box.rethrow()
 }

@@ -1,7 +1,6 @@
 package par
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -35,14 +34,6 @@ func TestForCoversExactlyOnceDynamic(t *testing.T) {
 	}
 }
 
-func TestForCoversExactlyOnceStatic(t *testing.T) {
-	for _, n := range []int{1, 5, 16, 1023} {
-		for _, threads := range []int{1, 2, 3, 8, 32} {
-			coverageCheck(t, n, Options{Threads: threads, Schedule: Static})
-		}
-	}
-}
-
 func TestForZeroOrNegativeN(t *testing.T) {
 	called := false
 	For(0, Options{Threads: 4}, func(tid, lo, hi int) { called = true })
@@ -67,16 +58,6 @@ func TestForDefaultsThreadsToGOMAXPROCS(t *testing.T) {
 	coverageCheck(t, 100, Options{Threads: -3})
 }
 
-func TestForEach(t *testing.T) {
-	var sum atomic.Int64
-	ForEach(1000, Options{Threads: 4, Chunk: 16}, func(tid, i int) {
-		sum.Add(int64(i))
-	})
-	if got := sum.Load(); got != 499500 {
-		t.Fatalf("sum = %d, want 499500", got)
-	}
-}
-
 func TestForPropertySum(t *testing.T) {
 	check := func(nRaw uint16, threadsRaw, chunkRaw uint8) bool {
 		n := int(nRaw)%2000 + 1
@@ -98,34 +79,13 @@ func TestForPropertySum(t *testing.T) {
 	}
 }
 
-func TestRun(t *testing.T) {
-	seen := make([]atomic.Int32, 6)
-	Run(Options{Threads: 6}, func(tid int) { seen[tid].Add(1) })
-	for i := range seen {
-		if seen[i].Load() != 1 {
-			t.Fatalf("tid %d ran %d times", i, seen[i].Load())
-		}
-	}
-}
-
-func TestRunSingleThread(t *testing.T) {
-	n := 0
-	Run(Options{Threads: 1}, func(tid int) {
-		if tid != 0 {
-			t.Errorf("tid = %d", tid)
-		}
-		n++
-	})
-	if n != 1 {
-		t.Fatalf("fn ran %d times", n)
-	}
-}
-
 func TestSharedQueueConcurrentPush(t *testing.T) {
 	q := NewSharedQueue(10000)
-	Run(Options{Threads: 8}, func(tid int) {
-		for i := 0; i < 1000; i++ {
-			q.Push(int32(tid*1000 + i))
+	For(8, Options{Threads: 8}, func(tid, lo, hi int) {
+		for k := lo; k < hi; k++ {
+			for i := 0; i < 1000; i++ {
+				q.Push(int32(k*1000 + i))
+			}
 		}
 	})
 	if q.Len() != 8000 {
@@ -244,6 +204,39 @@ func TestGatherInt32(t *testing.T) {
 	}
 }
 
+// TestGatherInt32CoversExactlyOnce: GatherInt32's contiguous blocks
+// cover [0, n) exactly once for any thread count, including more
+// threads than indices.
+func TestGatherInt32CoversExactlyOnce(t *testing.T) {
+	for _, n := range []int{1, 5, 16, 1023} {
+		for _, threads := range []int{1, 2, 3, 8, 32} {
+			touched := make([]atomic.Int32, n)
+			got := GatherInt32(n, Options{Threads: threads}, func(i int32) bool {
+				touched[i].Add(1)
+				return true
+			})
+			// The predicate runs once per index in each of the two passes.
+			passes := int32(2)
+			if threads == 1 || n == 1 {
+				passes = 1
+			}
+			for i := range touched {
+				if c := touched[i].Load(); c != passes {
+					t.Fatalf("n=%d threads=%d: index %d visited %d times, want %d", n, threads, i, c, passes)
+				}
+			}
+			if len(got) != n {
+				t.Fatalf("n=%d threads=%d: gathered %d indices", n, threads, len(got))
+			}
+			for i, v := range got {
+				if v != int32(i) {
+					t.Fatalf("n=%d threads=%d: got[%d] = %d", n, threads, i, v)
+				}
+			}
+		}
+	}
+}
+
 func TestGatherInt32Empty(t *testing.T) {
 	got := GatherInt32(50, Options{Threads: 4}, func(i int32) bool { return false })
 	if len(got) != 0 {
@@ -271,10 +264,6 @@ func BenchmarkForDynamicChunk64(b *testing.B) {
 	benchFor(b, Options{Threads: 4, Chunk: 64})
 }
 
-func BenchmarkForStatic(b *testing.B) {
-	benchFor(b, Options{Threads: 4, Schedule: Static})
-}
-
 func benchFor(b *testing.B, opts Options) {
 	data := make([]int64, 1<<16)
 	b.ResetTimer()
@@ -284,50 +273,5 @@ func benchFor(b *testing.B, opts Options) {
 				data[j]++
 			}
 		})
-	}
-}
-
-func TestForCoversExactlyOnceGuided(t *testing.T) {
-	for _, n := range []int{1, 2, 63, 64, 1000, 4097} {
-		for _, threads := range []int{1, 2, 4, 16} {
-			for _, chunk := range []int{1, 8, 64} {
-				coverageCheck(t, n, Options{Threads: threads, Schedule: Guided, Chunk: chunk})
-			}
-		}
-	}
-}
-
-func TestGuidedChunkShrinks(t *testing.T) {
-	// Record chunk sizes in arrival order; the first chunk must be
-	// larger than the minimum for a large range, and no chunk may be
-	// smaller than the floor except the final remainder.
-	var mu sync.Mutex
-	var sizes []int
-	const n = 10000
-	For(n, Options{Threads: 4, Schedule: Guided, Chunk: 16}, func(tid, lo, hi int) {
-		mu.Lock()
-		sizes = append(sizes, hi-lo)
-		mu.Unlock()
-	})
-	if len(sizes) < 2 {
-		t.Fatalf("only %d chunks", len(sizes))
-	}
-	maxSize := 0
-	for _, s := range sizes {
-		if s > maxSize {
-			maxSize = s
-		}
-	}
-	if maxSize < n/(2*4) {
-		t.Fatalf("largest guided chunk %d suspiciously small", maxSize)
-	}
-	small := 0
-	for _, s := range sizes {
-		if s < 16 {
-			small++
-		}
-	}
-	if small > 1 {
-		t.Fatalf("%d chunks below the floor", small)
 	}
 }

@@ -137,12 +137,13 @@ func GatherInt32(n int, opts Options, pred func(i int32) bool) []int32 {
 		return out
 	}
 	counts := make([]int, t)
-	// Pass 1: count matches per static block. The gather is always run
-	// to completion (no Canceler): its two passes share offset state,
-	// so a partial first pass would corrupt the second.
-	staticFor(n, t, nil, func(tid, lo, hi int) {
+	// Each thread owns the contiguous block [tid*n/t, (tid+1)*n/t).
+	// The gather always runs to completion (no Canceler): its two
+	// passes share offset state, so a partial first pass would corrupt
+	// the second. Pass 1 counts matches per block.
+	team(t, func(tid int) {
 		c := 0
-		for i := lo; i < hi; i++ {
+		for i, hi := tid*n/t, (tid+1)*n/t; i < hi; i++ {
 			if pred(int32(i)) {
 				c++
 			}
@@ -152,9 +153,9 @@ func GatherInt32(n int, opts Options, pred func(i int32) bool) []int32 {
 	total := ExclusiveSum(counts)
 	out := make([]int32, total)
 	// Pass 2: fill at precomputed offsets.
-	staticFor(n, t, nil, func(tid, lo, hi int) {
+	team(t, func(tid int) {
 		off := counts[tid]
-		for i := lo; i < hi; i++ {
+		for i, hi := tid*n/t, (tid+1)*n/t; i < hi; i++ {
 			if pred(int32(i)) {
 				out[off] = int32(i)
 				off++

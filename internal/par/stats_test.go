@@ -7,13 +7,13 @@ import (
 )
 
 // TestForCountsDispatchesIntoStats: an armed Options.Stats must see one
-// count per chunk hand-out on the chunked schedules — the telemetry a
+// count per chunk hand-out — the telemetry a
 // request Recorder stamps into its per-phase timeline events.
 func TestForCountsDispatchesIntoStats(t *testing.T) {
 	const n = 1000
 	t.Run("dynamic", func(t *testing.T) {
 		st := &obs.LoopStats{}
-		For(n, Options{Threads: 4, Schedule: Dynamic, Chunk: 64, Stats: st}, func(tid, lo, hi int) {})
+		For(n, Options{Threads: 4, Chunk: 64, Stats: st}, func(tid, lo, hi int) {})
 		got := st.TakeDispatches()
 		// ceil(1000/64) = 16 chunks; every chunk is one dispatch, and
 		// each worker burns one final empty grab that is not counted.
@@ -21,24 +21,7 @@ func TestForCountsDispatchesIntoStats(t *testing.T) {
 			t.Fatalf("dynamic dispatches = %d, want 16", got)
 		}
 	})
-	t.Run("guided", func(t *testing.T) {
-		st := &obs.LoopStats{}
-		For(n, Options{Threads: 4, Schedule: Guided, Chunk: 1, Stats: st}, func(tid, lo, hi int) {})
-		got := st.TakeDispatches()
-		// Guided chunks shrink geometrically: more than one, far fewer
-		// than n.
-		if got < 2 || got > n/2 {
-			t.Fatalf("guided dispatches = %d, want a small multiple of log(n)", got)
-		}
-	})
-	t.Run("static has no dispatches", func(t *testing.T) {
-		st := &obs.LoopStats{}
-		For(n, Options{Threads: 4, Schedule: Static, Stats: st}, func(tid, lo, hi int) {})
-		if got := st.TakeDispatches(); got != 0 {
-			t.Fatalf("static dispatches = %d, want 0 (pre-partitioned)", got)
-		}
-	})
 	t.Run("nil stats is valid", func(t *testing.T) {
-		coverageCheck(t, n, Options{Threads: 4, Schedule: Dynamic, Chunk: 32, Stats: nil})
+		coverageCheck(t, n, Options{Threads: 4, Chunk: 32, Stats: nil})
 	})
 }

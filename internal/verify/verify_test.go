@@ -7,7 +7,6 @@ import (
 
 	"bgpc/internal/bipartite"
 	"bgpc/internal/graph"
-	"bgpc/internal/rng"
 )
 
 func bip(t *testing.T) *bipartite.Graph {
@@ -137,91 +136,5 @@ func TestSortedCardinalities(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("got %v, want %v", got, want)
 		}
-	}
-}
-
-func TestBGPCParallelMatchesReference(t *testing.T) {
-	r := rng.New(1234)
-	for trial := 0; trial < 60; trial++ {
-		numNet := r.Intn(12) + 1
-		numVtx := r.Intn(20) + 1
-		m := r.Intn(60)
-		edges := make([]bipartite.Edge, m)
-		for i := range edges {
-			edges[i] = bipartite.Edge{Net: int32(r.Intn(numNet)), Vtx: int32(r.Intn(numVtx))}
-		}
-		g, err := bipartite.FromEdges(numNet, numVtx, edges)
-		if err != nil {
-			t.Fatal(err)
-		}
-		colors := make([]int32, numVtx)
-		for i := range colors {
-			colors[i] = int32(r.Intn(4))
-		}
-		ref := BGPC(g, colors)
-		got := BGPCParallel(g, colors, r.Intn(4)+1)
-		if (ref == nil) != (got == nil) {
-			t.Fatalf("trial %d: reference %v vs parallel %v", trial, ref, got)
-		}
-	}
-}
-
-func TestBGPCParallelAcceptsValid(t *testing.T) {
-	g := bip(t)
-	if err := BGPCParallel(g, []int32{0, 1, 2, 0}, 4); err != nil {
-		t.Fatal(err)
-	}
-	if err := BGPCParallel(g, []int32{0, 1, 0, 1}, 4); err == nil {
-		t.Fatal("conflict not detected")
-	}
-	if err := BGPCParallel(g, []int32{0, 1, 2, -1}, 4); err == nil {
-		t.Fatal("uncolored accepted")
-	}
-	if err := BGPCParallel(g, []int32{0}, 4); err == nil {
-		t.Fatal("short slice accepted")
-	}
-}
-
-func TestD2GCParallelMatchesReference(t *testing.T) {
-	r := rng.New(987)
-	for trial := 0; trial < 60; trial++ {
-		n := r.Intn(25) + 2
-		m := r.Intn(60)
-		edges := make([]graph.Edge, 0, m)
-		for i := 0; i < m; i++ {
-			u, v := int32(r.Intn(n)), int32(r.Intn(n))
-			if u != v {
-				edges = append(edges, graph.Edge{U: u, V: v})
-			}
-		}
-		g, err := graph.FromEdges(n, edges)
-		if err != nil {
-			t.Fatal(err)
-		}
-		colors := make([]int32, n)
-		for i := range colors {
-			colors[i] = int32(r.Intn(6))
-		}
-		ref := D2GC(g, colors)
-		got := D2GCParallel(g, colors, r.Intn(4)+1)
-		if (ref == nil) != (got == nil) {
-			t.Fatalf("trial %d: reference %v vs parallel %v", trial, ref, got)
-		}
-	}
-}
-
-func TestD2GCParallelBasic(t *testing.T) {
-	g, err := graph.FromEdges(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := D2GCParallel(g, []int32{0, 1, 2}, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := D2GCParallel(g, []int32{0, 1, 0}, 2); err == nil {
-		t.Fatal("distance-2 conflict not detected")
-	}
-	if err := D2GCParallel(g, []int32{0, -1, 2}, 2); err == nil {
-		t.Fatal("uncolored accepted")
 	}
 }
