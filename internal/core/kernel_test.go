@@ -107,8 +107,9 @@ func TestWorkModelPinned(t *testing.T) {
 // BenchmarkKernel times the coloring kernels batch-kernel runs: every
 // scale-1 preset with Sequential, and N1-N2 and V-V-64D at threads = 2
 // and at threads = 1, where the colorings are those of the scan. Each
-// reports mask-KB, the memory of the net color masks the run keeps
-// pooled (0 on presets without a net of maskMinNetDeg vertices).
+// reports mask-KB, the memory of the net color masks and detection
+// flags the run keeps pooled (0 on presets without a net of
+// maskMinNetDeg vertices).
 //
 //	go test -run '^$' -bench Kernel -benchmem ./internal/core
 func BenchmarkKernel(b *testing.B) {

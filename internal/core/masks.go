@@ -41,10 +41,21 @@ const maskNNZPerWord = 4
 // added under mu and published through nblocks. build writes with
 // plain stores, one row per worker, ordered before the next phase by
 // the par.For barrier; that is why the words are plain uint64s.
+//
+// The masked nets also serve vertex-based conflict detection: detect
+// flags the vertices that are not the first holder of their color in
+// some masked net, so the per-vertex check reads their flag instead of
+// scanning those nets (see conflictVertexPhase).
 type netMasks struct {
 	rowOf     []int32 // row of each net, -1 for a net that is scanned
 	nets      []int32 // net of each row
 	maxBlocks int     // blocks the cap and the color bound allow
+
+	// flag[u] == stamp marks u as flagged by the last detect pass. The
+	// stamp grows across pooled runs, so a flag left by an earlier pass,
+	// on this graph or another, never matches.
+	flag  []int32
+	stamp int32
 
 	mu      sync.Mutex
 	nblocks atomic.Int32
@@ -250,4 +261,63 @@ func (m *netMasks) publish(col int32, rows []int32) {
 			}
 		}
 	}
+}
+
+// detect is the paper's Algorithm 7 pass used as a detector: each
+// masked net is walked in ascending order with the thread's stamped
+// Forbidden, and a vertex whose color an earlier vertex of the net
+// already holds is flagged. Uncolored lives in Forbidden's slot 0, so
+// two Uncolored vertices conflict here as they do in vertexConflicts.
+// Detection writes no color, so afterwards a vertex is unflagged
+// exactly when no smaller vertex of a masked net holds its color. Flags
+// are published with atomic stores, since one vertex may be flagged
+// from several nets at once, and read after the par.For barrier. The
+// pass is not charged to the work model: the per-vertex check charges
+// the masked nets as the scan would.
+func (m *netMasks) detect(g *bipartite.Graph, c *Colors, s *scratch, o *Options, cn *par.Canceler) {
+	m.flag = resize(m.flag, g.NumVertices())
+	m.stamp++
+	if m.stamp <= 0 { // wrapped around: resize may expose any old entry
+		clear(m.flag[:cap(m.flag)])
+		m.stamp = 1
+	}
+	flag, stamp := m.flag, m.stamp
+	par.For(len(m.nets), o.parOpts(cn), func(tid, lo, hi int) {
+		f := s.forb[tid]
+		for r := lo; r < hi; r++ {
+			f.Reset()
+			for _, u := range g.Vtxs(m.nets[r]) {
+				if cu := c.Get(u); f.Has(cu) {
+					atomic.StoreInt32(&flag[u], stamp)
+				} else {
+					f.Add(cu)
+				}
+			}
+		}
+	})
+}
+
+// conflicts is vertexConflicts for a vertex w that detect did not
+// flag: no smaller vertex of a masked net holds w's color, so only the
+// small nets are scanned, and each masked net is charged |vtxs(v)|+1
+// as the scan that finds nothing there. The answer and the charge are
+// the scan's.
+func (m *netMasks) conflicts(g *bipartite.Graph, w int32, c *Colors, work *int64) bool {
+	cw := c.Get(w)
+	for _, v := range g.Nets(w) {
+		vt := g.Vtxs(v)
+		if m.rowOf[v] < 0 {
+			for i, u := range vt {
+				if u >= w {
+					break
+				}
+				if c.Get(u) == cw {
+					*work += int64(i) + 2
+					return true
+				}
+			}
+		}
+		*work += int64(len(vt)) + 1
+	}
+	return false
 }

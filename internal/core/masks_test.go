@@ -2,14 +2,19 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"testing"
 
 	"bgpc/internal/bipartite"
+	"bgpc/internal/failpoint"
 	"bgpc/internal/gen"
 	"bgpc/internal/limits"
+	"bgpc/internal/obs"
+	"bgpc/internal/par"
 	"bgpc/internal/rng"
 	"bgpc/internal/testutil"
 	"bgpc/internal/verify"
@@ -93,12 +98,30 @@ func sameRun(masked, scanned *Result) error {
 	return nil
 }
 
+// maskSpecs are the named variants plus the B1 and B2 balanced
+// variants of V-V-64D and V-N2, which take conflict detection but not
+// the masked first fit.
+func maskSpecs() []Spec {
+	specs := NamedAlgorithms()
+	for _, name := range []string{"V-V-64D", "V-N2"} {
+		for _, b := range []Balance{BalanceB1, BalanceB2} {
+			opts, _ := ParseAlgorithm(name)
+			opts.Balance = b
+			specs = append(specs, Spec{Name: name + "-" + b.String(), Opts: opts})
+		}
+	}
+	return specs
+}
+
 // TestMasksExact runs every job twice, on the mask path and with the
-// masks off: Sequential in natural and random order, and every named
-// variant at threads = 1 without balancing. Colors and work must be
-// identical. At threads = 4 the masked colorings must be valid.
+// masks off, which also switches conflict detection off: Sequential in
+// natural and random order, and every variant of maskSpecs at
+// threads = 1. Colors and work must be identical. At threads = 4 every
+// coloring must be valid, and iteration 1's detected queue must be the
+// scan's (checkDetect). Some vertex must be flagged, or the detection
+// path went untested.
 func TestMasksExact(t *testing.T) {
-	masked := 0
+	masked, flagged := 0, 0
 	for name, g := range maskGraphs(t) {
 		if hasLargeNet(g) {
 			masked++
@@ -111,7 +134,7 @@ func TestMasksExact(t *testing.T) {
 				t.Errorf("%s/seq/%s: %v", name, order.name, err)
 			}
 		}
-		for _, spec := range NamedAlgorithms() {
+		for _, spec := range maskSpecs() {
 			opts := spec.Opts
 			opts.Threads = 1
 			a, err := colorCtx(context.Background(), g, opts, true)
@@ -133,10 +156,204 @@ func TestMasksExact(t *testing.T) {
 			if err := verify.BGPC(g, res.Colors); err != nil {
 				t.Errorf("%s/%s at 4 threads: %v", name, spec.Name, err)
 			}
+			if opts.NetColorIters == 0 && opts.NetCRIters == 0 {
+				f, err := checkDetect(g, opts)
+				if err != nil {
+					t.Errorf("%s/%s at 4 threads: %v", name, spec.Name, err)
+				}
+				flagged += f
+			}
 		}
 	}
 	if masked < 10 {
 		t.Fatalf("only %d graphs have a net of %d vertices; the differential would not cover the masks", masked, maskMinNetDeg)
+	}
+	if flagged == 0 {
+		t.Fatal("conflict detection flagged no vertex: the flagged scan went untested")
+	}
+}
+
+// checkDetect replays iteration 1 of a vertex-based schedule with its
+// own threads: a vertex coloring phase, then the vertex conflict phase
+// with and without a detect pass on the same colors. The detected
+// queue must hold exactly the vertices vertexConflicts reports, and
+// both phases must charge the same total work. It returns how many
+// queued vertices the pass flagged (0 on a graph without masks).
+func checkDetect(g *bipartite.Graph, opts Options) (flagged int, err error) {
+	n, threads := g.NumVertices(), opts.threads()
+	c := NewColors(n)
+	var W []int32
+	for u := int32(0); int(u) < n; u++ {
+		if g.VtxDeg(u) == 0 {
+			c.Set(u, 0)
+		} else {
+			W = append(W, u)
+		}
+	}
+	bound := g.MaxColorUpperBound() + 1
+	scr := newScratch(threads, bound, opts.Balance)
+	m := acquireMasks(g, threads, bound)
+	if m == nil {
+		return 0, nil
+	}
+	defer m.release()
+	var colorMasks *netMasks
+	if opts.Balance == BalanceNone {
+		colorMasks = m
+	}
+	colorVertexPhase(g, W, c, scr, colorMasks, &opts, NewWorkCounters(threads), nil)
+
+	var want []int32
+	var scanWork int64
+	for _, w := range W {
+		if vertexConflicts(g, w, c, &scanWork) {
+			want = append(want, w)
+		}
+	}
+	phase := func(flags *netMasks) ([]int32, int64) {
+		wc := NewWorkCounters(threads)
+		var got []int32
+		if opts.LazyQueues {
+			l := par.NewLocalQueues(threads, len(W))
+			conflictVertexPhase(g, W, c, flags, nil, l, &opts, wc, nil)
+			got = l.MergeInto(nil)
+		} else {
+			q := par.NewSharedQueue(len(W))
+			conflictVertexPhase(g, W, c, flags, q, nil, &opts, wc, nil)
+			got = slices.Clone(q.Items())
+		}
+		slices.Sort(got)
+		total, _ := wc.TotalAndMax()
+		return got, total
+	}
+	m.detect(g, c, scr, &opts, nil)
+	for _, w := range W {
+		if m.flag[w] == m.stamp {
+			flagged++
+		}
+	}
+	got, work := phase(m)
+	_, scanned := phase(nil)
+	if !slices.Equal(got, want) {
+		return flagged, fmt.Errorf("detection queued %d vertices, the scan reports %d conflicts", len(got), len(want))
+	}
+	if work != scanned {
+		return flagged, fmt.Errorf("conflict work %d with detection, %d scanning", work, scanned)
+	}
+	return flagged, nil
+}
+
+// TestDetectCancelPoolReuse cancels a V-V-64D run in iteration 1's
+// conflict phase, where the detect pass has flagged part of the graph,
+// and then colors a smaller graph and the first graph again at
+// threads = 1 from the same mask pool. Each must match a fresh scan
+// with the masks off: flags a canceled pass left in a pooled array,
+// past the smaller graph's vertices too, must never be read as current.
+func TestDetectCancelPoolReuse(t *testing.T) {
+	defer failpoint.Reset()
+	gs := smallPresets(t)
+	g, other := gs["copapers"], gs["movielens"]
+	if !hasLargeNet(g) || !hasLargeNet(other) || other.NumVertices() >= g.NumVertices() {
+		t.Fatal("the presets no longer give two masked graphs, the second smaller")
+	}
+	opts, err := ParseAlgorithm("V-V-64D")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The first trace event closes iteration 1's color phase; the sink
+	// then arms a cancel at the conflict phase's first chunk, which is
+	// the detect pass's.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sink := &cancelSink{after: 1, cancel: func() {
+		if err := failpoint.Arm(par.FPDispatch, "cancel@1"); err != nil {
+			t.Error(err)
+		}
+	}}
+	canceled := opts
+	canceled.Threads = 2
+	canceled.Obs = obs.New(sink).WithAlgo("V-V-64D")
+	res, err := ColorCtx(ctx, g, canceled)
+	var ce *CancelError
+	if !errors.Is(err, ErrCanceled) || !errors.As(err, &ce) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+	// An "@1" point disarms itself once it fires.
+	if _, armed := sink.fired(); !armed || slices.Contains(failpoint.Active(), par.FPDispatch) || ce.Iteration != 1 {
+		t.Fatalf("canceled in iteration %d, failpoint armed %v and still pending %v: not in iteration 1's conflict phase",
+			ce.Iteration, armed, failpoint.Active())
+	}
+	if err := verify.BGPCPartial(g, res.Colors); err != nil {
+		t.Fatalf("partial coloring invalid: %v", err)
+	}
+	if m, _ := maskPool.Get().(*netMasks); m != nil {
+		stale := 0
+		for _, f := range m.flag {
+			if f == m.stamp {
+				stale++
+			}
+		}
+		t.Logf("the canceled pass left %d flags of %d vertices in the pool", stale, len(m.flag))
+		maskPool.Put(m)
+	}
+
+	opts.Threads = 1
+	for _, h := range []struct {
+		name string
+		g    *bipartite.Graph
+	}{{"movielens", other}, {"copapers", g}} {
+		a, err := ColorCtx(context.Background(), h.g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := colorCtx(context.Background(), h.g, opts, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameRun(a, b); err != nil {
+			t.Errorf("%s after the canceled run: %v", h.name, err)
+		}
+	}
+}
+
+// TestDetectStampWrap fills a pooled flag array with the stamp that
+// follows a wrap-around and runs a detect pass whose stamp wraps: the
+// array must be cleared, so that the flags are exactly the vertices
+// that are not their color's first holder in some masked net.
+func TestDetectStampWrap(t *testing.T) {
+	g := smallPresets(t)["copapers"]
+	opts := Options{Threads: 1}
+	bound := g.MaxColorUpperBound() + 1
+	m := acquireMasks(g, 1, bound)
+	if m == nil {
+		t.Fatal("no masks for copapers")
+	}
+	defer m.release()
+	m.flag = resize(m.flag, g.NumVertices())
+	all := m.flag[:cap(m.flag)]
+	for i := range all {
+		all[i] = 1
+	}
+	m.stamp = math.MaxInt32
+	c := &Colors{c: sequential(g, nil, false).Colors}
+	scr := newScratch(1, bound, BalanceNone)
+	m.detect(g, c, scr, &opts, nil)
+	if m.stamp != 1 {
+		t.Fatalf("stamp after the wrap = %d, want 1", m.stamp)
+	}
+	want := make([]bool, g.NumVertices())
+	for _, v := range m.nets {
+		seen := map[int32]bool{}
+		for _, u := range g.Vtxs(v) {
+			want[u] = want[u] || seen[c.Get(u)]
+			seen[c.Get(u)] = true
+		}
+	}
+	for u, w := range want {
+		if got := m.flag[u] == m.stamp; got != w {
+			t.Fatalf("vertex %d: flagged %v, want %v", u, got, w)
+		}
 	}
 }
 
@@ -214,7 +431,7 @@ func TestMasksNoAllocs(t *testing.T) {
 
 // retainedBytes is the memory m holds, by capacity.
 func (m *netMasks) retainedBytes() int64 {
-	n := 4*cap(m.rowOf) + 4*cap(m.nets) + 24*cap(m.blocks) + 24*cap(m.big)
+	n := 4*cap(m.rowOf) + 4*cap(m.nets) + 4*cap(m.flag) + 24*cap(m.blocks) + 24*cap(m.big)
 	for _, b := range m.blocks[:cap(m.blocks)] {
 		n += 8 * cap(b)
 	}

@@ -67,32 +67,38 @@ func colorVertexPhase(g *bipartite.Graph, W []int32, c *Colors, s *scratch, m *n
 	})
 }
 
-// conflictVertexShared is BGPC-REMOVECONFLICTS-VERTEX (Algorithm 5)
-// with ColPack's immediate shared next-iteration queue (V-V, V-V-64).
-func conflictVertexShared(g *bipartite.Graph, W []int32, c *Colors, q *par.SharedQueue, o *Options, wc *WorkCounters, cn *par.Canceler) {
+// conflictVertexPhase is BGPC-REMOVECONFLICTS-VERTEX (Algorithm 5):
+// each vertex of W that conflicts is pushed to ColPack's immediate
+// shared next-iteration queue q (V-V, V-V-64), or, when q is nil, to
+// its thread's local queue in l, merged at the barrier (the lazy "D"
+// construction of V-V-64D). Only the shared queue's pushes are charged
+// to the work model. A non-nil m holds the flags of a detect pass on
+// the current colors: an unflagged vertex then scans only its small
+// nets, and a flagged one keeps the full scan.
+func conflictVertexPhase(g *bipartite.Graph, W []int32, c *Colors, m *netMasks, q *par.SharedQueue, l *par.LocalQueues, o *Options, wc *WorkCounters, cn *par.Canceler) {
+	var pushCost int64
+	if q != nil {
+		pushCost = int64(queuePushCostUnits) * int64(o.threads())
+	}
 	par.For(len(W), o.parOpts(cn), func(tid, lo, hi int) {
 		work := int64(DispatchCostUnits) * int64(o.threads())
 		for i := lo; i < hi; i++ {
 			w := W[i]
-			if vertexConflicts(g, w, c, &work) {
-				q.Push(w)
-				work += int64(queuePushCostUnits) * int64(o.threads())
+			var conflict bool
+			if m != nil && m.flag[w] != m.stamp {
+				conflict = m.conflicts(g, w, c, &work)
+			} else {
+				conflict = vertexConflicts(g, w, c, &work)
 			}
-		}
-		wc.AddChunk(work)
-	})
-}
-
-// conflictVertexLazy is the same detection with per-thread queues
-// merged at the barrier (the lazy "D" construction of V-V-64D).
-func conflictVertexLazy(g *bipartite.Graph, W []int32, c *Colors, l *par.LocalQueues, o *Options, wc *WorkCounters, cn *par.Canceler) {
-	par.For(len(W), o.parOpts(cn), func(tid, lo, hi int) {
-		work := int64(DispatchCostUnits) * int64(o.threads())
-		for i := lo; i < hi; i++ {
-			w := W[i]
-			if vertexConflicts(g, w, c, &work) {
+			if !conflict {
+				continue
+			}
+			if q != nil {
+				q.Push(w)
+			} else {
 				l.Push(tid, w)
 			}
+			work += pushCost
 		}
 		wc.AddChunk(work)
 	})

@@ -19,6 +19,14 @@ import (
 // goroutine (contained by serving layers that recover per job).
 const FPIterate = "core.iterate"
 
+// detectQueueShare sets when a vertex-based conflict phase after the
+// first runs the detection pass (netMasks.detect): when its queue holds
+// at least 1/detectQueueShare of the vertices. Measured on copapers and
+// movielens (DESIGN.md, "Linear-time conflict detection"), the pass
+// costs about as much as the scans it saves at 0.2–0.5 % of the
+// vertices.
+const detectQueueShare = 256
+
 // Color runs the speculative parallel BGPC loop (Algorithm 1) with the
 // phase schedule, scheduling parameters, and balancing Policy described
 // by opts, and returns a valid partial coloring of g's VA vertices. On
@@ -80,11 +88,14 @@ func colorCtx(ctx context.Context, g *bipartite.Graph, opts Options, masks bool)
 	// The masks serve first fit only, in a vertex phase whose queue is
 	// all Uncolored (fresh): the first iteration's, and one after a
 	// net-based conflict removal, which rebuilds them from the colors.
+	// Their net list also serves vertex-based conflict detection, under
+	// every balancing policy.
 	var m *netMasks
-	if masks && opts.Balance == BalanceNone {
+	if masks {
 		m = acquireMasks(g, threads, bound)
 		defer m.release()
 	}
+	colorMasks := m != nil && opts.Balance == BalanceNone
 	fresh := true
 
 	// Build the initial work queue. Vertices incident to no net cannot
@@ -130,7 +141,7 @@ func colorCtx(ctx context.Context, g *bipartite.Graph, opts Options, masks bool)
 		switch {
 		case netColor:
 			colorNetPhase(g, c, scr, &opts, wc, cn)
-		case m != nil && fresh:
+		case colorMasks && fresh:
 			if iter > 1 {
 				m.build(g, c, &opts, cn)
 			}
@@ -144,14 +155,24 @@ func colorCtx(ctx context.Context, g *bipartite.Graph, opts Options, masks bool)
 		if netCR {
 			conflictNetPhase(g, c, scr, &opts, wc, cn)
 			W = gatherUncolored(g, c, &opts)
-		} else if opts.LazyQueues {
+			return
+		}
+		// Detection walks every masked net once, so it runs when the
+		// queue holds every non-isolated vertex (iteration 1) or enough
+		// of the rest to pay for that walk.
+		var flags *netMasks
+		if m != nil && (iter == 1 || detectQueueShare*len(W) >= n) {
+			m.detect(g, c, scr, &opts, cn)
+			flags = m
+		}
+		if opts.LazyQueues {
 			local.Reset()
-			conflictVertexLazy(g, W, c, local, &opts, wc, cn)
+			conflictVertexPhase(g, W, c, flags, nil, local, &opts, wc, cn)
 			wnext = local.MergeInto(wnext)
 			W = append(W[:0], wnext...)
 		} else {
 			shared.Reset()
-			conflictVertexShared(g, W, c, shared, &opts, wc, cn)
+			conflictVertexPhase(g, W, c, flags, shared, nil, &opts, wc, cn)
 			W = append(W[:0], shared.Items()...)
 		}
 	}

@@ -233,6 +233,7 @@ func EstimateBytes(sh Shape) int64 {
 //     are fewer than Cols+1
 //   - per thread, a buffer of a vertex's masked nets: at most one per
 //     32 nonzeros, twice that after append growth, plus its header
+//   - a 4-byte conflict-detection flag per vertex (Cols)
 //
 // The masks are pooled between jobs, so a pooled set also outlives its
 // job, up to the largest job's bound.
@@ -246,7 +247,8 @@ func MaskBytes(sh Shape) int64 {
 	index := satAdd(satMul(rows, 4), satMul(e/32, 4))
 	table := satMul(cols/64+2, 24)
 	buffers := satMul(threads, satAdd(satMul(e/32, 8), 24))
-	return satAdd(satAdd(words, index), satAdd(table, buffers))
+	flags := satMul(cols, 4)
+	return satAdd(satAdd(satAdd(words, index), satAdd(table, buffers)), flags)
 }
 
 func satAdd(a, b int64) int64 {
