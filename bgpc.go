@@ -342,7 +342,7 @@ func NewRecorder(id string, maxSpans, maxIters int) *Recorder {
 }
 
 // ContextWithRecorder returns a context carrying rec; the context-aware
-// runners (ColorContext, ColorD2Context) tee their phase events into it.
+// runners (ColorContext, ColorD2Context) hand it their phase events.
 func ContextWithRecorder(ctx context.Context, rec *Recorder) context.Context {
 	return obs.ContextWithRecorder(ctx, rec)
 }

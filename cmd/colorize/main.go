@@ -132,8 +132,8 @@ func main() {
 		defer cancelCtx()
 	}
 	// -timeline rides the same context plumbing the daemon uses: the
-	// runners see the Recorder via ctx and tee their phase events into
-	// it, whether or not a -trace observer is attached.
+	// runners see the Recorder via ctx and hand it their phase events,
+	// whether or not a -trace observer is attached.
 	var rec *bgpc.Recorder
 	if *timeline {
 		rec = bgpc.NewRecorder(bgpc.NewRequestID(), 0, 0)

@@ -442,15 +442,17 @@ func (m *netMasks) retainedBytes() int64 {
 }
 
 // runMaskBytes runs job on an empty mask pool and returns the memory
-// of the masks it left there, 0 when it used none. Two collections
-// empty a sync.Pool. The retries cover masks put back on another P,
-// and the race detector's pool, which drops a quarter of what is put.
+// of the masks it left there, 0 when it used none; the masks go back
+// to the pool. Two collections empty a sync.Pool. The retries cover
+// masks put back on another P, and the race detector's pool, which
+// drops a quarter of what is put.
 func runMaskBytes(job func()) int64 {
 	for try := 0; try < 20; try++ {
 		runtime.GC()
 		runtime.GC()
 		job()
 		if m, _ := maskPool.Get().(*netMasks); m != nil {
+			defer m.release()
 			return m.retainedBytes()
 		}
 	}

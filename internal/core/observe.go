@@ -15,20 +15,32 @@ func phaseKind(netBased bool) string {
 	return obs.KindVertex
 }
 
-// usedColors counts the distinct colors currently assigned. It reads
-// the raw color array, so it must only run between parallel phases.
-// It is trace-path-only: the runner never calls it without an enabled
-// Observer.
-func usedColors(c *Colors) int { return countDistinct(c.Raw()) }
+// usedColors counts the distinct colors currently assigned, stamping
+// them into f, a thread's forbidden set, which is idle between phases.
+// It reads the raw color array, so it must only run between parallel
+// phases. It is trace-path-only: the runner calls it only for a phase
+// event.
+func usedColors(c *Colors, f *Forbidden) int {
+	f.Reset()
+	n := 0
+	for _, col := range c.Raw() {
+		if col >= 0 && !f.Has(col) {
+			f.Add(col)
+			n++
+		}
+	}
+	return n
+}
 
-// emitPhaseEvent assembles and emits the trace event for one finished
-// phase. Callers must have checked tr.Enabled() so the disabled path
-// never reaches the Event assembly. When o.Stats is armed the event
+// emitPhaseEvent assembles the trace event for one finished phase and
+// hands it to the Observer and the request Recorder. Callers must have
+// checked that one of them is enabled, so the disabled path never
+// reaches the Event assembly. When o.stats is armed the event
 // additionally carries the phase's chunk-dispatch count (the take
 // resets the accumulator, so each event sees only its own phase).
-func emitPhaseEvent(tr *obs.Observer, o *Options, iter int, phase string, netBased bool,
+func emitPhaseEvent(tr *obs.Observer, rec *obs.Recorder, o *Options, s *scratch, iter int, phase string, netBased bool,
 	items, conflicts int, c *Colors, wall time.Duration, work, maxWork int64) {
-	tr.Emit(obs.Event{
+	e := obs.Event{
 		Iter:       iter,
 		Phase:      phase,
 		Kind:       phaseKind(netBased),
@@ -37,10 +49,12 @@ func emitPhaseEvent(tr *obs.Observer, o *Options, iter int, phase string, netBas
 		Threads:    o.threads(),
 		Items:      items,
 		Conflicts:  conflicts,
-		Colors:     usedColors(c),
+		Colors:     usedColors(c, s.forb[0]),
 		WallNS:     wall.Nanoseconds(),
 		Work:       work,
 		MaxWork:    maxWork,
-		Dispatches: o.Stats.TakeDispatches(),
-	})
+		Dispatches: o.stats.TakeDispatches(),
+	}
+	tr.Emit(e)
+	rec.Emit(e)
 }

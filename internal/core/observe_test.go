@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"bgpc/internal/gen"
 	"bgpc/internal/obs"
 	"bgpc/internal/par"
+	"bgpc/internal/testutil"
 )
 
 // TestTraceEventsMatchIterStats: the trace must agree with the
@@ -164,6 +166,63 @@ func TestColorWithNilObserverSameResult(t *testing.T) {
 		}
 	}
 }
+
+// TestRecorderRunAllocs: a request Recorder in the context, with no
+// Observer, costs a run no allocation beyond the Recorder's own appends
+// of its per-phase events — no Observer, pprof label scope or
+// per-event buffer.
+func TestRecorderRunAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	g, err := gen.Preset("channel", 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts, err := ParseAlgorithm("N1-N2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Threads = 1
+	run := func(ctx context.Context) {
+		if _, err := ColorCtx(ctx, g, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const runs = 50
+	plain := testing.AllocsPerRun(runs, func() { run(context.Background()) })
+
+	// AllocsPerRun calls its function runs+1 times; each call gets a
+	// fresh Recorder, made outside the measurement.
+	ctxs := make([]context.Context, runs+1)
+	recs := make([]*obs.Recorder, runs+1)
+	for i := range ctxs {
+		recs[i] = obs.NewRecorder("", 0, 0)
+		ctxs[i] = obs.ContextWithRecorder(context.Background(), recs[i])
+	}
+	next := 0
+	recorded := testing.AllocsPerRun(runs, func() {
+		run(ctxs[next])
+		next++
+	})
+	events := len(recs[0].Snapshot().Iters)
+	if events == 0 {
+		t.Fatal("the Recorder received no events")
+	}
+	appends := testing.AllocsPerRun(runs, func() {
+		var iters []obs.IterEvent
+		for i := 0; i < events; i++ {
+			iters = append(iters, obs.IterEvent{Round: i})
+		}
+		iterSink = iters
+	})
+	if recorded > plain+appends {
+		t.Fatalf("a run with a Recorder allocates %v times, %v without and %v for its %d appends",
+			recorded, plain, appends, events)
+	}
+}
+
+var iterSink []obs.IterEvent
 
 // BenchmarkColor is the acceptance benchmark: the speculative runner
 // with observability disabled (the default). Compare against

@@ -113,12 +113,10 @@ type Options struct {
 	// at the cost of one pointer test per phase; the hot loops are
 	// untouched.
 	Obs *obs.Observer
-	// Stats, when non-nil, accumulates scheduler telemetry (per-phase
-	// chunk-dispatch counts) from the parallel loops, stamped into the
-	// trace events. ColorCtx arms it automatically when the context
-	// carries a request Recorder; callers normally leave it nil, which
-	// keeps the dispatch path at one pointer test.
-	Stats *obs.LoopStats
+
+	// stats is the context Recorder's dispatch accumulator, armed by
+	// the runner; nil keeps the dispatch path at one pointer test.
+	stats *obs.LoopStats
 }
 
 func (o *Options) threads() int {

@@ -37,7 +37,7 @@ func (s *scratch) resetPolicies(balance Balance) {
 }
 
 func (o *Options) parOpts(cn *par.Canceler) par.Options {
-	return par.Options{Threads: o.threads(), Chunk: o.chunk(), Cancel: cn, Stats: o.Stats}
+	return par.Options{Threads: o.threads(), Chunk: o.chunk(), Cancel: cn, Stats: o.stats}
 }
 
 // colorVertexPhase is BGPC-COLORWORKQUEUE-VERTEX (Algorithm 4) with the

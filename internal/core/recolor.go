@@ -42,41 +42,22 @@ func Recolor(g *bipartite.Graph, colors []int32) ([]int32, int, error) {
 	// previously processed vertex held a color ≥ c in the old coloring,
 	// so first-fit below c stays available unless blocked by vertices
 	// that themselves fit below their old color).
-	counts := make([]int, maxColor+1)
+	// Class k of the order holds color maxColor-k; start[k] is the
+	// class's next free slot.
+	start := make([]int, maxColor+2)
 	for _, c := range colors {
-		counts[c]++
+		start[maxColor-c+1]++
 	}
-	offsets := make([]int, maxColor+2)
-	for c := int32(0); c <= maxColor; c++ {
-		offsets[c+1] = offsets[c] + counts[c]
+	for k := 1; k < len(start); k++ {
+		start[k] += start[k-1]
 	}
 	order := make([]int32, n)
-	fill := make([]int, maxColor+1)
-	for u := int32(0); int(u) < n; u++ {
-		c := colors[u]
-		order[offsets[c]+fill[c]] = u
-		fill[c]++
+	for u, c := range colors {
+		order[start[maxColor-c]] = int32(u)
+		start[maxColor-c]++
 	}
-	// Reverse class order: highest color first.
-	reversed := make([]int32, 0, n)
-	for c := maxColor; c >= 0; c-- {
-		reversed = append(reversed, order[offsets[c]:offsets[c]+counts[c]]...)
-	}
-
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = Uncolored
-	}
-	f := NewForbidden(int(maxColor) + 2)
-	c := &Colors{c: out}
-	for _, u := range reversed {
-		f.Reset()
-		f.addNbrs(g, u, c, fullScan)
-		out[u] = FirstFit(f)
-	}
-
-	distinct := countDistinct(out)
-	return out, distinct, nil
+	res := Sequential(g, order)
+	return res.Colors, res.NumColors, nil
 }
 
 // RecolorToConvergence applies Recolor repeatedly until the color count

@@ -63,15 +63,12 @@ func colorCtx(ctx context.Context, g *bipartite.Graph, opts Options, masks bool)
 		return nil, err
 	}
 	// Request-scoped telemetry: a Recorder riding in ctx (installed by
-	// the serving layer's ingress, or a CLI's -timeline flag) tees the
-	// per-phase trace events into the request's timeline and arms the
-	// scheduler's dispatch stats — even when no process-wide Observer
-	// is configured. One context lookup per run; the per-vertex hot
-	// paths never see it.
-	if rec := obs.RecorderFromContext(ctx); rec != nil {
-		opts.Obs = opts.Obs.AttachRecorder(rec)
-		opts.Stats = rec.LoopStats()
-	}
+	// the serving layer's ingress, or a CLI's -timeline flag) receives
+	// each phase's trace event beside opts.Obs and arms the scheduler's
+	// dispatch stats. One context lookup per run; the per-vertex hot
+	// paths never see it. Only opts.Obs opens pprof label scopes.
+	rec := obs.RecorderFromContext(ctx)
+	opts.stats = rec.LoopStats()
 	start := time.Now()
 	var cn *par.Canceler
 	if ctx != nil && ctx.Done() != nil {
@@ -135,6 +132,7 @@ func colorCtx(ctx context.Context, g *bipartite.Graph, opts Options, masks bool)
 	// allocations per run rather than per iteration — and none of the
 	// per-vertex hot paths see the Observer at all.
 	tr := opts.Obs
+	emit := tr.Enabled() || rec != nil
 	var netColor, netCR bool
 	var iter int
 	doColor := func() {
@@ -212,8 +210,8 @@ func colorCtx(ctx context.Context, g *bipartite.Graph, opts Options, masks bool)
 		}
 		it.ColoringTime = time.Since(t0)
 		it.ColoringWork, it.ColoringMaxWork = wc.TotalAndMax()
-		if tr.Enabled() {
-			emitPhaseEvent(tr, &opts, iter, obs.PhaseColor, netColor,
+		if emit {
+			emitPhaseEvent(tr, rec, &opts, scr, iter, obs.PhaseColor, netColor,
 				colorItems, 0, c, it.ColoringTime, it.ColoringWork, it.ColoringMaxWork)
 		}
 		if cn.Canceled() {
@@ -235,8 +233,8 @@ func colorCtx(ctx context.Context, g *bipartite.Graph, opts Options, masks bool)
 		it.ConflictTime = time.Since(t1)
 		it.ConflictWork, it.ConflictMaxWork = wc.TotalAndMax()
 		it.Conflicts = len(W)
-		if tr.Enabled() {
-			emitPhaseEvent(tr, &opts, iter, obs.PhaseConflict, netCR,
+		if emit {
+			emitPhaseEvent(tr, rec, &opts, scr, iter, obs.PhaseConflict, netCR,
 				conflictItems, it.Conflicts, c, it.ConflictTime, it.ConflictWork, it.ConflictMaxWork)
 		}
 		if cn.Canceled() {

@@ -13,13 +13,12 @@
 // lazy queues), orderings, B1/B2 balancing, tracing and failpoints
 // are core's own. Net-based phases are rejected: a distance-1
 // conflict is a single edge, and on the view they would enforce
-// distance 2. Sequential stays a separate loop: the single-threaded
-// greedy baseline.
+// distance 2. Sequential, the single-threaded greedy baseline, is
+// core.Sequential on the same view.
 package d1
 
 import (
 	"fmt"
-	"time"
 
 	"bgpc/internal/core"
 	"bgpc/internal/graph"
@@ -30,52 +29,10 @@ import (
 type Options = core.Options
 
 // Sequential runs single-threaded greedy D1GC in the given order
-// (nil = natural) with first-fit; at most maxdeg+1 colors are used.
+// (nil = natural) with first-fit, as core.Sequential on g's own-net
+// view; at most maxdeg+1 colors are used.
 func Sequential(g *graph.Graph, vertexOrder []int32) *core.Result {
-	n := g.NumVertices()
-	start := time.Now()
-	c := make([]int32, n)
-	for i := range c {
-		c[i] = core.Uncolored
-	}
-	f := core.NewForbidden(g.MaxDeg() + 2)
-	var work int64
-	colorOne := func(v int32) {
-		f.Reset()
-		nb := g.Nbors(v)
-		work += int64(len(nb)) + 1
-		for _, u := range nb {
-			if c[u] != core.Uncolored {
-				f.Add(c[u])
-			}
-		}
-		c[v] = core.FirstFit(f)
-	}
-	if vertexOrder == nil {
-		for v := int32(0); int(v) < n; v++ {
-			colorOne(v)
-		}
-	} else {
-		for _, v := range vertexOrder {
-			colorOne(v)
-		}
-	}
-	res := &core.Result{
-		Colors:       c,
-		Iterations:   1,
-		Time:         time.Since(start),
-		TotalWork:    work,
-		CriticalWork: work,
-	}
-	res.ColoringTime = res.Time
-	// First-fit leaves no gaps: a vertex takes color k only when its
-	// neighbours hold every color below k.
-	res.MaxColor = -1
-	for _, col := range c {
-		res.MaxColor = max(res.MaxColor, col)
-	}
-	res.NumColors = int(res.MaxColor) + 1
-	return res
+	return core.Sequential(g.OwnNet(), vertexOrder)
 }
 
 // Color runs the speculative parallel D1GC loop (paper Algorithms 1–3

@@ -144,9 +144,6 @@ func TestNopHotPathZeroAllocs(t *testing.T) {
 		if r := RecorderFromContext(ctx); r != nil {
 			t.Fatal("unexpected recorder")
 		}
-		if o.AttachRecorder(rec) != o {
-			t.Fatal("nil attach must be identity")
-		}
 		sp := rec.StartSpan("phase")
 		sp.End()
 		sp2 := rec.StartSpanKind("phase", "queue")

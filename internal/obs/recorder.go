@@ -16,12 +16,12 @@ import (
 //
 // A Recorder travels in a context.Context (ContextWithRecorder /
 // RecorderFromContext) from the HTTP ingress through the worker pool
-// into the core runner (BGPC and D2GC alike), which tees its Observer
-// event stream into it. Every method is nil-safe: a nil *Recorder
-// records nothing and allocates nothing, so instrumentation points run
-// unconditionally and the disabled path stays a pointer test — the
-// same contract as the nil *Observer, and pinned by the same
-// zero-alloc test.
+// into the core runner (BGPC and D2GC alike), which hands it each
+// phase's Event beside its Observer. Every method is nil-safe: a nil
+// *Recorder records nothing and allocates nothing, so instrumentation
+// points run unconditionally and the disabled path stays a pointer
+// test — the same contract as the nil *Observer, and pinned by the
+// same zero-alloc test.
 //
 // A Recorder is safe for concurrent use; its bounds make the worst
 // case (a pathological run with thousands of iterations) drop the tail
@@ -47,6 +47,13 @@ type Recorder struct {
 	// stats accumulates scheduler-level telemetry (chunk dispatches)
 	// from the parallel loops of the run this Recorder is attached to.
 	stats LoopStats
+
+	// Emit keeps these over every event, also the ones the iteration
+	// bound drops: the highest round, the largest conflict count, and
+	// the progress heartbeat — when a conflict phase last lowered the
+	// conflict count (minConflicts).
+	rounds, maxConflicts, minConflicts int
+	progress                           time.Time
 }
 
 // DefaultMaxSpans and DefaultMaxIters bound a Recorder when the caller
@@ -280,8 +287,7 @@ func (r *Recorder) Attr(key string) string {
 	return r.attrs[key]
 }
 
-// Emit implements Sink: the runners' per-phase trace events land here
-// when the Recorder is teed into an Observer (AttachRecorder), each one
+// Emit implements Sink: the runners hand it each phase's trace event,
 // distilled into a bounded IterEvent.
 func (r *Recorder) Emit(e Event) {
 	if r == nil {
@@ -289,6 +295,14 @@ func (r *Recorder) Emit(e Event) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.rounds = max(r.rounds, e.Iter)
+	if e.Phase == PhaseConflict {
+		r.maxConflicts = max(r.maxConflicts, e.Conflicts)
+		if r.progress.IsZero() || e.Conflicts < r.minConflicts {
+			r.minConflicts = e.Conflicts
+			r.progress = time.Now()
+		}
+	}
 	if len(r.iters) >= r.maxIters {
 		r.droppedIters++
 		return
@@ -345,22 +359,16 @@ func (r *Recorder) Snapshot() Timeline {
 }
 
 // Rounds returns the number of speculative iterations recorded so far
-// (the highest round seen), and Conflicts the remaining-conflict count
-// after the most recent conflict-removal phase — the two access-log
-// facts the serving layer reports per request. Nil-safe.
+// (the highest round seen). With MaxConflicts it is one of the two
+// access-log facts the serving layer reports per request; both count
+// every event, also past the bound. Nil-safe.
 func (r *Recorder) Rounds() int {
 	if r == nil {
 		return 0
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	rounds := 0
-	for _, it := range r.iters {
-		if it.Round > rounds {
-			rounds = it.Round
-		}
-	}
-	return rounds
+	return r.rounds
 }
 
 // MaxConflicts returns the largest per-round remaining-conflict count
@@ -371,37 +379,20 @@ func (r *Recorder) MaxConflicts() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	m := 0
-	for _, it := range r.iters {
-		if it.Phase == PhaseConflict && it.Conflicts > m {
-			m = it.Conflicts
-		}
-	}
-	return m
+	return r.maxConflicts
 }
 
-// AttachRecorder returns an Observer that additionally emits every
-// event into rec. A nil rec returns o unchanged; a disabled o yields a
-// recorder-only Observer, so runs without a process-wide trace sink
-// still produce request timelines. Nil-safe on both sides.
-func (o *Observer) AttachRecorder(rec *Recorder) *Observer {
-	if rec == nil {
-		return o
+// Progress returns when a conflict-removal phase last lowered the
+// run's remaining-conflict count: the heartbeat of the serving layer's
+// progress watchdog. It is the zero time before the first conflict
+// phase, and from a nil Recorder.
+func (r *Recorder) Progress() time.Time {
+	if r == nil {
+		return time.Time{}
 	}
-	if !o.Enabled() {
-		return &Observer{sink: rec}
-	}
-	return &Observer{sink: teeSink{a: o.sink, b: rec}, algo: o.algo}
-}
-
-// teeSink fans one event stream out to two sinks.
-type teeSink struct {
-	a, b Sink
-}
-
-func (t teeSink) Emit(e Event) {
-	t.a.Emit(e)
-	t.b.Emit(e)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.progress
 }
 
 // LoopStats accumulates scheduler-level telemetry for the parallel

@@ -30,8 +30,8 @@ func TestNilRecorderIsSafeNoop(t *testing.T) {
 	if tl := r.Snapshot(); tl.ID != "" || len(tl.Spans) != 0 || len(tl.Iters) != 0 {
 		t.Fatalf("nil Snapshot not zero: %+v", tl)
 	}
-	if r.Rounds() != 0 || r.MaxConflicts() != 0 {
-		t.Fatal("nil Rounds/MaxConflicts not zero")
+	if r.Rounds() != 0 || r.MaxConflicts() != 0 || !r.Progress().IsZero() {
+		t.Fatal("nil Rounds/MaxConflicts/Progress not zero")
 	}
 
 	var st *LoopStats
@@ -104,47 +104,60 @@ func TestRecorderBoundsAndCountsDrops(t *testing.T) {
 	}
 }
 
-// TestAttachRecorderTees: with a live Observer, events must reach both
-// the original sink and the Recorder; with a nil Observer, the Recorder
-// alone; with a nil Recorder, the Observer is returned unchanged.
-func TestAttachRecorderTees(t *testing.T) {
-	ring := NewRing(8)
-	base := New(ring).WithAlgo("V-V")
-	rec := NewRecorder("req-4", 0, 0)
+// TestRecorderFactsPastTheBound: Rounds and MaxConflicts count every
+// event, also the ones the iteration bound drops. A 300-iteration run
+// keeps the events of its first 128 rounds; the conflict count peaks
+// in round 250.
+func TestRecorderFactsPastTheBound(t *testing.T) {
+	r := NewRecorder("req-4", 0, 0)
+	for round := 1; round <= 300; round++ {
+		e := sampleEvent()
+		e.Iter = round
+		r.Emit(e)
+		e.Phase = PhaseConflict
+		e.Conflicts = 5
+		if round == 250 {
+			e.Conflicts = 40
+		}
+		r.Emit(e)
+	}
+	if tl := r.Snapshot(); tl.DroppedIters == 0 {
+		t.Fatal("the bound dropped nothing; the test needs a longer run")
+	}
+	if got := r.Rounds(); got != 300 {
+		t.Errorf("rounds = %d, want 300", got)
+	}
+	if got := r.MaxConflicts(); got != 40 {
+		t.Errorf("max conflicts = %d, want 40", got)
+	}
+}
 
-	teed := base.AttachRecorder(rec)
-	if !teed.Enabled() {
-		t.Fatal("teed observer disabled")
+// TestRecorderProgressHeartbeat: the heartbeat moves when a conflict
+// phase lowers the conflict count, and only then.
+func TestRecorderProgressHeartbeat(t *testing.T) {
+	r := NewRecorder("req-8", 0, 0)
+	emit := func(phase string, conflicts int) time.Time {
+		e := sampleEvent()
+		e.Phase, e.Conflicts = phase, conflicts
+		r.Emit(e)
+		return r.Progress()
 	}
-	if teed.Algo() != "V-V" {
-		t.Fatalf("algo label lost: %q", teed.Algo())
+	if !emit(PhaseColor, 0).IsZero() {
+		t.Fatal("a coloring phase set the heartbeat")
 	}
-	teed.Emit(sampleEvent())
-	if got := len(ring.Events()); got != 1 {
-		t.Fatalf("original sink got %d events", got)
+	first := emit(PhaseConflict, 9)
+	if first.IsZero() {
+		t.Fatal("the first conflict phase set no heartbeat")
 	}
-	if got := len(rec.Snapshot().Iters); got != 1 {
-		t.Fatalf("recorder got %d events", got)
+	time.Sleep(time.Millisecond)
+	if got := emit(PhaseConflict, 9); !got.Equal(first) {
+		t.Fatal("an unchanged conflict count moved the heartbeat")
 	}
-
-	var nilObs *Observer
-	solo := nilObs.AttachRecorder(rec)
-	if !solo.Enabled() {
-		t.Fatal("recorder-only observer disabled")
+	if got := emit(PhaseConflict, 12); !got.Equal(first) {
+		t.Fatal("a rising conflict count moved the heartbeat")
 	}
-	solo.Emit(sampleEvent())
-	if got := len(rec.Snapshot().Iters); got != 2 {
-		t.Fatalf("recorder-only emit lost: %d", got)
-	}
-	if len(ring.Events()) != 1 {
-		t.Fatal("recorder-only emit leaked into the old sink")
-	}
-
-	if base.AttachRecorder(nil) != base {
-		t.Fatal("nil recorder must return the observer unchanged")
-	}
-	if nilObs.AttachRecorder(nil) != nil {
-		t.Fatal("nil observer + nil recorder must stay nil")
+	if got := emit(PhaseConflict, 3); !got.After(first) {
+		t.Fatal("a falling conflict count left the heartbeat")
 	}
 }
 
@@ -203,6 +216,7 @@ func TestRecorderConcurrentUse(t *testing.T) {
 					_ = r.Snapshot()
 					_ = r.Rounds()
 					_ = r.MaxConflicts()
+					_ = r.Progress()
 				}
 			}
 		}(w)

@@ -206,7 +206,7 @@ func For(n int, opts Options, body func(tid, lo, hi int)) {
 		t = n
 	}
 	if t == 1 {
-		if opts.Cancel == nil {
+		if opts.Cancel == nil && opts.Stats == nil {
 			body(0, 0, n)
 		} else {
 			inlineFor(n, opts, body)
@@ -218,10 +218,10 @@ func For(n int, opts Options, body func(tid, lo, hi int)) {
 	team(t, func(tid int) { dynamicWorker(tid, n, chunk, &next, cn, st, body) })
 }
 
-// inlineFor runs a one-thread loop with a Canceler armed on the
-// calling goroutine. It hands out the chunks a one-worker team would,
-// with the same Canceler polls, FPDispatch probes and dispatch counts,
-// and a body panic still surfaces as a *WorkerPanic; only the
+// inlineFor runs a one-thread loop with a Canceler or Stats armed on
+// the calling goroutine. It hands out the chunks a one-worker team
+// would, with the same Canceler polls, FPDispatch probes and dispatch
+// counts, and a body panic still surfaces as a *WorkerPanic; only the
 // goroutine and the barrier are gone.
 func inlineFor(n int, opts Options, body func(tid, lo, hi int)) {
 	defer func() {

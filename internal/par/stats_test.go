@@ -21,6 +21,15 @@ func TestForCountsDispatchesIntoStats(t *testing.T) {
 			t.Fatalf("dynamic dispatches = %d, want 16", got)
 		}
 	})
+	// One thread and no Canceler: the loop still hands out, and
+	// counts, the chunks a one-worker team would.
+	t.Run("one thread", func(t *testing.T) {
+		st := &obs.LoopStats{}
+		For(n, Options{Threads: 1, Chunk: 64, Stats: st}, func(tid, lo, hi int) {})
+		if got := st.TakeDispatches(); got != 16 {
+			t.Fatalf("one-thread dispatches = %d, want 16", got)
+		}
+	})
 	t.Run("nil stats is valid", func(t *testing.T) {
 		coverageCheck(t, n, Options{Threads: 4, Chunk: 32, Stats: nil})
 	})

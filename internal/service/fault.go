@@ -3,9 +3,7 @@ package service
 import (
 	"context"
 	"errors"
-	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"bgpc/internal/obs"
@@ -116,43 +114,14 @@ func (q *quarantine) clear(key string) {
 	q.mu.Unlock()
 }
 
-// progressSink is the watchdog's tap on a run's trace-event stream. It
-// implements obs.Sink: every conflict-removal event whose remaining
-// conflict count improves on the best seen so far is a heartbeat; the
-// watchdog fires when no heartbeat lands within its window. Events are
-// forwarded untouched to the server's own Observer so enabling the
-// watchdog never costs the operator their trace.
-type progressSink struct {
-	fwd  *obs.Observer // server-configured observer (nil-safe)
-	best atomic.Int64  // lowest conflict count seen
-	beat atomic.Int64  // time.Time.UnixNano of the last heartbeat
-}
-
-func newProgressSink(fwd *obs.Observer) *progressSink {
-	ps := &progressSink{fwd: fwd}
-	ps.best.Store(math.MaxInt64)
-	ps.beat.Store(time.Now().UnixNano())
-	return ps
-}
-
-func (ps *progressSink) Emit(e obs.Event) {
-	if e.Phase == obs.PhaseConflict && int64(e.Conflicts) < ps.best.Load() {
-		ps.best.Store(int64(e.Conflicts))
-		ps.beat.Store(time.Now().UnixNano())
-	}
-	ps.fwd.Emit(e)
-}
-
-// lastBeat returns the time of the most recent heartbeat.
-func (ps *progressSink) lastBeat() time.Time {
-	return time.Unix(0, ps.beat.Load())
-}
-
-// watchJob monitors ps and cancels the job (cause errLivelock) when no
-// progress heartbeat lands within window. The returned stop function
-// must be called when the run finishes; it releases the monitor
-// goroutine.
-func watchJob(ctx context.Context, cancel context.CancelCauseFunc, ps *progressSink, window time.Duration) (stop func()) {
+// watchJob cancels the job (cause errLivelock) when rec's progress
+// heartbeat (obs.Recorder.Progress: a conflict phase lowered the
+// conflict count) does not move within window. The heartbeat starts at
+// the call, so time spent before it never counts. The returned stop
+// function must be called when the run finishes; it releases the
+// monitor goroutine.
+func watchJob(ctx context.Context, cancel context.CancelCauseFunc, rec *obs.Recorder, window time.Duration) (stop func()) {
+	armed := time.Now()
 	done := make(chan struct{})
 	tick := window / 8
 	if tick < time.Millisecond {
@@ -168,7 +137,11 @@ func watchJob(ctx context.Context, cancel context.CancelCauseFunc, ps *progressS
 			case <-ctx.Done():
 				return
 			case <-t.C:
-				if time.Since(ps.lastBeat()) > window {
+				beat := rec.Progress()
+				if beat.Before(armed) {
+					beat = armed
+				}
+				if time.Since(beat) > window {
 					obs.SvcWatchdogFired.Inc()
 					cancel(errLivelock)
 					return

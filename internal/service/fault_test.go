@@ -2,7 +2,9 @@ package service
 
 import (
 	"context"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -251,6 +253,38 @@ func TestWatchdogQuietOnHealthyRun(t *testing.T) {
 	}
 	if resp := decode(t, w); resp.Degraded || resp.Livelock {
 		t.Fatalf("healthy run flagged: degraded=%v livelock=%v", resp.Degraded, resp.Livelock)
+	}
+}
+
+// TestWatchdogIgnoresQueueWait: a job's watchdog window starts when
+// its run does, so a job queued behind another for longer than the
+// window still comes back undegraded.
+func TestWatchdogIgnoresQueueWait(t *testing.T) {
+	testutil.CheckGoroutineLeaks(t)
+	window := testutil.Scale(200 * time.Millisecond)
+	s := newTestServer(t, Config{Workers: 1, WatchdogWindow: window})
+	// The first job holds the only worker for three windows before it
+	// runs; the second waits in the queue all that time. A one-thread
+	// V-V run on tinyMtx has one iteration, so the second job's run,
+	// and only its, stalls a quarter window at its first iteration:
+	// long enough for the watchdog to look at it.
+	arm(t, fmt.Sprintf("%s=delay:%s@1;core.iterate=delay:%s#1", FPBeforeRun, 3*window, window/4))
+
+	req := ColorRequest{Matrix: tinyMtx, Algorithm: "V-V", Threads: 1, TimeoutMS: 30_000}
+	first := make(chan *httptest.ResponseRecorder, 1)
+	go func() { first <- post(t, s, req) }()
+	testutil.WaitFor(t, time.Second, func() bool { return s.pool.active() == 1 }, "first job never started")
+	second := post(t, s, req)
+	for i, w := range []*httptest.ResponseRecorder{<-first, second} {
+		if w.Code != http.StatusOK {
+			t.Fatalf("job %d: status %d: %s", i, w.Code, w.Body)
+		}
+		if resp := decode(t, w); resp.Degraded || resp.Livelock {
+			t.Fatalf("job %d flagged: degraded=%v livelock=%v", i, resp.Degraded, resp.Livelock)
+		}
+	}
+	if q := decode(t, second).QueueMS; q <= float64(window.Milliseconds()) {
+		t.Fatalf("second job queued %v ms, want more than the %v window", q, window)
 	}
 }
 

@@ -345,7 +345,7 @@ func New(cfg Config) *Server {
 // X-Request-ID or minted), echoed in the X-Request-ID response header
 // before any handler runs so error bodies on every path can carry it;
 // POST /color additionally gets an obs.Recorder in its context, which
-// the runners tee their phase events into and finishRequest files in
+// receives the runners' phase events and which finishRequest files in
 // the trace ring. It is also the outermost containment boundary for
 // request goroutines: a panic anywhere in a handler
 // becomes a structured 500 (best-effort — headers may already be out)
@@ -606,7 +606,6 @@ type jobSpec struct {
 	opts     core.Options
 	algo     string
 	variant  string // histogram/annotation label: algo, "d2/"-prefixed in d2 mode
-	label    string // obs run label ("svc/…"), reused by the watchdog tap
 	timeout  time.Duration
 	estBytes int64 // estimated peak footprint, charged against the budget
 }
@@ -692,13 +691,11 @@ func (s *Server) resolve(req *ColorRequest) (*jobSpec, int, error) {
 	}
 
 	spec.variant = algo
-	spec.label = "svc/" + algo
 	if d2mode {
 		spec.variant = "d2/" + algo
-		spec.label = "svc/d2/" + algo
 	}
 	if s.cfg.Obs.Enabled() {
-		spec.opts.Obs = s.cfg.Obs.WithAlgo(spec.label)
+		spec.opts.Obs = s.cfg.Obs.WithAlgo("svc/" + spec.variant)
 	}
 	return spec, 0, nil
 }
@@ -832,17 +829,16 @@ func (s *Server) execute(ctx context.Context, spec *jobSpec, queued time.Duratio
 		return nil, http.StatusBadRequest, fmt.Errorf("d2 mode: %w", err)
 	}
 
-	// Progress watchdog: tap the run's trace-event stream through a
-	// progressSink and cancel the run (cause errLivelock) if conflict
-	// counts stop improving for a full window. Armed after graph
-	// construction so parse/build time never counts against progress.
+	// Progress watchdog: cancel the run (cause errLivelock) if the
+	// request Recorder, which ServeHTTP gives every /color request,
+	// sees conflict counts stop improving for a full window. Armed
+	// after graph construction so queue wait and parse/build time never
+	// count against progress.
 	runCtx := ctx
 	if s.cfg.WatchdogWindow > 0 {
-		ps := newProgressSink(spec.opts.Obs)
-		spec.opts.Obs = obs.New(ps).WithAlgo(spec.label)
 		wctx, wcancel := context.WithCancelCause(ctx)
 		defer wcancel(nil)
-		stop := watchJob(wctx, wcancel, ps, s.cfg.WatchdogWindow)
+		stop := watchJob(wctx, wcancel, rec, s.cfg.WatchdogWindow)
 		defer stop()
 		runCtx = wctx
 	}

@@ -16,7 +16,7 @@ import (
 // echoed as the X-Request-ID response header and in every JSON body —
 // success or error, including the recover path's 500. POST /color
 // requests additionally carry an obs.Recorder in their context; the
-// runners tee their per-phase trace events into it, and the completed
+// runners hand it their per-phase trace events, and the completed
 // timeline lands in the trace ring served by /debug/requests/{id} and
 // (when kept) /debug/trace/{traceid}. One structured access-log line
 // per request closes the loop: the id in a client's error message, the
