@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"os/exec"
-	"sort"
 	"strings"
 )
 
@@ -220,57 +219,6 @@ func (r *SLOReport) Validate() error {
 		return fmt.Errorf("bench: bad error budget %+v", eb)
 	}
 	return nil
-}
-
-// CompareSLO diffs cur against base and returns one line per
-// regression: a latency quantile worse by more than latTol (a ratio —
-// 0.25 means 25% slower), a higher error-budget burn, or a cache hit
-// ratio that collapsed. An empty slice means no regression at the
-// given tolerance. Variants present on only one side are reported, not
-// treated as regressions.
-func CompareSLO(base, cur *SLOReport, latTol float64) []string {
-	var out []string
-	if latTol <= 0 {
-		latTol = 0.25
-	}
-	names := make([]string, 0, len(base.Variants))
-	for name := range base.Variants {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		b := base.Variants[name]
-		c, ok := cur.Variants[name]
-		if !ok {
-			out = append(out, fmt.Sprintf("variant %s: present in base, missing in current", name))
-			continue
-		}
-		if b.Requests == 0 || c.Requests == 0 {
-			continue
-		}
-		check := func(metric string, bv, cv float64) {
-			if bv > 0 && cv > bv*(1+latTol) {
-				out = append(out, fmt.Sprintf("variant %s: %s %.3fms → %.3fms (+%.0f%%, tolerance %.0f%%)",
-					name, metric, bv, cv, 100*(cv/bv-1), 100*latTol))
-			}
-		}
-		check("p50", b.P50MS, c.P50MS)
-		check("p99", b.P99MS, c.P99MS)
-		check("p999", b.P999MS, c.P999MS)
-	}
-	for name := range cur.Variants {
-		if _, ok := base.Variants[name]; !ok {
-			out = append(out, fmt.Sprintf("variant %s: new in current (no baseline)", name))
-		}
-	}
-	if cur.ErrorBudget.BurnedFraction > base.ErrorBudget.BurnedFraction+1e-9 {
-		out = append(out, fmt.Sprintf("error-budget burn %.3f → %.3f",
-			base.ErrorBudget.BurnedFraction, cur.ErrorBudget.BurnedFraction))
-	}
-	if base.CacheHitRatio > 0.1 && cur.CacheHitRatio < base.CacheHitRatio/2 {
-		out = append(out, fmt.Sprintf("cache hit ratio %.3f → %.3f", base.CacheHitRatio, cur.CacheHitRatio))
-	}
-	return out
 }
 
 // GitDescribe returns `git describe --always --dirty` for the working

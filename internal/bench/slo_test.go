@@ -116,52 +116,6 @@ func TestSLOReportJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCompareSLO(t *testing.T) {
-	base, cur := validSLO(), validSLO()
-	if regs := CompareSLO(base, cur, 0.25); len(regs) != 0 {
-		t.Fatalf("identical reports regressed: %v", regs)
-	}
-
-	// p99 50% worse on one variant, burn up: two findings.
-	cur = validSLO()
-	v := cur.Variants["FF"]
-	v.P99MS *= 1.5
-	cur.Variants["FF"] = v
-	cur.ErrorBudget.BurnedFraction = 9
-	regs := CompareSLO(base, cur, 0.25)
-	if len(regs) != 2 {
-		t.Fatalf("regressions = %v, want 2 findings", regs)
-	}
-	if !strings.Contains(regs[0], "FF") || !strings.Contains(regs[1], "burn") {
-		t.Fatalf("unexpected findings: %v", regs)
-	}
-
-	// Within tolerance: quiet.
-	cur = validSLO()
-	v = cur.Variants["FF"]
-	v.P99MS *= 1.1
-	cur.Variants["FF"] = v
-	if regs := CompareSLO(base, cur, 0.25); len(regs) != 0 {
-		t.Fatalf("within-tolerance drift flagged: %v", regs)
-	}
-
-	// A collapsed cache hit ratio is a finding.
-	cur = validSLO()
-	cur.CacheHitRatio = 0.1
-	if regs := CompareSLO(base, cur, 0.25); len(regs) != 1 || !strings.Contains(regs[0], "cache") {
-		t.Fatalf("cache collapse findings = %v", regs)
-	}
-
-	// Variant churn is reported but not fatal.
-	cur = validSLO()
-	delete(cur.Variants, "FF")
-	cur.Variants["G"] = SLOVariant{Requests: 1, P50MS: 1, P99MS: 1, P999MS: 1}
-	regs = CompareSLO(base, cur, 0.25)
-	if len(regs) != 2 {
-		t.Fatalf("churn findings = %v", regs)
-	}
-}
-
 // TestCommittedSLOArtifactsValidate: adding a status class must not
 // invalidate the bgpc-slo/v1 artifacts already committed at the repo
 // root.

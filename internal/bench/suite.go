@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 )
@@ -64,21 +63,4 @@ func Run(name string, cfg Config) ([]*Table, error) {
 	default:
 		return nil, fmt.Errorf("bench: unknown experiment %q (have %s)", name, strings.Join(ExperimentNames(), ", "))
 	}
-}
-
-// RunAll executes every experiment in paper order, rendering each table
-// to w as it completes.
-func RunAll(cfg Config, w io.Writer) error {
-	for _, name := range experimentNames {
-		tables, err := Run(name, cfg)
-		if err != nil {
-			return fmt.Errorf("bench: %s: %w", name, err)
-		}
-		for _, t := range tables {
-			if err := t.Render(w); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

@@ -80,16 +80,6 @@ func (p *Pattern) Seed(c int32) []float64 {
 	return d
 }
 
-// SeedMatrix returns the n×Groups seed matrix S with S[j][color(j)]=1.
-func (p *Pattern) SeedMatrix() [][]float64 {
-	s := make([][]float64, p.Cols())
-	for j, cj := range p.colors {
-		s[j] = make([]float64, p.numGroups)
-		s[j][cj] = 1
-	}
-	return s
-}
-
 // Jacobian is the recovered sparse Jacobian in net-major (CSR) layout
 // parallel to the pattern graph's adjacency: Value(i, j) is defined for
 // every structural nonzero (i, j).
@@ -157,46 +147,6 @@ func (p *Pattern) Forward(eval Evaluator, x []float64, eps float64) (*Jacobian, 
 		}
 		eval(xp, fp)
 		p.scatter(jac, c, func(i int32) float64 { return (fp[i] - f0[i]) / eps })
-	}
-	return jac, nil
-}
-
-// Central estimates the Jacobian by compressed central differences:
-// 2·Groups() evaluations, O(eps²) accuracy.
-func (p *Pattern) Central(eval Evaluator, x []float64, eps float64) (*Jacobian, error) {
-	if len(x) != p.Cols() {
-		return nil, fmt.Errorf("compress: x has length %d, want %d", len(x), p.Cols())
-	}
-	if eps <= 0 {
-		return nil, fmt.Errorf("compress: non-positive step %v", eps)
-	}
-	m, n := p.Rows(), p.Cols()
-	fPlus := make([]float64, m)
-	fMinus := make([]float64, m)
-	xp := make([]float64, n)
-
-	jac := p.newJacobian()
-	for c := int32(0); c < p.numGroups; c++ {
-		used := false
-		copy(xp, x)
-		for j := 0; j < n; j++ {
-			if p.colors[j] == c {
-				xp[j] += eps
-				used = true
-			}
-		}
-		if !used {
-			continue
-		}
-		eval(xp, fPlus)
-		copy(xp, x)
-		for j := 0; j < n; j++ {
-			if p.colors[j] == c {
-				xp[j] -= eps
-			}
-		}
-		eval(xp, fMinus)
-		p.scatter(jac, c, func(i int32) float64 { return (fPlus[i] - fMinus[i]) / (2 * eps) })
 	}
 	return jac, nil
 }

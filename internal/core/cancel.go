@@ -92,36 +92,14 @@ func repairBGPC(g *bipartite.Graph, colors []int32) (colored int) {
 	return colored
 }
 
-// FinishSequential completes a valid partial BGPC coloring in place:
-// every Uncolored vertex is colored by the sequential greedy first-fit
-// against its (already valid) distance-2 neighbourhood, in ascending
-// id order. It returns the number of vertices it colored. The input
-// must be conflict-free on its colored subset (e.g. the repaired state
-// a canceled ColorCtx returns); the output is then a complete valid
-// coloring.
-func FinishSequential(g *bipartite.Graph, colors []int32) int {
-	f := NewForbidden(g.MaxColorUpperBound() + 1)
-	c := &Colors{c: colors}
-	finished := 0
-	for u := int32(0); int(u) < g.NumVertices(); u++ {
-		if colors[u] != Uncolored {
-			continue
-		}
-		f.Reset()
-		f.addNbrs(g, u, c, fullScan)
-		colors[u] = FirstFit(f)
-		finished++
-	}
-	return finished
-}
-
 // cancelResult packages the partial state of an interrupted run: it
 // repairs the colors sequentially, fills the Result's color statistics
-// over the surviving prefix, and builds the typed error.
-func cancelResult(g *bipartite.Graph, c *Colors, res *Result, cause error) (*Result, error) {
+// over the surviving prefix (counting in f, an idle forbidden set), and
+// builds the typed error.
+func cancelResult(g *bipartite.Graph, c *Colors, f *Forbidden, res *Result, cause error) (*Result, error) {
 	colored := repairBGPC(g, c.Raw())
 	res.Colors = c.Raw()
-	res.countColors()
+	res.countColors(f)
 	return res, &CancelError{
 		Cause:     cause,
 		Iteration: res.Iterations,

@@ -9,6 +9,7 @@ import (
 	"bgpc/internal/bipartite"
 	"bgpc/internal/gen"
 	"bgpc/internal/graph"
+	"bgpc/internal/rng"
 )
 
 // kernelPresets are the presets perfbench's batch-kernel workload
@@ -147,6 +148,43 @@ func BenchmarkKernel(b *testing.B) {
 					b.ReportMetric(float64(conflict.Microseconds())/n/1e3, "conflict-ms/op")
 					kb := runMaskBytes(func() { runKernel(b, g, algo, threads) })
 					b.ReportMetric(float64(kb)/1024, "mask-KB")
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkFinishSequential completes a natural-order Sequential
+// coloring of each kernel preset at scale 1 after uncoloring a random
+// 1/share of its vertices, with the masks ("masked", which take them
+// from 1/detectQueueShare up) and with the scan alone ("scan").
+func BenchmarkFinishSequential(b *testing.B) {
+	for _, name := range kernelPresets {
+		g, err := gen.Preset(name, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := g.NumVertices()
+		base := Sequential(g, nil).Colors
+		for _, share := range []int{4096, 256, 16, 1} {
+			partial := slices.Clone(base)
+			for _, u := range rng.New(uint64(share)).Perm(n)[:n/share] {
+				partial[u] = Uncolored
+			}
+			for _, masks := range []bool{true, false} {
+				mode := "scan"
+				if masks {
+					mode = "masked"
+				}
+				b.Run(fmt.Sprintf("%s/1of%d/%s", name, share, mode), func(b *testing.B) {
+					// A warm-up round fills the mask pool on this goroutine.
+					colors := slices.Clone(partial)
+					finishSequential(g, colors, masks)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						copy(colors, partial)
+						finishSequential(g, colors, masks)
+					}
 				})
 			}
 		}

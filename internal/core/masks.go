@@ -32,7 +32,9 @@ const maskNNZPerWord = 4
 // being colored starts Uncolored: bits are added, never removed. So a
 // run uses them in the first vertex coloring phase and in vertex phases
 // that follow a net-based conflict removal (after build), not after a
-// vertex-based one, whose queue keeps its stale colors.
+// vertex-based one, whose queue keeps its stale colors. The sequential
+// greedy loop uses them from an empty start, and after build on a
+// partial coloring.
 //
 // Concurrency: coloring phases read words with atomic loads and
 // publish a new color with a CAS loop after the vertex's Colors.Set, so
@@ -141,8 +143,10 @@ func (m *netMasks) grow(n int) {
 	}
 }
 
-// build sets the masks from the colors of a run whose previous phase
-// was not a masked vertex coloring: each row ORs in its net's colors.
+// build sets the masks from the colors already present, in a run whose
+// previous phase was not a masked vertex coloring or before
+// FinishSequential completes a partial coloring: each row ORs in its
+// net's colors.
 func (m *netMasks) build(g *bipartite.Graph, c *Colors, o *Options, cn *par.Canceler) {
 	maxColor := Uncolored
 	for _, col := range c.Raw() {

@@ -243,6 +243,48 @@ func checkDetect(g *bipartite.Graph, opts Options) (flagged int, err error) {
 	return flagged, nil
 }
 
+// TestFinishSequentialMasksExact uncolors random shares of a
+// random-order Sequential coloring of copapers and movielens (natural
+// order would just restore a natural-order coloring), on both sides of
+// 1/detectQueueShare and all of the vertices, and completes each with
+// FinishSequential and with the masks off. Above the share the masks
+// are built from the colors left standing; the completions must be
+// identical and valid.
+func TestFinishSequentialMasksExact(t *testing.T) {
+	for _, name := range []string{"copapers", "movielens"} {
+		g, err := gen.Preset(name, 0.3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !hasLargeNet(g) {
+			t.Fatalf("%s has no net of %d vertices", name, maskMinNetDeg)
+		}
+		n := g.NumVertices()
+		base := Sequential(g, rng.New(1).Perm(n)).Colors
+		for _, share := range []int{4 * detectQueueShare, detectQueueShare / 4, 16, 1} {
+			k := n / share
+			if share > detectQueueShare && detectQueueShare*k >= n {
+				t.Fatalf("%s: %d of %d vertices would take the masks", name, k, n)
+			}
+			partial := slices.Clone(base)
+			for _, u := range rng.New(uint64(share)).Perm(n)[:k] {
+				partial[u] = Uncolored
+			}
+			masked, scanned := slices.Clone(partial), slices.Clone(partial)
+			if got := finishSequential(g, masked, true); got != k {
+				t.Errorf("%s/1/%d: finished %d, want %d", name, share, got, k)
+			}
+			finishSequential(g, scanned, false)
+			if !slices.Equal(masked, scanned) {
+				t.Errorf("%s/1/%d: colors differ from the scan", name, share)
+			}
+			if err := verify.BGPC(g, masked); err != nil {
+				t.Errorf("%s/1/%d: %v", name, share, err)
+			}
+		}
+	}
+}
+
 // TestDetectCancelPoolReuse cancels a V-V-64D run in iteration 1's
 // conflict phase, where the detect pass has flagged part of the graph,
 // and then colors a smaller graph and the first graph again at

@@ -15,23 +15,6 @@ func phaseKind(netBased bool) string {
 	return obs.KindVertex
 }
 
-// usedColors counts the distinct colors currently assigned, stamping
-// them into f, a thread's forbidden set, which is idle between phases.
-// It reads the raw color array, so it must only run between parallel
-// phases. It is trace-path-only: the runner calls it only for a phase
-// event.
-func usedColors(c *Colors, f *Forbidden) int {
-	f.Reset()
-	n := 0
-	for _, col := range c.Raw() {
-		if col >= 0 && !f.Has(col) {
-			f.Add(col)
-			n++
-		}
-	}
-	return n
-}
-
 // emitPhaseEvent assembles the trace event for one finished phase and
 // hands it to the Observer and the request Recorder. Callers must have
 // checked that one of them is enabled, so the disabled path never
@@ -49,7 +32,7 @@ func emitPhaseEvent(tr *obs.Observer, rec *obs.Recorder, o *Options, s *scratch,
 		Threads:    o.threads(),
 		Items:      items,
 		Conflicts:  conflicts,
-		Colors:     usedColors(c, s.forb[0]),
+		Colors:     distinctColors(c.Raw(), s.forb[0]),
 		WallNS:     wall.Nanoseconds(),
 		Work:       work,
 		MaxWork:    maxWork,

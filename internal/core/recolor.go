@@ -68,7 +68,7 @@ func RecolorToConvergence(g *bipartite.Graph, colors []int32, maxRounds int) ([]
 		maxRounds = 1
 	}
 	cur := colors
-	best := countDistinct(colors)
+	best := distinctColors(colors, NewForbidden(g.MaxColorUpperBound()+1))
 	rounds := 0
 	for r := 0; r < maxRounds; r++ {
 		next, count, err := Recolor(g, cur)
@@ -84,25 +84,4 @@ func RecolorToConvergence(g *bipartite.Graph, colors []int32, maxRounds int) ([]
 		best = count
 	}
 	return cur, best, rounds, nil
-}
-
-func countDistinct(colors []int32) int {
-	maxCol := int32(-1)
-	for _, c := range colors {
-		if c > maxCol {
-			maxCol = c
-		}
-	}
-	if maxCol < 0 {
-		return 0
-	}
-	seen := make([]bool, maxCol+1)
-	n := 0
-	for _, c := range colors {
-		if c >= 0 && !seen[c] {
-			seen[c] = true
-			n++
-		}
-	}
-	return n
 }

@@ -190,7 +190,7 @@ func colorCtx(ctx context.Context, g *bipartite.Graph, opts Options, masks bool)
 		}
 		if cn.Canceled() {
 			res.Time = time.Since(start)
-			return cancelResult(g, c, res, ctx.Err())
+			return cancelResult(g, c, scr.forb[0], res, ctx.Err())
 		}
 		res.Iterations = iter
 		netColor = iter <= opts.NetColorIters
@@ -217,7 +217,7 @@ func colorCtx(ctx context.Context, g *bipartite.Graph, opts Options, masks bool)
 		if cn.Canceled() {
 			res.ColoringTime += it.ColoringTime
 			res.Time = time.Since(start)
-			return cancelResult(g, c, res, ctx.Err())
+			return cancelResult(g, c, scr.forb[0], res, ctx.Err())
 		}
 
 		conflictItems := len(W)
@@ -243,7 +243,7 @@ func colorCtx(ctx context.Context, g *bipartite.Graph, opts Options, masks bool)
 			res.ColoringTime += it.ColoringTime
 			res.ConflictTime += it.ConflictTime
 			res.Time = time.Since(start)
-			return cancelResult(g, c, res, ctx.Err())
+			return cancelResult(g, c, scr.forb[0], res, ctx.Err())
 		}
 
 		res.ColoringTime += it.ColoringTime
@@ -257,6 +257,6 @@ func colorCtx(ctx context.Context, g *bipartite.Graph, opts Options, masks bool)
 
 	res.Colors = c.Raw()
 	res.Time = time.Since(start)
-	res.countColors()
+	res.countColors(scr.forb[0])
 	return res, nil
 }

@@ -20,42 +20,10 @@ func Sequential(g *bipartite.Graph, vertexOrder []int32) *Result {
 
 // sequential is Sequential with the color masks switched on or off.
 func sequential(g *bipartite.Graph, vertexOrder []int32, masks bool) *Result {
-	n := g.NumVertices()
 	start := time.Now()
-	c := NewColors(n)
-	bound := g.MaxColorUpperBound() + 1
-	f := NewForbidden(bound)
-	var m *netMasks
-	if masks {
-		m = acquireMasks(g, 1, bound)
-		defer m.release()
-	}
-	var work int64
-	colorOne := func(u, below int32) {
-		f.Reset()
-		if m != nil {
-			work += m.color(g, u, c, f, 0, below)
-			return
-		}
-		work += f.addNbrs(g, u, c, below)
-		c.c[u] = FirstFit(f)
-	}
-	if vertexOrder == nil {
-		// In natural order every vertex ≥ u is still Uncolored when u
-		// is colored, so on sorted nets u's scan can stop there.
-		sorted := g.SortedNets()
-		for u := int32(0); int(u) < n; u++ {
-			below := int32(fullScan)
-			if sorted {
-				below = u
-			}
-			colorOne(u, below)
-		}
-	} else {
-		for _, u := range vertexOrder {
-			colorOne(u, fullScan)
-		}
-	}
+	c := NewColors(g.NumVertices())
+	f := NewForbidden(g.MaxColorUpperBound() + 1)
+	work := greedy(g, c, vertexOrder, f, true, masks)
 	res := &Result{
 		Colors:       c.c,
 		Iterations:   1,
@@ -64,6 +32,82 @@ func sequential(g *bipartite.Graph, vertexOrder []int32, masks bool) *Result {
 		CriticalWork: work,
 	}
 	res.ColoringTime = res.Time
-	res.countColors()
+	res.countColors(f)
 	return res
+}
+
+// FinishSequential completes a valid partial BGPC coloring in place:
+// every Uncolored vertex is colored by the sequential greedy first-fit
+// against its (already valid) distance-2 neighbourhood, in ascending
+// id order. It returns the number of vertices it colored. The input
+// must be conflict-free on its colored subset (e.g. the repaired state
+// a canceled ColorCtx returns); the output is then a complete valid
+// coloring.
+func FinishSequential(g *bipartite.Graph, colors []int32) int {
+	return finishSequential(g, colors, true)
+}
+
+// finishSequential is FinishSequential with the color masks switched
+// on or off. The masks are built from the colors already present, a
+// walk of every masked net, so they are used only when at least
+// 1/detectQueueShare of the vertices are to be colored, the share at
+// which the runner's detection pass pays for the same walk.
+func finishSequential(g *bipartite.Graph, colors []int32, masks bool) int {
+	uncolored := 0
+	for _, col := range colors {
+		if col == Uncolored {
+			uncolored++
+		}
+	}
+	masks = masks && detectQueueShare*uncolored >= len(colors)
+	greedy(g, &Colors{c: colors}, nil, NewForbidden(g.MaxColorUpperBound()+1), false, masks)
+	return uncolored
+}
+
+// greedy is the sequential greedy first fit: it gives every Uncolored
+// vertex of order (nil = ascending ids) its first-fit color against the
+// colors already present, and returns the work model's charge. f is
+// the scan's forbidden set, sized for the colors below the graph's
+// MaxColorUpperBound()+1. fresh says that every vertex starts
+// Uncolored: in natural order on sorted nets a vertex's scan then stops
+// at its own id, and the masks start empty. Otherwise every net is
+// scanned to its end and the masks are built from the colors.
+func greedy(g *bipartite.Graph, c *Colors, order []int32, f *Forbidden, fresh, masks bool) (work int64) {
+	var m *netMasks
+	if masks {
+		m = acquireMasks(g, 1, len(f.mark)-1)
+		defer m.release()
+		if m != nil && !fresh {
+			m.build(g, c, &Options{Threads: 1}, nil)
+		}
+	}
+	// In natural order from fresh colors every vertex ≥ u is still
+	// Uncolored when u is colored, so on sorted nets u's scan can stop
+	// there.
+	early := order == nil && fresh && g.SortedNets()
+	n := len(order)
+	if order == nil {
+		n = c.Len()
+	}
+	for i := 0; i < n; i++ {
+		u := int32(i)
+		if order != nil {
+			u = order[i]
+		}
+		if c.c[u] != Uncolored {
+			continue
+		}
+		below := int32(fullScan)
+		if early {
+			below = u
+		}
+		f.Reset()
+		if m != nil {
+			work += m.color(g, u, c, f, 0, below)
+			continue
+		}
+		work += f.addNbrs(g, u, c, below)
+		c.c[u] = FirstFit(f)
+	}
+	return work
 }

@@ -130,13 +130,28 @@ type Result struct {
 	Iters []IterStats
 }
 
-// countColors fills NumColors and MaxColor from Colors.
-func (r *Result) countColors() {
+// countColors fills NumColors and MaxColor from Colors, stamping the
+// colors into f, an idle forbidden set.
+func (r *Result) countColors(f *Forbidden) {
 	r.MaxColor = -1
 	for _, c := range r.Colors {
-		if c > r.MaxColor {
-			r.MaxColor = c
+		r.MaxColor = max(r.MaxColor, c)
+	}
+	r.NumColors = distinctColors(r.Colors, f)
+}
+
+// distinctColors counts the distinct colors in colors by stamping them
+// into f, whose epoch it discards. The runner passes thread 0's
+// forbidden set, which is idle between phases, when no thread writes
+// colors.
+func distinctColors(colors []int32, f *Forbidden) int {
+	f.Reset()
+	n := 0
+	for _, col := range colors {
+		if col >= 0 && !f.Has(col) {
+			f.Add(col)
+			n++
 		}
 	}
-	r.NumColors = countDistinct(r.Colors)
+	return n
 }

@@ -256,55 +256,3 @@ func (g *Graph) HasEdge(u, v int32) bool {
 	}
 	return lo < len(nb) && nb[lo] == v
 }
-
-// BFSDistances returns the shortest-path distance (in edges) from src
-// to every vertex, with -1 for unreachable vertices. Intended for
-// validation and tooling, not hot paths.
-func (g *Graph) BFSDistances(src int32) []int32 {
-	dist := make([]int32, g.n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := make([]int32, 0, g.n)
-	queue = append(queue, src)
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		for _, u := range g.Nbors(v) {
-			if dist[u] == -1 {
-				dist[u] = dist[v] + 1
-				queue = append(queue, u)
-			}
-		}
-	}
-	return dist
-}
-
-// ConnectedComponents returns a component id per vertex and the number
-// of components.
-func (g *Graph) ConnectedComponents() ([]int32, int) {
-	comp := make([]int32, g.n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	next := int32(0)
-	queue := make([]int32, 0, g.n)
-	for s := int32(0); int(s) < g.n; s++ {
-		if comp[s] != -1 {
-			continue
-		}
-		comp[s] = next
-		queue = append(queue[:0], s)
-		for head := 0; head < len(queue); head++ {
-			v := queue[head]
-			for _, u := range g.Nbors(v) {
-				if comp[u] == -1 {
-					comp[u] = next
-					queue = append(queue, u)
-				}
-			}
-		}
-		next++
-	}
-	return comp, int(next)
-}

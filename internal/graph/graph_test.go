@@ -221,40 +221,3 @@ func equalInt32(a, b []int32) bool {
 	}
 	return true
 }
-
-func TestBFSDistances(t *testing.T) {
-	g := path(t)
-	dist := g.BFSDistances(0)
-	want := []int32{0, 1, 2, 3}
-	for v := range want {
-		if dist[v] != want[v] {
-			t.Fatalf("dist = %v, want %v", dist, want)
-		}
-	}
-	// Disconnected vertex.
-	g2, err := FromEdges(3, []Edge{{U: 0, V: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := g2.BFSDistances(0)
-	if d[2] != -1 {
-		t.Fatalf("unreachable vertex got distance %d", d[2])
-	}
-}
-
-func TestConnectedComponents(t *testing.T) {
-	g, err := FromEdges(6, []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 3, V: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	comp, n := g.ConnectedComponents()
-	if n != 3 {
-		t.Fatalf("components = %d, want 3", n)
-	}
-	if comp[0] != comp[1] || comp[1] != comp[2] {
-		t.Fatalf("component ids: %v", comp)
-	}
-	if comp[3] != comp[4] || comp[3] == comp[0] || comp[5] == comp[0] || comp[5] == comp[3] {
-		t.Fatalf("component ids: %v", comp)
-	}
-}

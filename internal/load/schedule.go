@@ -3,7 +3,6 @@ package load
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"bgpc/internal/bipartite"
@@ -199,21 +198,4 @@ func pickMix(mix []MixEntry, totalW float64, r *rng.SplitMix64) (MixEntry, int) 
 		}
 	}
 	return mix[len(mix)-1], len(mix) - 1
-}
-
-// Keys returns the schedule's distinct clean keys in sorted order
-// (diagnostic output for -print-schedule).
-func (s *Schedule) Keys() []string {
-	set := map[string]bool{}
-	for _, it := range s.Items {
-		if it.Hostile == "" {
-			set[it.Key] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
