@@ -436,28 +436,40 @@ func TestAblationDistributed(t *testing.T) {
 
 func TestFigureSVGs(t *testing.T) {
 	cfg := Config{Scale: 0.03, Threads: []int{2, 4}}
-	svg1, err := Figure1SVG(cfg)
+	fig1, err := Figure1(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svg1, err := Figure1SVG(fig1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(svg1, "<svg") || !strings.Contains(svg1, "conflict removal") {
 		t.Fatal("figure1 svg malformed")
 	}
-	svg2, err := Figure2SVG(cfg, "channel")
+	fig2, err := Figure2(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svg2, err := Figure2SVG(fig2, "channel")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(svg2, "N1-N2") {
 		t.Fatal("figure2 svg missing algorithms")
 	}
-	svg3, err := Figure3SVG(cfg, "V-N2")
+	fig3, err := Figure3(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svg3, err := Figure3SVG(fig3, "V-N2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(svg3, "V-N2-B2") {
 		t.Fatal("figure3 svg missing balanced series")
 	}
-	if _, err := Figure2SVG(cfg, "nope"); err == nil {
+	if _, err := Figure2SVG(fig2, "nope"); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
 }

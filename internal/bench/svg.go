@@ -5,127 +5,111 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 
-	"bgpc/internal/core"
 	"bgpc/internal/plot"
 )
 
-// Figure1SVG renders the Figure 1 per-iteration phase breakdown as a
-// grouped bar chart: one category per (algorithm, iteration), two
-// series (coloring and conflict-removal wall time).
-func Figure1SVG(cfg Config) (string, error) {
-	ws, err := LoadWorkloads(cfg.scale(), []string{"copapers"})
+// Figure1SVG renders the Figure 1 table as a grouped bar chart: one
+// category per (algorithm, iteration), two series (coloring and
+// conflict-removal wall time).
+func Figure1SVG(t *Table) (string, error) {
+	s, err := series(t, 3, 5)
 	if err != nil {
 		return "", err
 	}
-	w := ws[0]
-	var categories []string
-	coloring := plot.Series{Name: "coloring"}
-	conflicts := plot.Series{Name: "conflict removal"}
-	for _, alg := range figure1Algorithms {
-		m, err := RunBGPC(w, alg, cfg.maxThreads(), nil, core.BalanceNone, true)
-		if err != nil {
-			return "", err
-		}
-		for i, it := range m.Iters {
-			categories = append(categories, fmt.Sprintf("%s #%d", alg, i+1))
-			coloring.Y = append(coloring.Y, float64(it.ColoringTime.Microseconds())/1000)
-			conflicts.Y = append(conflicts.Y, float64(it.ConflictTime.Microseconds())/1000)
-		}
+	s[0].Name, s[1].Name = "coloring", "conflict removal"
+	categories := make([]string, len(t.Rows))
+	for i, row := range t.Rows {
+		categories[i] = row[0] + " #" + row[1]
 	}
-	return plot.GroupedBars(
-		fmt.Sprintf("Figure 1: per-iteration phase times, copapers, %d threads", cfg.maxThreads()),
-		"milliseconds", categories, []plot.Series{coloring, conflicts})
+	return plot.GroupedBars(t.ID+": "+t.Title, "milliseconds", categories, s)
 }
 
-// Figure2SVG renders one Figure 2 panel (execution time per algorithm
-// across the thread ladder) for the named workload.
-func Figure2SVG(cfg Config, workload string) (string, error) {
-	ws, err := LoadWorkloads(cfg.scale(), []string{workload})
+// Figure2SVG renders the Figure 2 panel of the named workload
+// (execution time per algorithm across the thread ladder) from the
+// tables Figure2 returned.
+func Figure2SVG(tables []*Table, workload string) (string, error) {
+	t, err := panel(tables, "Figure 2 ("+workload+")")
 	if err != nil {
 		return "", err
 	}
-	w := ws[0]
-	series := make([]plot.Series, len(cfg.threads()))
-	for i, th := range cfg.threads() {
-		series[i].Name = "t=" + strconv.Itoa(th)
+	// The columns between the algorithm and the trailing model and
+	// colors columns are the thread counts' wall times.
+	s, err := series(t, 1, len(t.Header)-2)
+	if err != nil {
+		return "", err
 	}
-	categories := allAlgorithms()
-	for _, alg := range categories {
-		for i, th := range cfg.threads() {
-			m, err := RunBGPC(w, alg, th, nil, core.BalanceNone, false)
+	categories := make([]string, len(t.Rows))
+	for i, row := range t.Rows {
+		categories[i] = row[0]
+	}
+	for i := range s {
+		s[i].Name = strings.TrimSuffix(s[i].Name, " ms")
+	}
+	return plot.GroupedBars("Figure 2: "+t.Title, "milliseconds", categories, s)
+}
+
+// Figure3SVG renders the Figure 3 panel of the named algorithm from the
+// tables Figure3 returned: sorted color-set cardinality curves (log y)
+// for its unbalanced and balanced runs, over the rank column. The
+// table's zero padding is dropped on the log axis.
+func Figure3SVG(tables []*Table, algorithm string) (string, error) {
+	t, err := panel(tables, "Figure 3 ("+algorithm+")")
+	if err != nil {
+		return "", err
+	}
+	s, err := series(t, 0, len(t.Header))
+	if err != nil {
+		return "", err
+	}
+	return plot.Lines(t.ID+": "+t.Title, "color set (sorted by cardinality)", "vertices in set (log scale)",
+		s[0].Y, s[1:], true)
+}
+
+// panel returns the table of tables with the given ID.
+func panel(tables []*Table, id string) (*Table, error) {
+	for _, t := range tables {
+		if t.ID == id {
+			return t, nil
+		}
+	}
+	return nil, fmt.Errorf("bench: no %s table", id)
+}
+
+// series parses each of t's columns from..to-1 as a series named by its
+// header.
+func series(t *Table, from, to int) ([]plot.Series, error) {
+	out := make([]plot.Series, 0, to-from)
+	for col := from; col < to; col++ {
+		s := plot.Series{Name: t.Header[col], Y: make([]float64, len(t.Rows))}
+		for i, row := range t.Rows {
+			y, err := strconv.ParseFloat(row[col], 64)
 			if err != nil {
-				return "", err
+				return nil, fmt.Errorf("bench: %s row %d: %w", t.ID, i+1, err)
 			}
-			series[i].Y = append(series[i].Y, float64(m.Wall.Microseconds())/1000)
+			s.Y[i] = y
 		}
+		out = append(out, s)
 	}
-	return plot.GroupedBars(
-		fmt.Sprintf("Figure 2: execution time on %s (paper: %s)", w.Name, w.Paper),
-		"milliseconds", categories, series)
-}
-
-// Figure3SVG renders one Figure 3 panel: sorted color-set cardinality
-// curves (log y) for the unbalanced and balanced runs of the given
-// algorithm on copapers.
-func Figure3SVG(cfg Config, algorithm string) (string, error) {
-	ws, err := LoadWorkloads(cfg.scale(), []string{"copapers"})
-	if err != nil {
-		return "", err
-	}
-	w := ws[0]
-	var series []plot.Series
-	maxLen := 0
-	for _, bc := range []struct {
-		name string
-		b    core.Balance
-	}{
-		{algorithm + "-U", core.BalanceNone},
-		{algorithm + "-B1", core.BalanceB1},
-		{algorithm + "-B2", core.BalanceB2},
-	} {
-		m, err := RunBGPC(w, algorithm, cfg.maxThreads(), nil, bc.b, false)
-		if err != nil {
-			return "", err
-		}
-		cards := m.ColorStats.SortedCardinalities()
-		ys := make([]float64, len(cards))
-		for i, c := range cards {
-			ys[i] = float64(c)
-		}
-		if len(ys) > maxLen {
-			maxLen = len(ys)
-		}
-		series = append(series, plot.Series{Name: bc.name, Y: ys})
-	}
-	// Pad shorter series with zeros (dropped on the log axis).
-	xs := make([]float64, maxLen)
-	for i := range xs {
-		xs[i] = float64(i + 1)
-	}
-	for i := range series {
-		for len(series[i].Y) < maxLen {
-			series[i].Y = append(series[i].Y, 0)
-		}
-	}
-	return plot.Lines(
-		fmt.Sprintf("Figure 3: color-set cardinalities, %s on copapers, %d threads", algorithm, cfg.maxThreads()),
-		"color set (sorted by cardinality)", "vertices in set (log scale)", xs, series, true)
+	return out, nil
 }
 
 // WriteArtifacts runs every experiment and writes the complete artifact
 // set into dir: aligned-text, CSV, and JSON for each table, plus SVG
-// renderings of the three figures. The table files double as the
-// accessible data view for the charts.
+// renderings of the three figures drawn from those same tables, which
+// double as the accessible data view for the charts.
 func WriteArtifacts(cfg Config, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
+	results := map[string][]*Table{}
 	for _, name := range ExperimentNames() {
 		tables, err := Run(name, cfg)
 		if err != nil {
 			return fmt.Errorf("bench: %s: %w", name, err)
 		}
+		results[name] = tables
 		for i, t := range tables {
 			base := name
 			if len(tables) > 1 {
@@ -143,15 +127,13 @@ func WriteArtifacts(cfg Config, dir string) error {
 		}
 	}
 	figures := map[string]func() (string, error){
-		"figure1.svg": func() (string, error) { return Figure1SVG(cfg) },
+		"figure1.svg": func() (string, error) { return Figure1SVG(results["figure1"][0]) },
 	}
 	for _, wname := range []string{"movielens", "copapers", "channel"} {
-		wname := wname
-		figures["figure2-"+wname+".svg"] = func() (string, error) { return Figure2SVG(cfg, wname) }
+		figures["figure2-"+wname+".svg"] = func() (string, error) { return Figure2SVG(results["figure2"], wname) }
 	}
 	for _, alg := range []string{"V-N2", "N1-N2"} {
-		alg := alg
-		figures["figure3-"+alg+".svg"] = func() (string, error) { return Figure3SVG(cfg, alg) }
+		figures["figure3-"+alg+".svg"] = func() (string, error) { return Figure3SVG(results["figure3"], alg) }
 	}
 	for name, build := range figures {
 		svg, err := build()

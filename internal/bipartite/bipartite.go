@@ -309,35 +309,6 @@ func (g *Graph) ColorLowerBound() int {
 	return lb
 }
 
-// MaxColorUpperBound returns a safe upper bound on the number of
-// distinct colors any algorithm in this repository can assign:
-// one more than the maximum distance-2 degree bound
-// Σ_{v∈nets(u)}(|vtxs(v)|−1), clamped to NumVertices. Forbidden-color
-// scratch arrays are sized with it.
-func (g *Graph) MaxColorUpperBound() int {
-	if g.numVtx == 0 {
-		return 0
-	}
-	maxBound := int64(0)
-	for u := int32(0); int(u) < g.numVtx; u++ {
-		var b int64
-		for _, v := range g.Nets(u) {
-			b += int64(g.NetDeg(v) - 1)
-		}
-		if b > maxBound {
-			maxBound = b
-		}
-	}
-	bound := maxBound + 1
-	if bound > int64(g.numVtx) {
-		bound = int64(g.numVtx)
-	}
-	if bound < 1 {
-		bound = 1
-	}
-	return int(bound)
-}
-
 // Edges returns all incidences in net-major order. Intended for I/O and
 // tests, not hot paths.
 func (g *Graph) Edges() []Edge {

@@ -101,9 +101,6 @@ func TestEmptyGraph(t *testing.T) {
 	if g.NumEdges() != 0 || g.ColorLowerBound() != 0 {
 		t.Fatalf("empty graph: edges=%d lb=%d", g.NumEdges(), g.ColorLowerBound())
 	}
-	if ub := g.MaxColorUpperBound(); ub != 0 {
-		t.Fatalf("MaxColorUpperBound on empty graph = %d, want 0", ub)
-	}
 }
 
 func TestStats(t *testing.T) {
@@ -130,18 +127,6 @@ func TestColorLowerBound(t *testing.T) {
 	g := tiny(t)
 	if lb := g.ColorLowerBound(); lb != 3 {
 		t.Fatalf("lower bound = %d, want 3", lb)
-	}
-}
-
-func TestMaxColorUpperBound(t *testing.T) {
-	g := tiny(t)
-	// Vertex 2 touches nets {0,1} with degrees {3,2}: bound = 2+1 = 3,
-	// +1 = 4, which is <= NumVertices.
-	if ub := g.MaxColorUpperBound(); ub != 4 {
-		t.Fatalf("upper bound = %d, want 4", ub)
-	}
-	if ub, lb := g.MaxColorUpperBound(), g.ColorLowerBound(); ub < lb {
-		t.Fatalf("upper bound %d < lower bound %d", ub, lb)
 	}
 }
 

@@ -62,10 +62,15 @@ type Forbidden struct {
 // NewForbidden returns a forbidden set able to hold colors < size
 // without growing.
 func NewForbidden(size int) *Forbidden {
-	if size < 1 {
-		size = 1
-	}
-	return &Forbidden{mark: make([]int32, size+1), stamp: 0}
+	return &Forbidden{mark: make([]int32, max(size, 1)+1)}
+}
+
+// ForbiddenSize is the size every forbidden set for colorings of g
+// starts at: twice the lower bound max |vtxs(v)|, where Forbidden's
+// doubling would first land, clamped to the vertex count, which no
+// color reaches. A color past it grows the set.
+func ForbiddenSize(g *bipartite.Graph) int {
+	return min(2*g.ColorLowerBound(), g.NumVertices()) + 1
 }
 
 // Reset starts a new epoch. The zero-initialized mark array matches no
@@ -74,15 +79,15 @@ func NewForbidden(size int) *Forbidden {
 func (f *Forbidden) Reset() {
 	f.stamp++
 	if f.stamp <= 0 { // wrapped around
-		for i := range f.mark {
-			f.mark[i] = 0
-		}
+		clear(f.mark)
 		f.stamp = 1
 	}
 }
 
-// Add marks col as forbidden in the current epoch, growing the array if
-// an adversarial balancing Policy walked past the sizing bound. Adding
+// Add marks col as forbidden in the current epoch, growing the array
+// when col is past its size: the initial ForbiddenSize is a guess from
+// the lower bound, not a bound, so first fit on a graph whose greedy
+// colors outrun it grows here as a balancing Policy may. Adding
 // Uncolored marks slot 0 and forbids no color.
 func (f *Forbidden) Add(col int32) {
 	i := int(col) + 1
@@ -137,11 +142,7 @@ func (f *Forbidden) addNbrs(g *bipartite.Graph, w int32, c *Colors, below int32)
 }
 
 func (f *Forbidden) grow(minLen int) []int32 {
-	newLen := 2 * len(f.mark)
-	if newLen < minLen {
-		newLen = minLen
-	}
-	next := make([]int32, newLen)
+	next := make([]int32, max(2*len(f.mark), minLen))
 	copy(next, f.mark)
 	f.mark = next
 	return next

@@ -51,7 +51,7 @@ const maskNNZPerWord = 4
 type netMasks struct {
 	rowOf     []int32 // row of each net, -1 for a net that is scanned
 	nets      []int32 // net of each row
-	maxBlocks int     // blocks the cap and the color bound allow
+	maxBlocks int     // blocks the cap and the vertex count allow
 
 	// flag[u] == stamp marks u as flagged by the last detect pass. The
 	// stamp grows across pooled runs, so a flag left by an earlier pass,
@@ -71,11 +71,11 @@ type netMasks struct {
 var maskPool sync.Pool
 
 // acquireMasks returns cleared masks for one run on g with the given
-// threads, where every color is below colorBound, or nil when the run
-// must scan: on a view, whose Nets() direction is not the transpose of
-// Vtxs() (they are the graphs with unsorted nets), and on a graph
-// without a net of maskMinNetDeg vertices.
-func acquireMasks(g *bipartite.Graph, threads, colorBound int) *netMasks {
+// threads, or nil when the run must scan: on a view, whose Nets()
+// direction is not the transpose of Vtxs() (they are the graphs with
+// unsorted nets), and on a graph without a net of maskMinNetDeg
+// vertices.
+func acquireMasks(g *bipartite.Graph, threads int) *netMasks {
 	if !g.SortedNets() {
 		return nil
 	}
@@ -104,7 +104,9 @@ func acquireMasks(g *bipartite.Graph, threads, colorBound int) *netMasks {
 			rows++
 		}
 	}
-	m.maxBlocks = min((colorBound+63)/64, max(1, int(g.NumEdges()/maskNNZPerWord)/rows))
+	// Every color is below the vertex count; the blocks are allocated
+	// as colors reach them.
+	m.maxBlocks = min((g.NumVertices()+63)/64, max(1, int(g.NumEdges()/maskNNZPerWord)/rows))
 	m.blocks = resize(m.blocks, m.maxBlocks)
 	m.big = resize(m.big, threads)
 	m.nblocks.Store(0)

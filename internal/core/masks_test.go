@@ -190,9 +190,8 @@ func checkDetect(g *bipartite.Graph, opts Options) (flagged int, err error) {
 			W = append(W, u)
 		}
 	}
-	bound := g.MaxColorUpperBound() + 1
-	scr := newScratch(threads, bound, opts.Balance)
-	m := acquireMasks(g, threads, bound)
+	scr := newScratch(g, threads, opts.Balance)
+	m := acquireMasks(g, threads)
 	if m == nil {
 		return 0, nil
 	}
@@ -366,8 +365,7 @@ func TestDetectCancelPoolReuse(t *testing.T) {
 func TestDetectStampWrap(t *testing.T) {
 	g := smallPresets(t)["copapers"]
 	opts := Options{Threads: 1}
-	bound := g.MaxColorUpperBound() + 1
-	m := acquireMasks(g, 1, bound)
+	m := acquireMasks(g, 1)
 	if m == nil {
 		t.Fatal("no masks for copapers")
 	}
@@ -379,7 +377,7 @@ func TestDetectStampWrap(t *testing.T) {
 	}
 	m.stamp = math.MaxInt32
 	c := &Colors{c: sequential(g, nil, false).Colors}
-	scr := newScratch(1, bound, BalanceNone)
+	scr := newScratch(g, 1, BalanceNone)
 	m.detect(g, c, scr, &opts, nil)
 	if m.stamp != 1 {
 		t.Fatalf("stamp after the wrap = %d, want 1", m.stamp)
@@ -405,16 +403,15 @@ func TestDetectStampWrap(t *testing.T) {
 // take the scan fallback), and that the colors are the scan's.
 func TestMasksCap(t *testing.T) {
 	g := capShape(t)
-	bound := g.MaxColorUpperBound() + 1
-	m := acquireMasks(g, 1, bound)
+	m := acquireMasks(g, 1)
 	if m == nil {
 		t.Fatal("no masks for the cap shape")
 	}
 	defer m.release()
-	if m.maxBlocks*64 >= bound {
-		t.Fatalf("cap leaves %d blocks for %d colors: it does not bind", m.maxBlocks, bound)
+	if m.maxBlocks*64 >= g.NumVertices() {
+		t.Fatalf("cap leaves %d blocks for %d vertices: it does not bind", m.maxBlocks, g.NumVertices())
 	}
-	c, f := NewColors(g.NumVertices()), NewForbidden(bound)
+	c, f := NewColors(g.NumVertices()), NewForbidden(ForbiddenSize(g))
 	for u := int32(0); int(u) < g.NumVertices(); u++ {
 		f.Reset()
 		m.color(g, u, c, f, 0, fullScan)

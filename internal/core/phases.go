@@ -15,14 +15,15 @@ type scratch struct {
 	pol  []Policy
 }
 
-func newScratch(threads, forbiddenSize int, balance Balance) *scratch {
+func newScratch(g *bipartite.Graph, threads int, balance Balance) *scratch {
 	s := &scratch{
 		forb: make([]*Forbidden, threads),
 		wl:   make([][]int32, threads),
 		pol:  make([]Policy, threads),
 	}
+	size := ForbiddenSize(g)
 	for i := 0; i < threads; i++ {
-		s.forb[i] = NewForbidden(forbiddenSize)
+		s.forb[i] = NewForbidden(size)
 		s.pol[i] = Policy{balance: balance}
 	}
 	return s

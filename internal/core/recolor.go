@@ -68,7 +68,7 @@ func RecolorToConvergence(g *bipartite.Graph, colors []int32, maxRounds int) ([]
 		maxRounds = 1
 	}
 	cur := colors
-	best := distinctColors(colors, NewForbidden(g.MaxColorUpperBound()+1))
+	best := distinctColors(colors, NewForbidden(ForbiddenSize(g)))
 	rounds := 0
 	for r := 0; r < maxRounds; r++ {
 		next, count, err := Recolor(g, cur)

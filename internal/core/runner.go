@@ -80,8 +80,7 @@ func colorCtx(ctx context.Context, g *bipartite.Graph, opts Options, masks bool)
 	threads := opts.threads()
 	c := NewColors(n)
 	wc := NewWorkCounters(threads)
-	bound := g.MaxColorUpperBound() + 1
-	scr := newScratch(threads, bound, opts.Balance)
+	scr := newScratch(g, threads, opts.Balance)
 	// The masks serve first fit only, in a vertex phase whose queue is
 	// all Uncolored (fresh): the first iteration's, and one after a
 	// net-based conflict removal, which rebuilds them from the colors.
@@ -89,7 +88,7 @@ func colorCtx(ctx context.Context, g *bipartite.Graph, opts Options, masks bool)
 	// every balancing policy.
 	var m *netMasks
 	if masks {
-		m = acquireMasks(g, threads, bound)
+		m = acquireMasks(g, threads)
 		defer m.release()
 	}
 	colorMasks := m != nil && opts.Balance == BalanceNone

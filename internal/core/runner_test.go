@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -117,6 +118,72 @@ func TestColorAllNamedAlgorithmsValid(t *testing.T) {
 					t.Fatalf("%s/%s/t%d: critical work %d > total %d",
 						spec.Name, name, threads, res.CriticalWork, res.TotalWork)
 				}
+			}
+		}
+	}
+}
+
+// crownGraph returns the nets of a crown graph on 2k vertices, the
+// edges a_i–b_j for i ≠ j with a_i = 2i and b_i = 2i+1, plus one net of
+// extra fresh vertices. Natural-order first fit gives a_i and b_i color
+// i, so it needs k colors against a lower bound of max(2, extra).
+func crownGraph(t testing.TB, k, extra int) *bipartite.Graph {
+	t.Helper()
+	var nets [][]int32
+	for i := 0; i < k; i++ {
+		for j := 0; j < k; j++ {
+			if i != j {
+				nets = append(nets, []int32{int32(2 * i), int32(2*j + 1)})
+			}
+		}
+	}
+	fresh := make([]int32, extra)
+	for i := range fresh {
+		fresh[i] = int32(2*k + i)
+	}
+	g, err := bipartite.FromNetLists(2*k+extra, append(nets, fresh))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestColorsPastInitialSize colors a graph whose greedy colors outrun
+// ForbiddenSize, so every forbidden set grows, and whose 40-vertex net
+// is masked: Sequential must be valid with the crown's k colors,
+// FinishSequential from all Uncolored must equal it, every named
+// algorithm must be valid at 1 and 4 threads, and V-V at one thread
+// must equal Sequential.
+func TestColorsPastInitialSize(t *testing.T) {
+	const k = 150
+	g := crownGraph(t, k, 40)
+	seq := Sequential(g, nil)
+	if err := verify.BGPC(g, seq.Colors); err != nil {
+		t.Fatal(err)
+	}
+	if seq.NumColors != k || seq.NumColors <= ForbiddenSize(g) {
+		t.Fatalf("Sequential uses %d colors, want %d past the initial size %d", seq.NumColors, k, ForbiddenSize(g))
+	}
+	fin := NewColors(g.NumVertices()).Raw()
+	if n := FinishSequential(g, fin); n != g.NumVertices() {
+		t.Fatalf("FinishSequential colored %d of %d vertices", n, g.NumVertices())
+	}
+	if !slices.Equal(fin, seq.Colors) {
+		t.Fatal("FinishSequential from all Uncolored differs from Sequential")
+	}
+	for _, spec := range NamedAlgorithms() {
+		for _, threads := range []int{1, 4} {
+			opts := spec.Opts
+			opts.Threads = threads
+			res, err := Color(g, opts)
+			if err != nil {
+				t.Fatalf("%s/t%d: %v", spec.Name, threads, err)
+			}
+			if err := verify.BGPC(g, res.Colors); err != nil {
+				t.Fatalf("%s/t%d: %v", spec.Name, threads, err)
+			}
+			if spec.Name == "V-V" && threads == 1 && !slices.Equal(res.Colors, seq.Colors) {
+				t.Fatal("V-V at one thread differs from Sequential")
 			}
 		}
 	}
@@ -252,7 +319,7 @@ func TestNetTwoPassRespectsLemma1(t *testing.T) {
 		lb := int32(g.ColorLowerBound())
 		opts := Options{Threads: 2, Chunk: 64}
 		c := NewColors(g.NumVertices())
-		scr := newScratch(opts.threads(), g.MaxColorUpperBound()+1, BalanceNone)
+		scr := newScratch(g, opts.threads(), BalanceNone)
 		wc := NewWorkCounters(opts.threads())
 		colorNetPhase(g, c, scr, &opts, wc, nil)
 		for u := int32(0); int(u) < g.NumVertices(); u++ {
@@ -565,7 +632,7 @@ func TestNetPhaseRespectsLemmaAnalogue(t *testing.T) {
 		g := ug.Closed()
 		opts := Options{Threads: 2, Chunk: 64}
 		c := NewColors(g.NumVertices())
-		scr := newScratch(opts.threads(), g.MaxColorUpperBound()+1, BalanceNone)
+		scr := newScratch(g, opts.threads(), BalanceNone)
 		wc := NewWorkCounters(opts.threads())
 		colorNetPhase(g, c, scr, &opts, wc, nil)
 		maxDeg := int32(ug.MaxDeg())

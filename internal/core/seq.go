@@ -22,7 +22,7 @@ func Sequential(g *bipartite.Graph, vertexOrder []int32) *Result {
 func sequential(g *bipartite.Graph, vertexOrder []int32, masks bool) *Result {
 	start := time.Now()
 	c := NewColors(g.NumVertices())
-	f := NewForbidden(g.MaxColorUpperBound() + 1)
+	f := NewForbidden(ForbiddenSize(g))
 	work := greedy(g, c, vertexOrder, f, true, masks)
 	res := &Result{
 		Colors:       c.c,
@@ -60,22 +60,21 @@ func finishSequential(g *bipartite.Graph, colors []int32, masks bool) int {
 		}
 	}
 	masks = masks && detectQueueShare*uncolored >= len(colors)
-	greedy(g, &Colors{c: colors}, nil, NewForbidden(g.MaxColorUpperBound()+1), false, masks)
+	greedy(g, &Colors{c: colors}, nil, NewForbidden(ForbiddenSize(g)), false, masks)
 	return uncolored
 }
 
 // greedy is the sequential greedy first fit: it gives every Uncolored
 // vertex of order (nil = ascending ids) its first-fit color against the
 // colors already present, and returns the work model's charge. f is
-// the scan's forbidden set, sized for the colors below the graph's
-// MaxColorUpperBound()+1. fresh says that every vertex starts
+// the scan's forbidden set. fresh says that every vertex starts
 // Uncolored: in natural order on sorted nets a vertex's scan then stops
 // at its own id, and the masks start empty. Otherwise every net is
 // scanned to its end and the masks are built from the colors.
 func greedy(g *bipartite.Graph, c *Colors, order []int32, f *Forbidden, fresh, masks bool) (work int64) {
 	var m *netMasks
 	if masks {
-		m = acquireMasks(g, 1, len(f.mark)-1)
+		m = acquireMasks(g, 1)
 		defer m.release()
 		if m != nil && !fresh {
 			m.build(g, c, &Options{Threads: 1}, nil)

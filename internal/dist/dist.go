@@ -124,11 +124,11 @@ func ColorBGPC(g *bipartite.Graph, ranks, superstepLimit int) ([]int32, Stats, e
 		vals    int64
 	}
 	states := make([]*rankState, ranks)
-	ub := g.MaxColorUpperBound() + 1
+	size := core.ForbiddenSize(g)
 	for r := 0; r < ranks; r++ {
 		st := &rankState{
 			view: make([]int32, n),
-			forb: core.NewForbidden(ub),
+			forb: core.NewForbidden(size),
 			outs: make(map[int32][]update, ranks),
 		}
 		for i := range st.view {

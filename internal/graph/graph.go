@@ -215,33 +215,6 @@ func (g *Graph) D2ColorLowerBound() int {
 	return 1 + g.MaxDeg()
 }
 
-// MaxColorUpperBound returns a safe bound on distinct colors any D2GC
-// algorithm here can produce: 1 + max_v Σ_{u∈nbor(v)∪{v}} |nbor(u)|,
-// clamped to NumVertices. Forbidden arrays are sized with it.
-func (g *Graph) MaxColorUpperBound() int {
-	if g.n == 0 {
-		return 0
-	}
-	maxBound := int64(0)
-	for v := int32(0); int(v) < g.n; v++ {
-		b := int64(g.Deg(v))
-		for _, u := range g.Nbors(v) {
-			b += int64(g.Deg(u))
-		}
-		if b > maxBound {
-			maxBound = b
-		}
-	}
-	bound := maxBound + 1
-	if bound > int64(g.n) {
-		bound = int64(g.n)
-	}
-	if bound < 1 {
-		bound = 1
-	}
-	return int(bound)
-}
-
 // HasEdge reports whether {u, v} is an edge.
 func (g *Graph) HasEdge(u, v int32) bool {
 	nb := g.Nbors(u)

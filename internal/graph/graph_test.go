@@ -74,8 +74,8 @@ func TestOwnNet(t *testing.T) {
 			t.Errorf("Vtxs(%d) = %v, want %d then %v", v, vt, v, g.Nbors(v))
 		}
 	}
-	if ub := b.MaxColorUpperBound(); ub != g.MaxDeg()+1 {
-		t.Fatalf("MaxColorUpperBound = %d, want maxdeg+1 = %d", ub, g.MaxDeg()+1)
+	if lb := b.ColorLowerBound(); lb != g.D2ColorLowerBound() {
+		t.Fatalf("ColorLowerBound = %d, want D2ColorLowerBound = %d", lb, g.D2ColorLowerBound())
 	}
 }
 
@@ -115,17 +115,6 @@ func TestD2ColorLowerBound(t *testing.T) {
 	empty, _ := FromEdges(0, nil)
 	if lb := empty.D2ColorLowerBound(); lb != 0 {
 		t.Fatalf("empty D2 lower bound = %d", lb)
-	}
-}
-
-func TestMaxColorUpperBound(t *testing.T) {
-	g := path(t)
-	ub := g.MaxColorUpperBound()
-	if ub < g.D2ColorLowerBound() {
-		t.Fatalf("upper %d < lower %d", ub, g.D2ColorLowerBound())
-	}
-	if ub > g.NumVertices() {
-		t.Fatalf("upper %d > n", ub)
 	}
 }
 

@@ -131,18 +131,17 @@ func (b *backend) State() BackendState {
 }
 
 // eligible reports whether the backend may receive traffic: health
-// says healthy-or-suspect AND its breaker admits the call. The breaker
+// says healthy-or-suspect AND its breaker is not open. The breaker
 // reacts within a rolling window (faster than FailAfter on a failure
 // burst), the state machine holds the long-term verdict; both must
-// agree.
+// agree. It reads the breaker's state instead of calling Allow, which
+// would take a half-open probe slot that only a recorded outcome gives
+// back; only the proxy path, which records one, calls Allow.
 func (b *backend) eligible() bool {
-	b.mu.Lock()
-	s := b.state
-	b.mu.Unlock()
-	if s != StateHealthy && s != StateSuspect {
+	if s := b.State(); s != StateHealthy && s != StateSuspect {
 		return false
 	}
-	return b.br.Allow() == nil
+	return b.br.State() != client.BreakerOpen
 }
 
 // reportSuccess feeds a passive success (the backend answered, even if

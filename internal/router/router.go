@@ -164,7 +164,7 @@ func New(cfg Config) (*Router, error) {
 			func() int64 { return int64(b.State()) })
 	}
 	obs.RegisterGauge("bgpc.rtr_backends_eligible",
-		"Backends currently eligible for traffic (healthy/suspect with a willing breaker).",
+		"Backends currently eligible for traffic (healthy/suspect with a breaker that is not open).",
 		func() int64 { return int64(rt.eligibleCount()) })
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -505,6 +505,11 @@ func (rt *Router) proxy(ctx context.Context, rec *obs.Recorder, sc trace.SpanCon
 		res, err := rt.send(ctx, b, method, uri, hdr, body)
 		if err != nil {
 			if ctx.Err() != nil {
+				// The attempt took a breaker slot (a half-open probe
+				// one, maybe), so record it as client.Client does; the
+				// backend's health state says nothing of a canceled
+				// caller and stays as it is.
+				b.br.Record(false)
 				return nil, ctx.Err()
 			}
 			b.reportFailure(rt.cfg.Health)

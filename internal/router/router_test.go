@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"bgpc/internal/client"
 	"bgpc/internal/failpoint"
 	"bgpc/internal/obs"
 	"bgpc/internal/testutil"
@@ -52,6 +53,12 @@ func okColorHandler(w http.ResponseWriter, r *http.Request) {
 // explicitly; the chaos test exercises the live prober).
 func newFleet(t *testing.T, n int) ([]*fakeBackend, *Router) {
 	t.Helper()
+	return newFleetWith(t, n, HealthConfig{ProbeInterval: time.Hour})
+}
+
+// newFleetWith is newFleet with the given health configuration.
+func newFleetWith(t *testing.T, n int, hc HealthConfig) ([]*fakeBackend, *Router) {
+	t.Helper()
 	fleet := make([]*fakeBackend, n)
 	var addrs []string
 	for i := range fleet {
@@ -83,7 +90,7 @@ func newFleet(t *testing.T, n int) ([]*fakeBackend, *Router) {
 	}
 	rt, err := New(Config{
 		Backends: addrs,
-		Health:   HealthConfig{ProbeInterval: time.Hour},
+		Health:   hc,
 		Log:      slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})
 	if err != nil {
@@ -528,6 +535,83 @@ func TestHealthStateMachine(t *testing.T) {
 	}
 	if obs.RtrRecoveries.Load() != recBefore+1 {
 		t.Fatal("rtr_recoveries not counted")
+	}
+}
+
+// probeFleet boots one backend whose breaker trips on a single failure,
+// cools down for cooldown and lets one half-open probe through, and
+// opens that breaker.
+func probeFleet(t *testing.T, cooldown time.Duration) (*fakeBackend, *Router) {
+	t.Helper()
+	fleet, rt := newFleetWith(t, 1, HealthConfig{
+		ProbeInterval: time.Hour,
+		Breaker:       client.BreakerConfig{MinRequests: 1, Cooldown: cooldown, HalfOpenProbes: 1},
+	})
+	rt.backends[fleet[0].addr].br.Record(false)
+	return fleet[0], rt
+}
+
+// TestEligibleTakesNoProbeSlot: /healthz and the eligible-backends
+// gauge are questions, not calls. Asked repeatedly while the breaker is
+// half-open, they must leave the probe slot to the proxy, which then
+// serves a job and closes the breaker.
+func TestEligibleTakesNoProbeSlot(t *testing.T) {
+	const cooldown = 50 * time.Millisecond
+	f, rt := probeFleet(t, cooldown)
+	time.Sleep(2 * cooldown)
+	for i := 0; i < 3; i++ {
+		w := httptest.NewRecorder()
+		rt.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+		if w.Code != http.StatusOK {
+			t.Fatalf("healthz %d after the cooldown: %d %s", i+1, w.Code, w.Body)
+		}
+		if n := rt.eligibleCount(); n != 1 {
+			t.Fatalf("eligible backends = %d after the cooldown, want 1", n)
+		}
+	}
+	if w := postColor(t, rt, jobBody, nil); w.Code != http.StatusOK {
+		t.Fatalf("job after the cooldown: %d %s", w.Code, w.Body)
+	}
+	if st := rt.backends[f.addr].br.State(); st != client.BreakerClosed {
+		t.Fatalf("breaker %v after a served probe, want closed", st)
+	}
+}
+
+// TestCanceledProbeFreesSlot: a half-open probe whose caller cancels
+// mid-send is recorded as a failure, so the breaker reopens for one
+// cooldown and then admits a new probe, instead of holding the slot
+// for good.
+func TestCanceledProbeFreesSlot(t *testing.T) {
+	const cooldown = 50 * time.Millisecond
+	f, rt := probeFleet(t, cooldown)
+	release := make(chan struct{})
+	t.Cleanup(func() { close(release) })
+	f.set(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body) // so that the server sees the hang-up
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	})
+	time.Sleep(2 * cooldown)
+	ctx, cancel := context.WithTimeout(context.Background(), cooldown)
+	defer cancel()
+	req := httptest.NewRequest(http.MethodPost, "/color", strings.NewReader(jobBody)).WithContext(ctx)
+	rt.ServeHTTP(httptest.NewRecorder(), req)
+	if st := rt.backends[f.addr].State(); st != StateHealthy {
+		t.Fatalf("backend %v after a canceled call, want healthy", st)
+	}
+	// The canceled send is recorded when the flight notices the
+	// cancel, which may be after ServeHTTP returned.
+	f.set(okColorHandler)
+	for end := time.Now().Add(2 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		code := postColor(t, rt, jobBody, nil).Code
+		if code == http.StatusOK {
+			break
+		}
+		if time.Now().After(end) {
+			t.Fatalf("job after the canceled probe: %d, want 200", code)
+		}
 	}
 }
 

@@ -14,77 +14,34 @@ import (
 
 // BGPC checks that colors is a valid bipartite-graph partial coloring
 // of g: every vertex colored with a non-negative color, and no two
-// vertices of any net sharing a color. It returns nil when valid.
-//
-// This is the hot path of every test and benchmark validity check, so
-// instead of a per-net map (whose clearing loop dominated profiles) it
-// uses a pair of reusable mark arrays stamped by net id: stamp[c] == v+1
-// records that color c was already claimed in net v, by vertex
-// owner[c]. One O(maxColor) allocation replaces NumNets map clears.
+// vertices of any net sharing a color (BGPCPartial's walk). It returns
+// nil when valid.
 func BGPC(g *bipartite.Graph, colors []int32) error {
-	if len(colors) != g.NumVertices() {
-		return fmt.Errorf("verify: %d colors for %d vertices", len(colors), g.NumVertices())
+	if err := allColored(colors, g.NumVertices()); err != nil {
+		return err
 	}
-	maxColor := int32(-1)
-	for u, c := range colors {
-		if c < 0 {
-			return fmt.Errorf("verify: vertex %d uncolored (%d)", u, c)
-		}
-		if c > maxColor {
-			maxColor = c
-		}
-	}
-	stamp := make([]int32, maxColor+1)
-	owner := make([]int32, maxColor+1)
-	for v := int32(0); int(v) < g.NumNets(); v++ {
-		tag := v + 1
-		for _, u := range g.Vtxs(v) {
-			c := colors[u]
-			if stamp[c] == tag && owner[c] != u {
-				return fmt.Errorf("verify: net %d has vertices %d and %d both colored %d", v, owner[c], u, c)
-			}
-			stamp[c] = tag
-			owner[c] = u
-		}
-	}
-	return nil
+	return BGPCPartial(g, colors)
 }
 
 // D2GC checks that colors is a valid distance-2 coloring of g: every
 // vertex colored non-negatively, distinct from all vertices within
-// distance two. It returns nil when valid.
+// distance two (D2GCPartial's walk). It returns nil when valid.
 func D2GC(g *graph.Graph, colors []int32) error {
-	if len(colors) != g.NumVertices() {
-		return fmt.Errorf("verify: %d colors for %d vertices", len(colors), g.NumVertices())
+	if err := allColored(colors, g.NumVertices()); err != nil {
+		return err
+	}
+	return D2GCPartial(g, colors)
+}
+
+// allColored checks that colors has one non-negative color for each of
+// n vertices.
+func allColored(colors []int32, n int) error {
+	if len(colors) != n {
+		return fmt.Errorf("verify: %d colors for %d vertices", len(colors), n)
 	}
 	for u, c := range colors {
 		if c < 0 {
 			return fmt.Errorf("verify: vertex %d uncolored (%d)", u, c)
-		}
-	}
-	// Every distance-2 pair has a middle vertex, so checking each
-	// vertex's closed neighbourhood {v} ∪ nbor(v) for duplicate colors
-	// covers both distance-1 and distance-2 conflicts. Same stamped
-	// mark-array construction as BGPC, keyed by the middle vertex.
-	maxColor := int32(-1)
-	for _, c := range colors {
-		if c > maxColor {
-			maxColor = c
-		}
-	}
-	stamp := make([]int32, maxColor+1)
-	owner := make([]int32, maxColor+1)
-	for v := int32(0); int(v) < g.NumVertices(); v++ {
-		tag := v + 1
-		stamp[colors[v]] = tag
-		owner[colors[v]] = v
-		for _, u := range g.Nbors(v) {
-			c := colors[u]
-			if stamp[c] == tag && owner[c] != u {
-				return fmt.Errorf("verify: vertices %d and %d within distance 2 (via %d) both colored %d", owner[c], u, v, c)
-			}
-			stamp[c] = tag
-			owner[c] = u
 		}
 	}
 	return nil
