@@ -311,7 +311,7 @@ type (
 	Observer = obs.Observer
 	// TraceEvent is one structured per-phase trace record.
 	TraceEvent = obs.Event
-	// TraceSink receives trace events (JSON-lines, ring buffer, or a
+	// TraceSink receives trace events (JSON-lines, discard, or a
 	// user implementation).
 	TraceSink = obs.Sink
 )
@@ -367,10 +367,6 @@ func NewObserver(sink TraceSink) *Observer { return obs.New(sink) }
 
 // NewJSONLTrace returns a sink writing one JSON object per event to w.
 func NewJSONLTrace(w io.Writer) *obs.JSONLSink { return obs.NewJSONL(w) }
-
-// NewRingTrace returns an in-memory sink retaining the last capacity
-// events.
-func NewRingTrace(capacity int) *obs.RingSink { return obs.NewRing(capacity) }
 
 // DiscardTrace returns a sink that drops every event — attach it to
 // get an enabled Observer's pprof phase labels without a trace.

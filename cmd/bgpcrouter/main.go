@@ -21,7 +21,7 @@
 // proxied with routing headers added to every response —
 //
 //	X-BGPC-Backend   which backend served the job
-//	X-BGPC-Rerouted  the ring owner was skipped (down/ejected/breaker)
+//	X-BGPC-Rerouted  the ring owner was skipped (down or ejected)
 //	X-BGPC-Spilled   the owner rejected 429/413 and a successor served
 //	X-BGPC-Deduped   this response was fanned out from an identical
 //	                 concurrent job (singleflight)
@@ -31,7 +31,7 @@
 //	GET /healthz       200 while ≥1 backend is eligible, else 503
 //	GET /metrics       Prometheus exposition: rtr_* counters, per-
 //	                   backend health gauges, proxied-latency histograms
-//	GET /rtr/backends  fleet roster: index → address, health, breaker
+//	GET /rtr/backends  fleet roster: index → address, health state
 //	GET /rtr/trace/{traceid}    the assembled cross-process trace: the
 //	                   router's hop spans merged with every backend's
 //	                   fragments for that trace id
@@ -95,7 +95,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	traceRing := fs.Int("trace-ring", 0, "completed routed requests kept; the kept ones serve /debug/trace (0 = 256, negative disables tracing)")
 	traceSample := fs.Float64("trace-sample", 0, "head-sampling ratio over trace ids, 0..1 (0 = keep all; errors and slow requests are kept regardless)")
 	traceSlow := fs.Duration("trace-slow", 0, "tail-keep any routed request at least this slow even when head sampling dropped it (0 disables)")
-	diagDir := fs.String("diag-dir", "", "flight-recorder directory: anomalies (backend breaker opening) write diagnostic bundles here (empty disables)")
+	diagDir := fs.String("diag-dir", "", "flight-recorder directory: anomalies (a backend being ejected) write diagnostic bundles here (empty disables)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -155,7 +155,6 @@ func fleetDemo() error {
 			ProbeInterval: 50 * time.Millisecond,
 			ProbeTimeout:  2 * time.Second,
 			RecoverProbes: 2,
-			Breaker:       client.BreakerConfig{MinRequests: 3, Cooldown: 250 * time.Millisecond},
 		},
 		Log: slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})

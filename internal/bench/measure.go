@@ -23,7 +23,7 @@ var harnessObs atomic.Pointer[obs.Observer]
 func SetObserver(o *obs.Observer) { harnessObs.Store(o) }
 
 // attachObs stamps the harness Observer into opts unless the caller
-// already supplied one (e.g. the trajectory table's ring sink).
+// already supplied one.
 func attachObs(opts *core.Options, algo string) {
 	if opts.Obs != nil {
 		return

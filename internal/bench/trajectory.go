@@ -4,14 +4,13 @@ import (
 	"fmt"
 
 	"bgpc/internal/core"
-	"bgpc/internal/obs"
 	"bgpc/internal/verify"
 )
 
 // Trajectory reports, for every named algorithm, the per-iteration
 // conflict trajectory (|Wnext| after each speculative iteration, read
-// from the observability trace) plus the color count before and after
-// iterated-greedy recoloring. It is the obs-backed ablation the paper's
+// from the run's per-iteration statistics) plus the color count before
+// and after iterated-greedy recoloring. It is the ablation the paper's
 // Table I/Figure 1 argument rests on: the named schedules differ almost
 // entirely in how fast the conflict count collapses in iterations 1–2.
 func Trajectory(cfg Config) (*Table, error) {
@@ -23,18 +22,15 @@ func Trajectory(cfg Config) (*Table, error) {
 	w := ws[0]
 	t := &Table{
 		ID:    "Trajectory",
-		Title: "Per-iteration conflict and recoloring trajectories (from the obs trace)",
-		Note: fmt.Sprintf("copapers, threads = %d; |Wk| = queued vertices after iteration k (trace conflict events); recolor = colors after ≤3 iterated-greedy passes",
+		Title: "Per-iteration conflict and recoloring trajectories",
+		Note: fmt.Sprintf("copapers, threads = %d; |Wk| = queued vertices after iteration k; recolor = colors after ≤3 iterated-greedy passes",
 			cfg.maxThreads()),
 		Header: []string{"algorithm", "iters", "|W1|", "|W2|", "|W3|", "|W4|", "colors", "recolor"},
 	}
 	for _, spec := range core.NamedAlgorithms() {
-		// Two events per iteration; speculative runs converge in well
-		// under 128 iterations, so nothing is evicted.
-		ring := obs.NewRing(256)
 		opts := spec.Opts
 		opts.Threads = cfg.maxThreads()
-		opts.Obs = obs.New(ring).WithAlgo(spec.Name)
+		opts.CollectPerIteration = true
 		res, err := core.Color(w.Graph, opts)
 		if err != nil {
 			return nil, fmt.Errorf("bench: trajectory %s: %w", spec.Name, err)
@@ -44,10 +40,9 @@ func Trajectory(cfg Config) (*Table, error) {
 		}
 
 		row := []string{spec.Name, fmt.Sprintf("%d", res.Iterations)}
-		conflicts := conflictTrajectory(ring.Events())
 		for k := 0; k < iterCols; k++ {
-			if k < len(conflicts) {
-				row = append(row, fmt.Sprintf("%d", conflicts[k]))
+			if k < len(res.Iters) {
+				row = append(row, fmt.Sprintf("%d", res.Iters[k].Conflicts))
 			} else {
 				row = append(row, "-")
 			}
@@ -65,16 +60,4 @@ func Trajectory(cfg Config) (*Table, error) {
 		t.Rows = append(t.Rows, row)
 	}
 	return t, nil
-}
-
-// conflictTrajectory extracts the remaining-conflict counts, one per
-// iteration in order, from a run's trace events.
-func conflictTrajectory(events []obs.Event) []int {
-	var out []int
-	for _, e := range events {
-		if e.Phase == obs.PhaseConflict {
-			out = append(out, e.Conflicts)
-		}
-	}
-	return out
 }

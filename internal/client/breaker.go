@@ -63,11 +63,6 @@ type BreakerConfig struct {
 	// HalfOpenProbes is the number of consecutive probe successes that
 	// close the breaker again; < 1 means 2.
 	HalfOpenProbes int
-	// OnOpen, when set, is called (on its own goroutine, outside the
-	// breaker's lock) on every closed/half-open → open transition — the
-	// flight-recorder hook: a breaker opening is exactly the anomaly a
-	// diagnostic bundle should capture.
-	OnOpen func()
 
 	// now overrides the clock in tests; nil means time.Now.
 	now func() time.Time
@@ -207,11 +202,6 @@ func (b *breaker) open(now time.Time) {
 	b.halfOK = 0
 	b.halfInFlight = 0
 	obs.ClientBreakerOpens.Inc()
-	if b.cfg.OnOpen != nil {
-		// Own goroutine: the hook may dump profiles; open() runs under
-		// b.mu on the caller's request path.
-		go b.cfg.OnOpen()
-	}
 }
 
 // currentBucket rotates the ring to now and returns the live bucket.
@@ -236,31 +226,6 @@ func (b *breaker) windowCounts(now time.Time) (ok, fail int64) {
 	}
 	return ok, fail
 }
-
-// Breaker is the rolling-window circuit breaker as a standalone
-// exported handle, for callers that manage their own transport — the
-// fleet router keeps one per backend as the passive half of backend
-// health, feeding proxy outcomes in and consulting Allow before
-// routing. The embedded state machine is byte-identical to the one the
-// Client uses internally.
-type Breaker struct{ b *breaker }
-
-// NewBreaker returns a ready Breaker; the zero cfg picks the same
-// defaults as Client's breaker.
-func NewBreaker(cfg BreakerConfig) *Breaker { return &Breaker{b: newBreaker(cfg)} }
-
-// Allow reports whether a call may proceed (ErrBreakerOpen otherwise).
-// In the half-open state it admits a bounded number of probe calls.
-func (b *Breaker) Allow() error { return b.b.allow() }
-
-// Record feeds one call outcome back into the state machine. Follow
-// the Client's scoring: backpressure (429) and client-fault rejections
-// are successes — the server answered — while transport failures and
-// 5xx are failures.
-func (b *Breaker) Record(success bool) { b.b.record(success) }
-
-// State reports the breaker's current state.
-func (b *Breaker) State() BreakerState { return b.b.State() }
 
 // State reports the breaker's current state.
 func (b *breaker) State() BreakerState {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"slices"
+	"sync"
 	"testing"
 
 	"bgpc/internal/gen"
@@ -9,6 +11,24 @@ import (
 	"bgpc/internal/par"
 	"bgpc/internal/testutil"
 )
+
+// eventSink collects every event it is sent, in order.
+type eventSink struct {
+	mu  sync.Mutex
+	evs []obs.Event
+}
+
+func (s *eventSink) Emit(e obs.Event) {
+	s.mu.Lock()
+	s.evs = append(s.evs, e)
+	s.mu.Unlock()
+}
+
+func (s *eventSink) events() []obs.Event {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return slices.Clone(s.evs)
+}
 
 // TestTraceEventsMatchIterStats: the trace must agree with the
 // runner's own per-iteration statistics — two events per iteration
@@ -19,18 +39,18 @@ func TestTraceEventsMatchIterStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring := obs.NewRing(128)
+	sink := &eventSink{}
 	opts := Options{
 		Threads: 4, Chunk: 64, LazyQueues: true,
 		NetColorIters: 1, NetCRIters: 2,
 		CollectPerIteration: true,
-		Obs:                 obs.New(ring).WithAlgo("N1-N2"),
+		Obs:                 obs.New(sink).WithAlgo("N1-N2"),
 	}
 	res, err := Color(g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	evs := ring.Events()
+	evs := sink.events()
 	if len(evs) != 2*res.Iterations {
 		t.Fatalf("got %d events for %d iterations, want %d", len(evs), res.Iterations, 2*res.Iterations)
 	}
@@ -89,16 +109,16 @@ func TestTraceDeterministicSingleThreadNetV1(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() []obs.Event {
-		ring := obs.NewRing(128)
+		sink := &eventSink{}
 		opts := Options{
 			Threads: 1, Chunk: 64, LazyQueues: true,
 			NetColorIters: 1, NetCRIters: 2, NetColorVariant: NetV1,
-			Obs: obs.New(ring).WithAlgo("table1"),
+			Obs: obs.New(sink).WithAlgo("table1"),
 		}
 		if _, err := Color(g, opts); err != nil {
 			t.Fatal(err)
 		}
-		return ring.Events()
+		return sink.events()
 	}
 	a, b := run(), run()
 	if len(a) != len(b) {
@@ -149,7 +169,7 @@ func TestColorWithNilObserverSameResult(t *testing.T) {
 	}
 	traced, err := Color(g, Options{
 		Threads: 1, Chunk: 64, NetColorIters: 1, NetCRIters: 2,
-		Obs: obs.New(obs.NewRing(64)),
+		Obs: obs.New(&eventSink{}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -242,21 +262,22 @@ func BenchmarkColor(b *testing.B) {
 	}
 }
 
-// BenchmarkColorTraced is the same run with a ring-buffer trace
+// BenchmarkColorTraced is the same run with an in-memory trace
 // attached, to keep the observability overhead honest.
 func BenchmarkColorTraced(b *testing.B) {
 	g, err := gen.Preset("copapers", 0.2)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ring := obs.NewRing(128)
+	sink := &eventSink{}
 	opts := Options{
 		Threads: 4, Chunk: 64, LazyQueues: true, NetColorIters: 1, NetCRIters: 2,
-		Obs: obs.New(ring).WithAlgo("N1-N2"),
+		Obs: obs.New(sink).WithAlgo("N1-N2"),
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		sink.evs = sink.evs[:0]
 		if _, err := Color(g, opts); err != nil {
 			b.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -45,15 +46,27 @@ func TestJSONLSinkEncodesSchema(t *testing.T) {
 	}
 }
 
+// eventSink collects every event it is sent, in order.
+type eventSink struct {
+	mu  sync.Mutex
+	evs []Event
+}
+
+func (s *eventSink) Emit(e Event) {
+	s.mu.Lock()
+	s.evs = append(s.evs, e)
+	s.mu.Unlock()
+}
+
 func TestObserverStampsAlgo(t *testing.T) {
-	r := NewRing(4)
-	o := New(r).WithAlgo("V-V-64")
+	sink := &eventSink{}
+	o := New(sink).WithAlgo("V-V-64")
 	e := sampleEvent()
 	e.Algo = ""
 	o.Emit(e)
 	explicit := sampleEvent() // carries its own algo label
 	o.Emit(explicit)
-	evs := r.Events()
+	evs := sink.evs
 	if len(evs) != 2 {
 		t.Fatalf("got %d events", len(evs))
 	}
@@ -62,31 +75,6 @@ func TestObserverStampsAlgo(t *testing.T) {
 	}
 	if evs[1].Algo != "N1-N2" {
 		t.Fatalf("explicit algo overwritten: %q", evs[1].Algo)
-	}
-}
-
-func TestRingSinkEvictsOldest(t *testing.T) {
-	r := NewRing(3)
-	for i := 1; i <= 5; i++ {
-		e := sampleEvent()
-		e.Iter = i
-		r.Emit(e)
-	}
-	if r.Total() != 5 {
-		t.Fatalf("total = %d", r.Total())
-	}
-	evs := r.Events()
-	if len(evs) != 3 {
-		t.Fatalf("retained %d", len(evs))
-	}
-	for i, want := range []int{3, 4, 5} {
-		if evs[i].Iter != want {
-			t.Fatalf("event %d: iter %d, want %d (order broken)", i, evs[i].Iter, want)
-		}
-	}
-	r.Reset()
-	if r.Total() != 0 || len(r.Events()) != 0 {
-		t.Fatal("reset did not clear")
 	}
 }
 
@@ -113,7 +101,7 @@ func TestNilObserverIsSafeNoop(t *testing.T) {
 }
 
 func TestEnabledObserverPhaseRunsFn(t *testing.T) {
-	o := New(NewRing(1))
+	o := New(Discard)
 	ran := false
 	o.Phase(2, PhaseConflict, KindVertex, func() { ran = true })
 	if !ran {

@@ -82,67 +82,6 @@ func TestCountersConcurrentWithToggleAndSnapshot(t *testing.T) {
 	wg.Wait()
 }
 
-func TestRingSinkConcurrentEmit(t *testing.T) {
-	const goroutines = 16
-	const perG = 500
-	r := NewRing(64)
-	o := New(r).WithAlgo("stress")
-	var wg sync.WaitGroup
-	wg.Add(goroutines)
-	for g := 0; g < goroutines; g++ {
-		g := g
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				e := sampleEvent()
-				e.Algo = "" // let the Observer stamp it
-				e.Iter = g*perG + i
-				o.Emit(e)
-			}
-		}()
-	}
-	wg.Wait()
-	if r.Total() != goroutines*perG {
-		t.Fatalf("total = %d, want %d", r.Total(), goroutines*perG)
-	}
-	evs := r.Events()
-	if len(evs) != 64 {
-		t.Fatalf("retained %d, want ring capacity 64", len(evs))
-	}
-	for _, e := range evs {
-		if e.Algo != "stress" {
-			t.Fatalf("lost algo stamp: %+v", e)
-		}
-	}
-}
-
-func TestRingSinkConcurrentEmitAndRead(t *testing.T) {
-	r := NewRing(32)
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 3000; i++ {
-			e := sampleEvent()
-			e.Iter = i
-			r.Emit(e)
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 300; i++ {
-			for _, e := range r.Events() {
-				if e.Phase != PhaseColor {
-					t.Error("torn event read")
-					return
-				}
-			}
-			_ = r.Total()
-		}
-	}()
-	wg.Wait()
-}
-
 func TestJSONLSinkConcurrentEmit(t *testing.T) {
 	const goroutines = 8
 	const perG = 200

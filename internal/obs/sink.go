@@ -53,61 +53,3 @@ func (s *JSONLSink) Err() error {
 	defer s.mu.Unlock()
 	return s.err
 }
-
-// RingSink retains the most recent events in a fixed-capacity ring
-// buffer — the in-memory sink used by tests and the bench harness's
-// trajectory tables. Safe for concurrent use.
-type RingSink struct {
-	mu    sync.Mutex
-	buf   []Event
-	next  int // index of the slot the next event overwrites
-	total int // events ever emitted
-}
-
-// NewRing returns a ring sink holding up to capacity events
-// (minimum 1).
-func NewRing(capacity int) *RingSink {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &RingSink{buf: make([]Event, 0, capacity)}
-}
-
-// Emit records e, evicting the oldest retained event when full.
-func (r *RingSink) Emit(e Event) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, e)
-	} else {
-		r.buf[r.next] = e
-		r.next = (r.next + 1) % cap(r.buf)
-	}
-	r.total++
-}
-
-// Events returns the retained events, oldest first, as a fresh slice.
-func (r *RingSink) Events() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
-}
-
-// Total returns the number of events ever emitted (≥ len(Events())).
-func (r *RingSink) Total() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
-
-// Reset discards all retained events and zeroes the emit count.
-func (r *RingSink) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.buf = r.buf[:0]
-	r.next = 0
-	r.total = 0
-}

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"bgpc/internal/client"
 	"bgpc/internal/obs"
 	"bgpc/internal/service"
 	"bgpc/internal/testutil"
@@ -125,10 +124,6 @@ func fleetUnderTest(t *testing.T, n int) ([]*realBackend, *Router, string) {
 			// death and ejects live backends.
 			ProbeTimeout:  2 * time.Second,
 			RecoverProbes: 2,
-			Breaker: client.BreakerConfig{
-				MinRequests: 3,
-				Cooldown:    200 * time.Millisecond,
-			},
 		},
 		Log: slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})
@@ -292,8 +287,8 @@ func TestFleetChaosKillRestart(t *testing.T) {
 		t.Error("rtr_recoveries did not increase")
 	}
 
-	// Re-homing back: ownership returns to the restarted daemon. Its
-	// breaker ramps via half-open probes, so allow a little time.
+	// Re-homing back: ownership returns to the restarted daemon once
+	// the router sees it healthy; allow a little time.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		st, be, _ := postJob(hc, front, body)

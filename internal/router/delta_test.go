@@ -212,7 +212,7 @@ func TestRouterDeltaMissWalk(t *testing.T) {
 				}
 			}
 			for _, name := range order {
-				if s, _ := rt.BackendState(name); s != StateHealthy || rt.backends[name].br.Allow() != nil {
+				if s, _ := rt.BackendState(name); s != StateHealthy || !rt.backends[name].eligible() {
 					t.Fatalf("backend %s is %v after missed hops; a miss is a healthy answer", name, s)
 				}
 			}

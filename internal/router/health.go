@@ -7,9 +7,9 @@ import (
 	"sync"
 	"time"
 
-	"bgpc/internal/client"
 	"bgpc/internal/failpoint"
 	"bgpc/internal/obs"
+	"bgpc/internal/trace"
 )
 
 // FPProbe sits in the active health prober, before the /healthz
@@ -70,9 +70,6 @@ type HealthConfig struct {
 	// RecoverProbes is the consecutive probe successes an ejected
 	// backend needs to rejoin; < 1 means 2.
 	RecoverProbes int
-	// Breaker tunes the passive rolling-window breaker kept per
-	// backend. Zero means the client package's serving defaults.
-	Breaker client.BreakerConfig
 }
 
 func (c HealthConfig) withDefaults() HealthConfig {
@@ -94,14 +91,13 @@ func (c HealthConfig) withDefaults() HealthConfig {
 	return c
 }
 
-// backend is one fleet member: its address, its passive breaker, and
-// its health state. All state transitions happen under mu so the
-// passive path (proxy outcomes) and the active path (prober goroutine)
-// cannot interleave a transition.
+// backend is one fleet member: its address and its health state. All
+// state transitions happen under mu so the passive path (proxy
+// outcomes) and the active path (prober goroutine) cannot interleave a
+// transition.
 type backend struct {
 	name string // address, e.g. "127.0.0.1:8731"
 	base string // "http://" + name
-	br   *client.Breaker
 
 	mu          sync.Mutex
 	state       BackendState
@@ -114,11 +110,10 @@ type backend struct {
 	nudge chan struct{}
 }
 
-func newBackend(name string, cfg HealthConfig) *backend {
+func newBackend(name string) *backend {
 	return &backend{
 		name:  name,
 		base:  "http://" + name,
-		br:    client.NewBreaker(cfg.Breaker),
 		nudge: make(chan struct{}, 1),
 	}
 }
@@ -130,24 +125,18 @@ func (b *backend) State() BackendState {
 	return b.state
 }
 
-// eligible reports whether the backend may receive traffic: health
-// says healthy-or-suspect AND its breaker is not open. The breaker
-// reacts within a rolling window (faster than FailAfter on a failure
-// burst), the state machine holds the long-term verdict; both must
-// agree. It reads the breaker's state instead of calling Allow, which
-// would take a half-open probe slot that only a recorded outcome gives
-// back; only the proxy path, which records one, calls Allow.
+// eligible reports whether the backend may receive traffic: its health
+// state is healthy or suspect. It is the one eligibility predicate of
+// the router: proxy, /healthz and the eligible-backends gauge all ask
+// it.
 func (b *backend) eligible() bool {
-	if s := b.State(); s != StateHealthy && s != StateSuspect {
-		return false
-	}
-	return b.br.State() != client.BreakerOpen
+	s := b.State()
+	return s == StateHealthy || s == StateSuspect
 }
 
 // reportSuccess feeds a passive success (the backend answered, even if
-// with a rejection like 429) into breaker and state machine.
+// with a rejection like 429) into the state machine.
 func (b *backend) reportSuccess() {
-	b.br.Record(true)
 	b.mu.Lock()
 	b.consecFails = 0
 	if b.state == StateSuspect {
@@ -160,7 +149,6 @@ func (b *backend) reportSuccess() {
 // FailAfter consecutive failures turn a healthy backend suspect and
 // nudge the prober so the active check runs immediately.
 func (b *backend) reportFailure(cfg HealthConfig) {
-	b.br.Record(false)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.state != StateHealthy {
@@ -177,8 +165,11 @@ func (b *backend) reportFailure(cfg HealthConfig) {
 	}
 }
 
-// reportProbe feeds one active probe outcome into the state machine.
-func (b *backend) reportProbe(ok bool, cfg HealthConfig) {
+// reportProbe feeds one active probe outcome into the state machine
+// and reports whether it ejected the backend: Suspect → Ejected, the
+// one transition that takes a backend out of traffic. A relapse during
+// recovery (Probing → Ejected) is not a new ejection.
+func (b *backend) reportProbe(ok bool, cfg HealthConfig) (ejected bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -195,6 +186,7 @@ func (b *backend) reportProbe(ok bool, cfg HealthConfig) {
 		} else {
 			b.state = StateEjected
 			obs.RtrEjections.Inc()
+			return true
 		}
 	case StateEjected:
 		if ok {
@@ -208,13 +200,14 @@ func (b *backend) reportProbe(ok bool, cfg HealthConfig) {
 		if !ok {
 			b.state = StateEjected
 			b.probeOK = 0
-			return
+			return false
 		}
 		b.probeOK++
 		if b.probeOK >= cfg.RecoverProbes {
 			b.recoverLocked()
 		}
 	}
+	return false
 }
 
 // recoverLocked finishes Probing → Healthy. Caller holds b.mu.
@@ -222,17 +215,18 @@ func (b *backend) recoverLocked() {
 	b.state = StateHealthy
 	b.probeOK = 0
 	b.consecFails = 0
-	// The passive breaker may still be open from the outage; recording
-	// successes alone won't close it before its cooldown, which is the
-	// desired ramp: health says "in", the breaker meters the return.
 	obs.RtrRecoveries.Inc()
 }
 
 // prober runs the active health loop for one backend until ctx ends:
 // GET /healthz every ProbeInterval (sooner when nudged), outcome fed
 // to reportProbe. It probes unconditionally — healthy backends get a
-// cheap liveness check, ejected ones get their way back in.
-func (b *backend) prober(ctx context.Context, hc *http.Client, cfg HealthConfig) {
+// cheap liveness check, ejected ones get their way back in. A probe
+// cut short by ctx says nothing of the backend and is dropped. An
+// ejection writes one "backend_ejected" bundle to diag (nil: none);
+// this goroutine is off every request path, so the synchronous
+// Trigger is safe, and Close waits for it.
+func (b *backend) prober(ctx context.Context, hc *http.Client, cfg HealthConfig, diag *trace.Flight) {
 	t := time.NewTicker(cfg.ProbeInterval)
 	defer t.Stop()
 	for {
@@ -242,7 +236,13 @@ func (b *backend) prober(ctx context.Context, hc *http.Client, cfg HealthConfig)
 		case <-t.C:
 		case <-b.nudge:
 		}
-		b.reportProbe(b.probeOnce(ctx, hc, cfg), cfg)
+		ok := b.probeOnce(ctx, hc, cfg)
+		if ctx.Err() != nil {
+			return
+		}
+		if b.reportProbe(ok, cfg) {
+			diag.Trigger("backend_ejected", "backend "+b.name+" ejected", nil, nil)
+		}
 	}
 }
 

@@ -70,7 +70,7 @@ type Config struct {
 	// slow end to end.
 	TraceSlow time.Duration
 	// Diag, when set, arms the router's flight recorder: a backend
-	// breaker opening writes one diagnostic bundle.
+	// being ejected writes one diagnostic bundle.
 	Diag *trace.Flight
 }
 
@@ -95,10 +95,10 @@ func (c Config) withDefaults() Config {
 }
 
 // Router is the fleet front: one Ring for placement, one backend (with
-// breaker + prober) per fleet member, one singleflight group for
-// dedup. It implements http.Handler with the same job surface as a
-// single bgpcd — clients point at the router and cannot tell the
-// difference except for the X-BGPC-* routing headers.
+// its health state and prober) per fleet member, one singleflight
+// group for dedup. It implements http.Handler with the same job
+// surface as a single bgpcd — clients point at the router and cannot
+// tell the difference except for the X-BGPC-* routing headers.
 type Router struct {
 	cfg      Config
 	ring     *Ring
@@ -134,17 +134,7 @@ func New(cfg Config) (*Router, error) {
 		traces:   trace.NewRing(cfg.TraceRing, "bgpcrouter", cfg.TraceSample, cfg.TraceSlow),
 	}
 	for _, m := range ring.Members() {
-		hcfg := cfg.Health
-		if cfg.Diag != nil {
-			// A backend breaker opening is a fleet anomaly worth a
-			// bundle. OnOpen already runs on its own goroutine, so the
-			// synchronous Trigger (profiles and all) is safe here.
-			name := m
-			hcfg.Breaker.OnOpen = func() {
-				cfg.Diag.Trigger("breaker_open", "backend "+name+" breaker opened", nil, nil)
-			}
-		}
-		rt.backends[m] = newBackend(m, hcfg)
+		rt.backends[m] = newBackend(m)
 	}
 	rt.mux.HandleFunc("POST /color", rt.handleColor)
 	rt.mux.HandleFunc("POST /color/{fingerprint}/delta", rt.handleDelta)
@@ -164,7 +154,7 @@ func New(cfg Config) (*Router, error) {
 			func() int64 { return int64(b.State()) })
 	}
 	obs.RegisterGauge("bgpc.rtr_backends_eligible",
-		"Backends currently eligible for traffic (healthy/suspect with a breaker that is not open).",
+		"Backends currently eligible for traffic (healthy or suspect).",
 		func() int64 { return int64(rt.eligibleCount()) })
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -174,14 +164,15 @@ func New(cfg Config) (*Router, error) {
 		rt.wg.Add(1)
 		go func() {
 			defer rt.wg.Done()
-			b.prober(ctx, rt.hc, rt.cfg.Health)
+			b.prober(ctx, rt.hc, rt.cfg.Health, rt.cfg.Diag)
 		}()
 	}
 	return rt, nil
 }
 
-// Close stops the health probers and idle connections. In-flight
-// proxied requests are not interrupted.
+// Close stops the health probers, waiting out any ejection bundle one
+// is writing, and idle connections. In-flight proxied requests are not
+// interrupted.
 func (rt *Router) Close() {
 	rt.cancel()
 	rt.wg.Wait()
@@ -231,19 +222,17 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleBackends serves the fleet roster: index → address, health
-// state, breaker state. This is the companion to the indexed
-// rtr_backend_state_<i> gauges on /metrics.
+// state. This is the companion to the indexed rtr_backend_state_<i>
+// gauges on /metrics.
 func (rt *Router) handleBackends(w http.ResponseWriter, r *http.Request) {
 	type row struct {
-		Index   int    `json:"index"`
-		Addr    string `json:"addr"`
-		State   string `json:"state"`
-		Breaker string `json:"breaker"`
+		Index int    `json:"index"`
+		Addr  string `json:"addr"`
+		State string `json:"state"`
 	}
 	var rows []row
 	for i, m := range rt.ring.Members() {
-		b := rt.backends[m]
-		rows = append(rows, row{i, m, b.State().String(), b.br.State().String()})
+		rows = append(rows, row{i, m, rt.backends[m].State().String()})
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(rows)
@@ -441,14 +430,13 @@ func (rt *Router) logRequest(r *http.Request, status int, key, variant string, s
 	)
 }
 
-// errNoBackend reports that every candidate was down, ejected, or
-// refused by its breaker.
+// errNoBackend reports that every candidate was down or ejected.
 var errNoBackend = errors.New("router: no eligible backend")
 
 // proxy walks the ring order for key, applying the failover/spillover
 // policy:
 //
-//   - ineligible (ejected/probing/breaker-open) → skip to successor
+//   - ineligible (ejected/probing) → skip to successor
 //   - transport error or 5xx → passive failure, try successor
 //   - 429/413 → the backend is alive but out of budget: remember its
 //     rejection, spill to the successor
@@ -481,11 +469,7 @@ func (rt *Router) proxy(ctx context.Context, rec *obs.Recorder, sc trace.SpanCon
 			break
 		}
 		b := rt.backends[name]
-		if s := b.State(); s != StateHealthy && s != StateSuspect {
-			rerouted = true
-			continue
-		}
-		if b.br.Allow() != nil {
+		if !b.eligible() {
 			rerouted = true
 			continue
 		}
@@ -505,11 +489,7 @@ func (rt *Router) proxy(ctx context.Context, rec *obs.Recorder, sc trace.SpanCon
 		res, err := rt.send(ctx, b, method, uri, hdr, body)
 		if err != nil {
 			if ctx.Err() != nil {
-				// The attempt took a breaker slot (a half-open probe
-				// one, maybe), so record it as client.Client does; the
-				// backend's health state says nothing of a canceled
-				// caller and stays as it is.
-				b.br.Record(false)
+				// A canceled caller says nothing of the backend.
 				return nil, ctx.Err()
 			}
 			b.reportFailure(rt.cfg.Health)
@@ -520,8 +500,8 @@ func (rt *Router) proxy(ctx context.Context, rec *obs.Recorder, sc trace.SpanCon
 		}
 		switch {
 		case res.status >= 500:
-			// The server answered but is failing; that is breaker food
-			// and grounds to try the successor.
+			// The server answered but is failing; that is a passive
+			// failure and grounds to try the successor.
 			b.reportFailure(rt.cfg.Health)
 			obs.RtrFailovers.Inc()
 			rerouted = true

@@ -8,13 +8,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"bgpc/internal/client"
 	"bgpc/internal/failpoint"
 	"bgpc/internal/obs"
 	"bgpc/internal/testutil"
@@ -22,21 +22,28 @@ import (
 )
 
 // fakeBackend is a scripted fleet member: its handler is swappable at
-// runtime, its /healthz verdict is controllable, and it counts /color
-// and delta hits.
+// runtime, its /healthz verdict is controllable (or scripted outright),
+// and it counts /color and delta hits.
 type fakeBackend struct {
 	srv     *httptest.Server
 	addr    string
 	hits    atomic.Int64
 	healthy atomic.Bool
 
-	mu sync.Mutex
-	fn http.HandlerFunc
+	mu    sync.Mutex
+	fn    http.HandlerFunc
+	probe http.HandlerFunc // answers /healthz when set
 }
 
 func (f *fakeBackend) set(fn http.HandlerFunc) {
 	f.mu.Lock()
 	f.fn = fn
+	f.mu.Unlock()
+}
+
+func (f *fakeBackend) setProbe(fn http.HandlerFunc) {
+	f.mu.Lock()
+	f.probe = fn
 	f.mu.Unlock()
 }
 
@@ -53,11 +60,12 @@ func okColorHandler(w http.ResponseWriter, r *http.Request) {
 // explicitly; the chaos test exercises the live prober).
 func newFleet(t *testing.T, n int) ([]*fakeBackend, *Router) {
 	t.Helper()
-	return newFleetWith(t, n, HealthConfig{ProbeInterval: time.Hour})
+	return newFleetWith(t, n, Config{Health: HealthConfig{ProbeInterval: time.Hour}})
 }
 
-// newFleetWith is newFleet with the given health configuration.
-func newFleetWith(t *testing.T, n int, hc HealthConfig) ([]*fakeBackend, *Router) {
+// newFleetWith is newFleet with the given router configuration; the
+// backends and a quiet log are filled in.
+func newFleetWith(t *testing.T, n int, cfg Config) ([]*fakeBackend, *Router) {
 	t.Helper()
 	fleet := make([]*fakeBackend, n)
 	var addrs []string
@@ -67,6 +75,13 @@ func newFleetWith(t *testing.T, n int, hc HealthConfig) ([]*fakeBackend, *Router
 		f.set(okColorHandler)
 		mux := http.NewServeMux()
 		mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+			f.mu.Lock()
+			probe := f.probe
+			f.mu.Unlock()
+			if probe != nil {
+				probe(w, r)
+				return
+			}
 			if !f.healthy.Load() {
 				http.Error(w, "down", http.StatusServiceUnavailable)
 				return
@@ -88,11 +103,9 @@ func newFleetWith(t *testing.T, n int, hc HealthConfig) ([]*fakeBackend, *Router
 		addrs = append(addrs, f.addr)
 		t.Cleanup(f.srv.Close)
 	}
-	rt, err := New(Config{
-		Backends: addrs,
-		Health:   hc,
-		Log:      slog.New(slog.NewTextHandler(io.Discard, nil)),
-	})
+	cfg.Backends = addrs
+	cfg.Log = slog.New(slog.NewTextHandler(io.Discard, nil))
+	rt, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +488,7 @@ func TestRouterProxyFailpoint(t *testing.T) {
 // probe successes → probing → healthy.
 func TestHealthStateMachine(t *testing.T) {
 	cfg := HealthConfig{}.withDefaults()
-	b := newBackend("127.0.0.1:1", cfg)
+	b := newBackend("127.0.0.1:1")
 	if b.State() != StateHealthy {
 		t.Fatalf("initial state %v", b.State())
 	}
@@ -505,7 +518,9 @@ func TestHealthStateMachine(t *testing.T) {
 		b.reportFailure(cfg)
 	}
 	ejBefore := obs.RtrEjections.Load()
-	b.reportProbe(false, cfg)
+	if !b.reportProbe(false, cfg) {
+		t.Fatal("the ejecting probe did not report the ejection")
+	}
 	if b.State() != StateEjected {
 		t.Fatalf("state %v after failed probe while suspect, want ejected", b.State())
 	}
@@ -522,8 +537,10 @@ func TestHealthStateMachine(t *testing.T) {
 	if cfg.RecoverProbes > 1 && b.State() != StateProbing {
 		t.Fatalf("state %v after first good probe, want probing", b.State())
 	}
-	// A relapse mid-recovery re-ejects.
-	b.reportProbe(false, cfg)
+	// A relapse mid-recovery re-ejects, but is not a new ejection.
+	if b.reportProbe(false, cfg) {
+		t.Fatal("a relapse during recovery reported a new ejection")
+	}
 	if b.State() != StateEjected {
 		t.Fatalf("state %v after relapse, want ejected", b.State())
 	}
@@ -538,80 +555,88 @@ func TestHealthStateMachine(t *testing.T) {
 	}
 }
 
-// probeFleet boots one backend whose breaker trips on a single failure,
-// cools down for cooldown and lets one half-open probe through, and
-// opens that breaker.
-func probeFleet(t *testing.T, cooldown time.Duration) (*fakeBackend, *Router) {
+// newDiag returns a flight recorder over a fresh directory with no
+// cooldown, so every trigger writes a bundle.
+func newDiag(t *testing.T) *trace.Flight {
 	t.Helper()
-	fleet, rt := newFleetWith(t, 1, HealthConfig{
-		ProbeInterval: time.Hour,
-		Breaker:       client.BreakerConfig{MinRequests: 1, Cooldown: cooldown, HalfOpenProbes: 1},
+	diag, err := trace.NewFlight(trace.FlightConfig{Dir: t.TempDir(), Cooldown: -1, Process: "bgpcrouter"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return diag
+}
+
+func bundles(t *testing.T, diag *trace.Flight) []string {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(diag.Dir(), "bundle-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
+// TestEjectionWritesOneBundle: a router built with Diag writes exactly
+// one backend_ejected bundle when its prober ejects a backend, and
+// none when it is closed.
+func TestEjectionWritesOneBundle(t *testing.T) {
+	testutil.CheckGoroutineLeaks(t)
+	diag := newDiag(t)
+	fleet, rt := newFleetWith(t, 2, Config{
+		Health: HealthConfig{ProbeInterval: 20 * time.Millisecond, ProbeTimeout: time.Second},
+		Diag:   diag,
 	})
-	rt.backends[fleet[0].addr].br.Record(false)
-	return fleet[0], rt
-}
-
-// TestEligibleTakesNoProbeSlot: /healthz and the eligible-backends
-// gauge are questions, not calls. Asked repeatedly while the breaker is
-// half-open, they must leave the probe slot to the proxy, which then
-// serves a job and closes the breaker.
-func TestEligibleTakesNoProbeSlot(t *testing.T) {
-	const cooldown = 50 * time.Millisecond
-	f, rt := probeFleet(t, cooldown)
-	time.Sleep(2 * cooldown)
-	for i := 0; i < 3; i++ {
-		w := httptest.NewRecorder()
-		rt.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/healthz", nil))
-		if w.Code != http.StatusOK {
-			t.Fatalf("healthz %d after the cooldown: %d %s", i+1, w.Code, w.Body)
-		}
-		if n := rt.eligibleCount(); n != 1 {
-			t.Fatalf("eligible backends = %d after the cooldown, want 1", n)
-		}
+	ejBefore := obs.RtrEjections.Load()
+	fleet[0].healthy.Store(false)
+	waitForState(t, rt, fleet[0].addr, StateEjected, 5*time.Second)
+	rt.Close()
+	if got := obs.RtrEjections.Load() - ejBefore; got != 1 {
+		t.Fatalf("rtr_ejections rose by %d, want 1", got)
 	}
-	if w := postColor(t, rt, jobBody, nil); w.Code != http.StatusOK {
-		t.Fatalf("job after the cooldown: %d %s", w.Code, w.Body)
-	}
-	if st := rt.backends[f.addr].br.State(); st != client.BreakerClosed {
-		t.Fatalf("breaker %v after a served probe, want closed", st)
+	got := bundles(t, diag)
+	if len(got) != 1 || !strings.HasSuffix(got[0], "-backend_ejected") {
+		t.Fatalf("bundles %v, want exactly one backend_ejected bundle", got)
 	}
 }
 
-// TestCanceledProbeFreesSlot: a half-open probe whose caller cancels
-// mid-send is recorded as a failure, so the breaker reopens for one
-// cooldown and then admits a new probe, instead of holding the slot
-// for good.
-func TestCanceledProbeFreesSlot(t *testing.T) {
-	const cooldown = 50 * time.Millisecond
-	f, rt := probeFleet(t, cooldown)
+// TestCloseMidProbeKeepsHealth: a probe cut short by Close says nothing
+// of the backend. A suspect backend whose probe is in flight at Close
+// stays suspect; nothing is ejected and no bundle is written.
+func TestCloseMidProbeKeepsHealth(t *testing.T) {
+	testutil.CheckGoroutineLeaks(t)
+	diag := newDiag(t)
+	fleet, rt := newFleetWith(t, 1, Config{
+		Health: HealthConfig{FailAfter: 1, ProbeInterval: time.Hour},
+		Diag:   diag,
+	})
+	f := fleet[0]
+	probing := make(chan struct{})
 	release := make(chan struct{})
-	t.Cleanup(func() { close(release) })
-	f.set(func(w http.ResponseWriter, r *http.Request) {
-		io.Copy(io.Discard, r.Body) // so that the server sees the hang-up
+	defer close(release)
+	var once sync.Once
+	f.setProbe(func(w http.ResponseWriter, r *http.Request) {
+		once.Do(func() { close(probing) })
 		select {
 		case <-r.Context().Done():
 		case <-release:
 		}
 	})
-	time.Sleep(2 * cooldown)
-	ctx, cancel := context.WithTimeout(context.Background(), cooldown)
-	defer cancel()
-	req := httptest.NewRequest(http.MethodPost, "/color", strings.NewReader(jobBody)).WithContext(ctx)
-	rt.ServeHTTP(httptest.NewRecorder(), req)
-	if st := rt.backends[f.addr].State(); st != StateHealthy {
-		t.Fatalf("backend %v after a canceled call, want healthy", st)
+	b := rt.backends[f.addr]
+	ejBefore := obs.RtrEjections.Load()
+	b.reportFailure(rt.cfg.Health) // healthy → suspect, nudging an immediate probe
+	select {
+	case <-probing:
+	case <-time.After(5 * time.Second):
+		t.Fatal("turning suspect did not start a probe")
 	}
-	// The canceled send is recorded when the flight notices the
-	// cancel, which may be after ServeHTTP returned.
-	f.set(okColorHandler)
-	for end := time.Now().Add(2 * time.Second); ; time.Sleep(10 * time.Millisecond) {
-		code := postColor(t, rt, jobBody, nil).Code
-		if code == http.StatusOK {
-			break
-		}
-		if time.Now().After(end) {
-			t.Fatalf("job after the canceled probe: %d, want 200", code)
-		}
+	rt.Close()
+	if st := b.State(); st != StateSuspect {
+		t.Fatalf("backend %v after Close cut its probe short, want suspect", st)
+	}
+	if got := obs.RtrEjections.Load() - ejBefore; got != 0 {
+		t.Fatalf("rtr_ejections rose by %d at Close, want 0", got)
+	}
+	if got := bundles(t, diag); len(got) != 0 {
+		t.Fatalf("Close wrote bundles %v, want none", got)
 	}
 }
 

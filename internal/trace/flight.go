@@ -17,7 +17,7 @@ import (
 )
 
 // Flight is the anomaly-triggered flight recorder: when something
-// breaks — the watchdog fires, a breaker opens, the WAL fuse trips, a
+// breaks — the watchdog fires, a backend is ejected, the WAL fuse trips, a
 // request breaches the latency threshold — Trigger writes one
 // diagnostic bundle capturing the process state that explains it:
 //
@@ -124,7 +124,7 @@ func (f *Flight) Dir() string {
 }
 
 // Trigger fires the flight recorder for one anomaly. reason is a
-// stable token ("watchdog", "breaker_open", "wal_fuse", "slow_request");
+// stable token ("watchdog", "backend_ejected", "wal_fuse", "slow_request");
 // detail is free-form context; asm is the triggering assembled trace
 // (nil when the anomaly has no associated trace); timelines are the
 // process's recent request timelines. The bundle is written
