@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -108,63 +109,35 @@ func startDaemonCapture(t *testing.T, extraArgs ...string) (*lineCapture, func()
 	}
 }
 
-// TestDaemonE2EClientBreaker is the acceptance walk for the resilient
-// client against a live daemon: a fault schedule makes the daemon
-// throw 500s, the client's breaker opens, the schedule auto-disarms,
-// and after the cooldown the breaker half-opens and recovers — all
-// over real HTTP.
-func TestDaemonE2EClientBreaker(t *testing.T) {
+// TestDaemonE2EClientSeesEveryFault is the acceptance walk for the
+// client's one failure policy against a live daemon: under a fault
+// schedule of six handler 500s, a one-attempt client sends every call
+// over real HTTP and sees each injected fault as the server's own
+// answer — nothing is refused locally — and once the schedule
+// auto-disarms, the next call succeeds.
+func TestDaemonE2EClientSeesEveryFault(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
-	// Six injected handler faults: enough to trip a MinRequests=4
-	// breaker even if an early probe burns one.
-	base, shutdown := startDaemon(t, "-failpoints", "svc.handleColor=err@6")
+	const faults = 6
+	base, shutdown := startDaemon(t, "-failpoints", fmt.Sprintf("svc.handleColor=err@%d", faults))
 	defer shutdown()
 
 	tiny := "%%MatrixMarket matrix coordinate pattern general\n" +
 		"3 4 7\n1 1\n1 2\n1 3\n2 3\n2 4\n3 2\n3 4\n"
-	c := client.New(client.Config{
-		BaseURL:     base,
-		MaxAttempts: 1, // one attempt per call: deterministic window accounting
-		Breaker: client.BreakerConfig{
-			MinRequests: 4, FailureRatio: 0.5,
-			Cooldown: 200 * time.Millisecond, HalfOpenProbes: 2,
-		},
-	})
+	c := client.New(client.Config{BaseURL: base, MaxAttempts: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), testutil.Scale(60*time.Second))
 	defer cancel()
 
-	var sawServerFault bool
-	for i := 0; i < 4; i++ {
+	for i := 0; i < faults; i++ {
 		_, err := c.Color(ctx, service.ColorRequest{Matrix: tiny})
-		if err == nil {
-			t.Fatalf("call %d during fault schedule unexpectedly succeeded", i+1)
-		}
 		var apiErr *client.APIError
-		if errors.As(err, &apiErr) && apiErr.Status == http.StatusInternalServerError {
-			sawServerFault = true
+		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusInternalServerError ||
+			!strings.Contains(apiErr.Message, "injected handler fault") {
+			t.Fatalf("call %d: err = %v, want the daemon's injected 500", i+1, err)
 		}
 	}
-	if !sawServerFault {
-		t.Fatal("fault schedule never produced a 500 — breaker was fed nothing real")
-	}
-	if got := c.BreakerState(); got != client.BreakerOpen {
-		t.Fatalf("breaker state = %v, want open", got)
-	}
-	// Open means fail-fast: refused before the network.
-	if _, err := c.Color(ctx, service.ColorRequest{Matrix: tiny}); !errors.Is(err, client.ErrBreakerOpen) {
-		t.Fatalf("open breaker did not refuse: %v", err)
-	}
-
-	// The remaining armed faults die with the cooldown: retry until
-	// the daemon heals and two probes close the breaker.
-	testutil.WaitFor(t, testutil.Scale(30*time.Second), func() bool {
-		_, err := c.Color(ctx, service.ColorRequest{Matrix: tiny})
-		return err == nil
-	}, "breaker never recovered through half-open")
+	// The schedule is spent: the daemon heals and the very next call
+	// is served.
 	if _, err := c.Color(ctx, service.ColorRequest{Matrix: tiny}); err != nil {
-		t.Fatalf("second recovery call: %v", err)
-	}
-	if got := c.BreakerState(); got != client.BreakerClosed {
-		t.Fatalf("breaker state after recovery = %v, want closed", got)
+		t.Fatalf("call after the fault schedule: %v", err)
 	}
 }

@@ -32,11 +32,10 @@ import (
 // client's backoff rides out, an incremental delta-recolor chain
 // (mutate by fingerprint, verify, invert, 404 on an unknown base), a
 // durability recover-chain (color → delta → restart against the same
-// WAL directory → delta off the recovered fingerprint), and
-// a circuit-breaker open/half-open/recover cycle against injected
-// faults, and a trace-assembly check (color through a spawned router
-// under a pinned trace id, fetch the merged trace, assert both
-// processes joined one acyclic, rooted span tree). It is the
+// WAL directory → delta off the recovered fingerprint), and a
+// trace-assembly check (color through a spawned router under a pinned
+// trace id, fetch the merged trace, assert both processes joined one
+// acyclic, rooted span tree). It is the
 // deploy-time smoke check: `bgpcd -selftest` exits 0 only if the
 // daemon and client agree on the whole protocol.
 func selftest(ctx context.Context, cfg service.Config, stdout io.Writer) error {
@@ -69,9 +68,6 @@ func selftest(ctx context.Context, cfg service.Config, stdout io.Writer) error {
 		MaxAttempts: 6,
 		BaseBackoff: 20 * time.Millisecond,
 		MaxBackoff:  250 * time.Millisecond,
-		Breaker: client.BreakerConfig{
-			MinRequests: 4, FailureRatio: 0.5, Cooldown: 300 * time.Millisecond, HalfOpenProbes: 2,
-		},
 	})
 
 	pass := 0
@@ -255,46 +251,6 @@ func selftest(ctx context.Context, cfg service.Config, stdout io.Writer) error {
 				}
 				return nil
 			})
-		}},
-		{"breaker-opens-and-recovers", func() error {
-			// A dedicated single-attempt client makes the breaker walk
-			// deterministic: every Color call is exactly one attempt,
-			// so the injected fault count maps 1:1 onto the window.
-			cb := client.New(client.Config{
-				BaseURL:     base,
-				MaxAttempts: 1,
-				Breaker: client.BreakerConfig{
-					MinRequests: 4, FailureRatio: 0.5, Cooldown: 300 * time.Millisecond, HalfOpenProbes: 2,
-				},
-			})
-			if err := failpoint.ArmFromSpec(client.FPAttempt + "=err@4"); err != nil {
-				return err
-			}
-			defer failpoint.Reset()
-			for i := 0; i < 4; i++ {
-				if _, err := cb.Color(ctx, service.ColorRequest{Matrix: tiny}); err == nil {
-					return fmt.Errorf("faulted call %d unexpectedly succeeded", i+1)
-				}
-			}
-			if got := cb.BreakerState(); got != client.BreakerOpen {
-				return fmt.Errorf("breaker state = %v, want open", got)
-			}
-			// Faults are spent, but the open breaker must refuse
-			// without dialing until the cooldown elapses.
-			if _, err := cb.Color(ctx, service.ColorRequest{Matrix: tiny}); !errors.Is(err, client.ErrBreakerOpen) {
-				return fmt.Errorf("open breaker did not fail fast: %v", err)
-			}
-			time.Sleep(350 * time.Millisecond) // past the cooldown
-			// Two successful half-open probes close it again.
-			for i := 0; i < 2; i++ {
-				if _, err := cb.Color(ctx, service.ColorRequest{Matrix: tiny, Algorithm: "V-V"}); err != nil {
-					return fmt.Errorf("recovery call %d: %w", i+1, err)
-				}
-			}
-			if got := cb.BreakerState(); got != client.BreakerClosed {
-				return fmt.Errorf("breaker state = %v, want closed", got)
-			}
-			return nil
 		}},
 		{"trace-assembly", func() error {
 			// The cross-process tracing contract end to end: spawn a

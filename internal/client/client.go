@@ -1,11 +1,13 @@
 // Package client is the disciplined way to call a bgpcd coloring
 // daemon: an HTTP client with capped exponential backoff and full
-// jitter, Retry-After honoring, per-attempt deadline propagation, and a
-// rolling-window circuit breaker. The daemon's admission control
-// (queue-full and byte-budget 429s, drain 503s) only protects the
-// server if clients back off instead of hammering; this package is that
-// other half of the contract, the retry shape production partitioner
-// services put in front of shared solver fleets.
+// jitter, Retry-After honoring, and per-attempt deadline propagation.
+// The daemon's admission control (queue-full and byte-budget 429s,
+// drain 503s) only protects the server if clients back off instead of
+// hammering; this package is that other half of the contract. Bounded
+// retries are the client's one failure policy: a failing server sees at
+// most MaxAttempts tries per call, spread out by jitter, and load is
+// shed where it can be seen — daemon admission control, per-fingerprint
+// quarantine, and router ejection — not by a second verdict here.
 package client
 
 import (
@@ -27,8 +29,8 @@ import (
 )
 
 // FPAttempt is probed immediately before every HTTP attempt. "err"
-// makes attempts fail without touching the network — breaker food for
-// chaos schedules — and "delay" turns the client into a straggler.
+// makes attempts fail without touching the network — transport faults
+// for chaos schedules — and "delay" turns the client into a straggler.
 const FPAttempt = "client.attempt"
 
 // RouteInfo describes how a response travelled when the daemon sits
@@ -141,10 +143,8 @@ type Config struct {
 	// caller's context so one black-holed attempt cannot consume the
 	// whole call budget; ≤ 0 means 30s.
 	AttemptTimeout time.Duration
-	// Breaker tunes the circuit breaker; the zero value uses defaults.
-	Breaker BreakerConfig
-	// Logf, when set, receives one line per retry and breaker
-	// transition. Nil discards.
+	// Logf, when set, receives one line per retryable attempt failure.
+	// Nil discards.
 	Logf func(format string, args ...any)
 
 	// rand overrides the jitter source in tests; nil seeds from the
@@ -152,12 +152,11 @@ type Config struct {
 	rand *rand.Rand
 }
 
-// Client calls a bgpcd daemon with retries and a circuit breaker. Safe
-// for concurrent use.
+// Client calls a bgpcd daemon with bounded retries. Safe for
+// concurrent use.
 type Client struct {
 	cfg  Config
 	http *http.Client
-	br   *breaker
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -185,19 +184,8 @@ func New(cfg Config) *Client {
 	if rng == nil {
 		rng = rand.New(rand.NewSource(time.Now().UnixNano()))
 	}
-	c := &Client{cfg: cfg, http: hc, br: newBreaker(cfg.Breaker), rng: rng}
-	// The breaker state rides in the unified metrics surface (/metrics
-	// and WriteMetrics) as a numeric gauge; registration replaces, so
-	// the last-constructed client wins — matching a daemon-side process
-	// that holds one client.
-	obs.RegisterGauge("bgpc.client_breaker_state",
-		"Circuit-breaker state: 0 closed, 1 open, 2 half-open.",
-		func() int64 { return int64(c.br.State()) })
-	return c
+	return &Client{cfg: cfg, http: hc, rng: rng}
 }
-
-// BreakerState reports the circuit breaker's current state.
-func (c *Client) BreakerState() BreakerState { return c.br.State() }
 
 func (c *Client) logf(format string, args ...any) {
 	if c.cfg.Logf != nil {
@@ -206,9 +194,9 @@ func (c *Client) logf(format string, args ...any) {
 }
 
 // Color submits one coloring job and returns the decoded response,
-// retrying temporary failures with backoff until ctx expires, the
-// attempt budget runs out, or the breaker opens. Permanent rejections
-// (400, 413) return an *APIError immediately.
+// retrying temporary failures with backoff until ctx expires or the
+// attempt budget runs out. Permanent rejections (400, 413) return an
+// *APIError immediately.
 //
 // One request id is minted per Color call and sent as X-Request-ID on
 // every attempt, so all retries of one logical request correlate to a
@@ -259,9 +247,8 @@ func (c *Client) DeltaRouted(ctx context.Context, fingerprint string, req servic
 
 // call runs the shared retry loop for one logical request: encode once,
 // mint one correlation id, then attempt with backoff until success, a
-// permanent rejection, breaker/context exhaustion, or the attempt
-// budget runs out. Returns the raw 200 body plus the final attempt's
-// route markers.
+// permanent rejection, context exhaustion, or the attempt budget runs
+// out. Returns the raw 200 body plus the final attempt's route markers.
 func (c *Client) call(ctx context.Context, path string, req any) ([]byte, RouteInfo, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -277,33 +264,15 @@ func (c *Client) call(ctx context.Context, path string, req any) ([]byte, RouteI
 				return nil, lastRoute, fmt.Errorf("client: %w (last attempt: %v)", err, lastErr)
 			}
 		}
-		if err := c.br.allow(); err != nil {
-			// The breaker refusing is not itself a failed attempt — do
-			// not record it — but it is retryable: the cooldown may
-			// elapse within the caller's deadline.
-			c.logf("client: attempt %d refused: %v", attempt+1, err)
-			lastErr = err
-			continue
-		}
 		raw, ri, err := c.attempt(ctx, path, body, reqID)
 		lastRoute = ri
 		if err == nil {
-			c.br.record(true)
 			return raw, ri, nil
 		}
 		lastErr = err
 		var apiErr *APIError
-		if errors.As(err, &apiErr) {
-			// The server answered, so it is alive: only 5xx counts
-			// against the breaker. Backpressure (429) and client-fault
-			// rejections are healthy behaviour.
-			c.br.record(apiErr.Status < 500)
-			if !apiErr.Temporary() {
-				return nil, ri, err
-			}
-		} else {
-			// Transport-level failure (or injected fault): breaker food.
-			c.br.record(false)
+		if errors.As(err, &apiErr) && !apiErr.Temporary() {
+			return nil, ri, err
 		}
 		if ctx.Err() != nil {
 			return nil, lastRoute, fmt.Errorf("client: %w (last attempt: %v)", ctx.Err(), lastErr)

@@ -184,54 +184,6 @@ func TestColorContextCancelDuringBackoff(t *testing.T) {
 	}
 }
 
-func TestColorTransportErrorsTripBreaker(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-	srv.Close() // refuse every connection
-	c := New(Config{
-		BaseURL:     srv.URL,
-		MaxAttempts: 8,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  2 * time.Millisecond,
-		Breaker:     BreakerConfig{MinRequests: 3, FailureRatio: 0.5, Cooldown: time.Minute},
-		rand:        rand.New(rand.NewSource(1)),
-	})
-	_, err := c.Color(context.Background(), service.ColorRequest{})
-	if err == nil {
-		t.Fatal("expected failure")
-	}
-	if got := c.BreakerState(); got != BreakerOpen {
-		t.Fatalf("breaker state = %v, want open", got)
-	}
-	// With the breaker open, the next call fails fast without dialing.
-	start := time.Now()
-	_, err = c.Color(context.Background(), service.ColorRequest{})
-	if !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("err = %v, want ErrBreakerOpen", err)
-	}
-	if took := time.Since(start); took > 2*time.Second {
-		t.Fatalf("open-breaker call took %v, want fast refusal", took)
-	}
-}
-
-func TestColor429DoesNotTripBreaker(t *testing.T) {
-	d := &fakeDaemon{t: t, script: []func(http.ResponseWriter){respondStatus(http.StatusTooManyRequests, "")}}
-	srv := httptest.NewServer(d.handler())
-	defer srv.Close()
-	c := New(Config{
-		BaseURL:     srv.URL,
-		MaxAttempts: 8,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  2 * time.Millisecond,
-		Breaker:     BreakerConfig{MinRequests: 3, FailureRatio: 0.5},
-		rand:        rand.New(rand.NewSource(1)),
-	})
-	c.Color(context.Background(), service.ColorRequest{})
-	// Backpressure means the server is healthy: breaker stays closed.
-	if got := c.BreakerState(); got != BreakerClosed {
-		t.Fatalf("breaker state after 429 storm = %v, want closed", got)
-	}
-}
-
 func TestAttemptFailpoint(t *testing.T) {
 	t.Cleanup(failpoint.Reset)
 	d := &fakeDaemon{t: t, script: []func(http.ResponseWriter){respondOK}}

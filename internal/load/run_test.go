@@ -226,3 +226,50 @@ func TestRunAbortsOnCancel(t *testing.T) {
 		t.Fatal("canceled run returned a report")
 	}
 }
+
+// TestRunCountsEveryServerFault pins the generator's single-attempt
+// contract: against a target that answers every POST with 503, each
+// request is sent and classified by what the server answered — all
+// 5xx, none transport. A client-side shedding layer that stopped
+// sending after a few failures would turn the tail into transport
+// errors and misreport the server.
+func TestRunCountsEveryServerFault(t *testing.T) {
+	daemon := service.New(service.Config{Workers: 1})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusServiceUnavailable)
+			w.Write([]byte(`{"error":"unavailable"}`))
+			return
+		}
+		daemon.ServeHTTP(w, r) // /metrics scrapes
+	}))
+	defer srv.Close()
+
+	spec := testSpec(t)
+	spec.Requests = 40
+	spec.RPS = 400
+	spec.HostileRate = 0
+	spec.CancelRate = 0
+	spec.Clients = 2
+	sched, err := BuildSchedule(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	rep, err := Run(ctx, sched, Options{BaseURL: srv.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Requests != 40 {
+		t.Fatalf("requests = %d, want 40", rep.Requests)
+	}
+	if got := rep.StatusClasses["5xx"]; got != 40 {
+		t.Fatalf("5xx = %d, want all 40 (transport %d): %v",
+			got, rep.StatusClasses["transport"], rep.StatusClasses)
+	}
+	if got := rep.StatusClasses["transport"]; got != 0 {
+		t.Fatalf("transport = %d, want 0: %v", got, rep.StatusClasses)
+	}
+}

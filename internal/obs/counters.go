@@ -127,14 +127,11 @@ var (
 )
 
 // Client-side counters (internal/client): the daemon's HTTP client
-// with retry/backoff and a circuit breaker.
+// with bounded retries and backoff.
 var (
 	// ClientRetries counts attempts beyond the first (each one followed
 	// a backoff sleep).
 	ClientRetries Counter
-	// ClientBreakerOpens counts closed→open transitions of the client's
-	// circuit breaker.
-	ClientBreakerOpens Counter
 )
 
 // Router counters (internal/router): the fleet front that consistent-
@@ -255,7 +252,6 @@ var counters = []struct {
 	{"bgpc.wal_quarantined", &WalQuarantinedSegments, "Corrupted WAL segments renamed aside instead of blocking startup."},
 	{"bgpc.wal_snapshots", &WalSnapshots, "WAL snapshot compactions."},
 	{"bgpc.client_retries", &ClientRetries, "Client attempts beyond the first."},
-	{"bgpc.client_breaker_opens", &ClientBreakerOpens, "Client circuit-breaker closed-to-open transitions."},
 	{"bgpc.rtr_proxied", &RtrProxied, "Requests the router forwarded to a backend."},
 	{"bgpc.rtr_dedup_hits", &RtrDedupHits, "Requests collapsed into an identical in-flight job."},
 	{"bgpc.rtr_spillovers", &RtrSpillovers, "Budget-aware reroutes past a 429/413-rejecting owner."},
@@ -290,9 +286,8 @@ func ResetMetrics() {
 // WriteMetrics writes a stable "name value" line per metric, sorted by
 // name — the CLI's -metrics report. The snapshot is unified: monotonic
 // counters AND every registered live gauge (queue depth, active jobs,
-// bytes in flight, memory budget, breaker state) appear in one pass,
-// so an operator's text scrape sees the daemon's current state next to
-// its history.
+// bytes in flight, memory budget) appear in one pass, so an operator's
+// text scrape sees the daemon's current state next to its history.
 func WriteMetrics(w io.Writer) error {
 	values := Snapshot()
 	for name, v := range GaugeSnapshot() {

@@ -132,7 +132,7 @@ func TestNopHotPathZeroAllocs(t *testing.T) {
 		if r := RecorderFromContext(ctx); r != nil {
 			t.Fatal("unexpected recorder")
 		}
-		sp := rec.StartSpan("phase")
+		sp := rec.StartSpanKind("phase", "")
 		sp.End()
 		sp2 := rec.StartSpanKind("phase", "queue")
 		sp2.End()

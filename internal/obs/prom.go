@@ -30,9 +30,9 @@ var (
 // (WritePrometheus). Names follow the counters' "bgpc.xyz" convention.
 // Replacement semantics — last registration wins — let tests and
 // multi-server processes re-register without ceremony; the serving
-// layer registers queue depth, active jobs, bytes in flight, memory
-// budget, and breaker state here so one scrape carries both "how many
-// ever" and "how many right now".
+// layer registers queue depth, active jobs, bytes in flight, and
+// memory budget here so one scrape carries both "how many ever" and
+// "how many right now".
 func RegisterGauge(name, help string, fn func() int64) {
 	gaugeMu.Lock()
 	gauges[name] = gaugeFunc{help: help, fn: fn}

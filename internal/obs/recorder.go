@@ -191,7 +191,7 @@ func (r *Recorder) TraceSampled() bool {
 	return r.sampled
 }
 
-// ActiveSpan is an in-flight span handle returned by StartSpan. The
+// ActiveSpan is an in-flight span handle returned by StartSpanKind. The
 // zero value (from a nil Recorder) is valid and End on it is a no-op,
 // so callers never branch.
 type ActiveSpan struct {
@@ -201,18 +201,10 @@ type ActiveSpan struct {
 	start time.Time
 }
 
-// StartSpan opens a span named name starting now. Nil-safe: a nil
+// StartSpanKind opens a span named name starting now, classified by
+// kind (see the trace.Kind* constants; "" for none). Nil-safe: a nil
 // Recorder returns a zero handle and performs no work (not even the
 // clock read).
-func (r *Recorder) StartSpan(name string) ActiveSpan {
-	if r == nil {
-		return ActiveSpan{}
-	}
-	return ActiveSpan{r: r, name: name, start: time.Now()}
-}
-
-// StartSpanKind is StartSpan with a kind classifier (see the
-// trace.Kind* constants). Nil-safe.
 func (r *Recorder) StartSpanKind(name, kind string) ActiveSpan {
 	if r == nil {
 		return ActiveSpan{}
@@ -227,14 +219,9 @@ func (s ActiveSpan) End() {
 	}
 }
 
-// AddSpan records a span with an explicit start and duration — for
-// intervals measured elsewhere, like queue wait between admission and
-// worker pickup. Nil-safe.
-func (r *Recorder) AddSpan(name string, start time.Time, dur time.Duration) {
-	r.add(Span{Name: name}, start, dur)
-}
-
-// AddSpanKind is AddSpan with a kind classifier. Nil-safe.
+// AddSpanKind records a span with an explicit start and duration —
+// for intervals measured elsewhere, like queue wait between admission
+// and worker pickup — classified by kind ("" for none). Nil-safe.
 func (r *Recorder) AddSpanKind(name, kind string, start time.Time, dur time.Duration) {
 	r.add(Span{Name: name, Kind: kind}, start, dur)
 }

@@ -16,9 +16,9 @@ func TestNilRecorderIsSafeNoop(t *testing.T) {
 	if r.ID() != "" {
 		t.Fatal("nil ID not empty")
 	}
-	sp := r.StartSpan("x")
+	sp := r.StartSpanKind("x", "")
 	sp.End()
-	r.AddSpan("y", time.Time{}, 0)
+	r.AddSpanKind("y", "", time.Time{}, 0)
 	r.Annotate("k", "v")
 	if r.Attr("k") != "" {
 		t.Fatal("nil Attr not empty")
@@ -43,9 +43,9 @@ func TestNilRecorderIsSafeNoop(t *testing.T) {
 
 func TestRecorderCapturesSpansAndIters(t *testing.T) {
 	r := NewRecorder("req-1", 0, 0)
-	sp := r.StartSpan("build")
+	sp := r.StartSpanKind("build", "")
 	sp.End()
-	r.AddSpan("queue", r.Snapshot().Start, 3*time.Millisecond)
+	r.AddSpanKind("queue", "", r.Snapshot().Start, 3*time.Millisecond)
 	r.Annotate("variant", "V-V")
 
 	for round := 1; round <= 3; round++ {
@@ -87,7 +87,7 @@ func TestRecorderCapturesSpansAndIters(t *testing.T) {
 func TestRecorderBoundsAndCountsDrops(t *testing.T) {
 	r := NewRecorder("req-2", 2, 3)
 	for i := 0; i < 5; i++ {
-		r.AddSpan(fmt.Sprintf("s%d", i), time.Now(), 0)
+		r.AddSpanKind(fmt.Sprintf("s%d", i), "", time.Now(), 0)
 		r.Emit(sampleEvent())
 	}
 	tl := r.Snapshot()
@@ -207,7 +207,7 @@ func TestRecorderConcurrentUse(t *testing.T) {
 				case 0:
 					r.Emit(sampleEvent())
 				case 1:
-					sp := r.StartSpan("s")
+					sp := r.StartSpanKind("s", "")
 					sp.End()
 				case 2:
 					r.Annotate("k", "v")

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"bgpc/internal/failpoint"
 	"bgpc/internal/testutil"
@@ -94,9 +95,19 @@ func TestDispatchFailpointCancel(t *testing.T) {
 	if err := failpoint.Arm(FPDispatch, "cancel@1"); err != nil {
 		t.Fatal(err)
 	}
+	const threads, chunk = 2, 64
 	cn := NewCanceler()
 	var visited atomic.Int64
-	For(1_000_000, Options{Threads: 2, Chunk: 64, Cancel: cn}, func(tid, lo, hi int) {
+	// Every chunk body holds until the cancel has landed. The worker
+	// whose probe fires the failpoint cancels right after it, but a
+	// descheduled firer would otherwise let the other worker hand out
+	// the whole range first. Held bodies mean no worker takes a second
+	// chunk before the cancel, whatever the scheduler does.
+	deadline := time.Now().Add(testutil.Scale(10 * time.Second))
+	For(1_000_000, Options{Threads: threads, Chunk: chunk, Cancel: cn}, func(tid, lo, hi int) {
+		for !cn.Canceled() && time.Now().Before(deadline) {
+			time.Sleep(100 * time.Microsecond)
+		}
 		visited.Add(int64(hi - lo))
 	})
 	if !cn.Canceled() {
@@ -104,6 +115,9 @@ func TestDispatchFailpointCancel(t *testing.T) {
 	}
 	if v := visited.Load(); v >= 1_000_000 {
 		t.Fatalf("loop covered the full range (%d) despite cancellation", v)
+	}
+	if v := visited.Load(); v > threads*chunk {
+		t.Fatalf("loop covered %d after the cancel, want at most one chunk per worker (%d)", v, threads*chunk)
 	}
 
 	// Without a Canceler the cancel action must be a no-op.

@@ -223,10 +223,12 @@ func (b *backend) recoverLocked() {
 // to reportProbe. It probes unconditionally — healthy backends get a
 // cheap liveness check, ejected ones get their way back in. A probe
 // cut short by ctx says nothing of the backend and is dropped. An
-// ejection writes one "backend_ejected" bundle to diag (nil: none);
-// this goroutine is off every request path, so the synchronous
-// Trigger is safe, and Close waits for it.
-func (b *backend) prober(ctx context.Context, hc *http.Client, cfg HealthConfig, diag *trace.Flight) {
+// ejection writes one "backend_ejected" bundle to diag (nil: none),
+// carrying the request timelines retained in traces (nil: none) — the
+// traffic that led up to the ejection; this goroutine is off every
+// request path, so the synchronous Trigger is safe, and Close waits
+// for it.
+func (b *backend) prober(ctx context.Context, hc *http.Client, cfg HealthConfig, diag *trace.Flight, traces *trace.Ring) {
 	t := time.NewTicker(cfg.ProbeInterval)
 	defer t.Stop()
 	for {
@@ -241,7 +243,7 @@ func (b *backend) prober(ctx context.Context, hc *http.Client, cfg HealthConfig,
 			return
 		}
 		if b.reportProbe(ok, cfg) {
-			diag.Trigger("backend_ejected", "backend "+b.name+" ejected", nil, nil)
+			diag.Trigger("backend_ejected", "backend "+b.name+" ejected", nil, traces.List())
 		}
 	}
 }

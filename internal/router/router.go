@@ -164,7 +164,7 @@ func New(cfg Config) (*Router, error) {
 		rt.wg.Add(1)
 		go func() {
 			defer rt.wg.Done()
-			b.prober(ctx, rt.hc, rt.cfg.Health, rt.cfg.Diag)
+			b.prober(ctx, rt.hc, rt.cfg.Health, rt.cfg.Diag, rt.traces)
 		}()
 	}
 	return rt, nil

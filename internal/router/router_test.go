@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -577,7 +578,8 @@ func bundles(t *testing.T, diag *trace.Flight) []string {
 
 // TestEjectionWritesOneBundle: a router built with Diag writes exactly
 // one backend_ejected bundle when its prober ejects a backend, and
-// none when it is closed.
+// none when it is closed. The bundle carries the router's retained
+// request timelines, so the traffic before the ejection is on record.
 func TestEjectionWritesOneBundle(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
 	diag := newDiag(t)
@@ -585,6 +587,12 @@ func TestEjectionWritesOneBundle(t *testing.T) {
 		Health: HealthConfig{ProbeInterval: 20 * time.Millisecond, ProbeTimeout: time.Second},
 		Diag:   diag,
 	})
+	const routed = 3
+	for i := 0; i < routed; i++ {
+		if w := postColor(t, rt, jobBody, nil); w.Code != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i, w.Code, w.Body)
+		}
+	}
 	ejBefore := obs.RtrEjections.Load()
 	fleet[0].healthy.Store(false)
 	waitForState(t, rt, fleet[0].addr, StateEjected, 5*time.Second)
@@ -595,6 +603,17 @@ func TestEjectionWritesOneBundle(t *testing.T) {
 	got := bundles(t, diag)
 	if len(got) != 1 || !strings.HasSuffix(got[0], "-backend_ejected") {
 		t.Fatalf("bundles %v, want exactly one backend_ejected bundle", got)
+	}
+	raw, err := os.ReadFile(filepath.Join(got[0], "requests.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var timelines []obs.Timeline
+	if err := json.Unmarshal(raw, &timelines); err != nil {
+		t.Fatalf("requests.json: %v: %s", err, raw)
+	}
+	if len(timelines) != routed {
+		t.Fatalf("requests.json holds %d timelines, want the %d routed requests: %s", len(timelines), routed, raw)
 	}
 }
 
