@@ -14,7 +14,7 @@
 //	      [-wal-dir DIR] [-wal-sync always|interval|never]
 //	      [-wal-sync-interval 100ms] [-wal-segment-bytes N]
 //	      [-wal-snapshot-every N]
-//	      [-trace-ring 256] [-trace-sample 0.1] [-trace-slow 250ms]
+//	      [-trace-ring 256]
 //	      [-diag-dir DIR] [-diag-latency 1s] [-diag-max-bundles 8]
 //	      [-selftest]
 //
@@ -33,7 +33,7 @@
 //	GET  /debug/requests       the -trace-ring of recent request
 //	               timelines, newest first (JSON)
 //	GET  /debug/requests/{id}  one request's timeline by correlation id
-//	GET  /debug/trace/{traceid}  this process's kept trace fragments
+//	GET  /debug/trace/{traceid}  this process's trace fragments
 //	               for one trace id (JSON span tree), read from the same
 //	               ring
 //
@@ -125,9 +125,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	walSyncInterval := fs.Duration("wal-sync-interval", 100*time.Millisecond, "batch fsync period under -wal-sync interval")
 	walSegmentBytes := fs.Int64("wal-segment-bytes", 0, "rotate WAL segments past this many bytes (0 = 4 MiB)")
 	walSnapshotEvery := fs.Int("wal-snapshot-every", 0, "compact the WAL into a snapshot every N appends (0 = 512, negative disables)")
-	traceRing := fs.Int("trace-ring", 0, "completed /color requests kept for /debug/requests and /debug/trace (0 = 256, negative disables tracing and retention)")
-	traceSample := fs.Float64("trace-sample", 0, "head-sampling ratio over trace ids, 0..1 (0 = keep all, negative = head-sample none; errors and slow requests are kept regardless)")
-	traceSlow := fs.Duration("trace-slow", 0, "tail-keep any request at least this slow even when head sampling dropped it (0 disables)")
+	traceRing := fs.Int("trace-ring", 0, "completed /color requests kept, every one traced, for /debug/requests and /debug/trace (< 1 = 256)")
 	diagDir := fs.String("diag-dir", "", "flight-recorder directory: anomalies (watchdog, WAL fuse, slow requests) write diagnostic bundles here (empty disables)")
 	diagLatency := fs.Duration("diag-latency", 0, "with -diag-dir, any request at least this slow triggers a diagnostic bundle (0 disables the latency trigger)")
 	diagMaxBundles := fs.Int("diag-max-bundles", 0, "bundles kept on disk before the oldest is rotated out (0 = 8)")
@@ -180,8 +178,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		},
 		Log:         logger,
 		TraceRing:   *traceRing,
-		TraceSample: *traceSample,
-		TraceSlow:   *traceSlow,
 		DiagLatency: *diagLatency,
 	}
 	if *diagDir != "" {

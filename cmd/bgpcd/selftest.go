@@ -255,14 +255,9 @@ func selftest(ctx context.Context, cfg service.Config, stdout io.Writer) error {
 		{"trace-assembly", func() error {
 			// The cross-process tracing contract end to end: spawn a
 			// real router fronting this daemon, color through it under a
-			// PINNED trace id (flags 01, so the keep decision is
-			// deterministic whatever sampling the operator configured),
-			// then fetch the assembled trace from the router and check
-			// both processes joined one tree with correct parentage.
-			if cfg.TraceRing < 0 {
-				fmt.Fprintln(stdout, "selftest: trace-assembly: tracing disabled (-trace-ring < 0), nothing to check")
-				return nil
-			}
+			// PINNED trace id, then fetch the assembled trace from the
+			// router and check both processes joined one tree with
+			// correct parentage.
 			rt, err := router.New(router.Config{
 				Backends: []string{ln.Addr().String()},
 				Health:   router.HealthConfig{ProbeInterval: time.Hour},
@@ -291,7 +286,7 @@ func selftest(ctx context.Context, cfg service.Config, stdout io.Writer) error {
 				return err
 			}
 			req.Header.Set("Content-Type", "application/json")
-			req.Header.Set("traceparent", trace.Traceparent(tid, "00f067aa0ba902b7", true))
+			req.Header.Set("traceparent", trace.Traceparent(tid, "00f067aa0ba902b7"))
 			hc := &http.Client{Timeout: 30 * time.Second}
 			resp, err := hc.Do(req)
 			if err != nil {

@@ -14,7 +14,7 @@
 //	           [-fail-after 3] [-probe-interval 500ms] [-recover-probes 2]
 //	           [-log-json]
 //	           [-failpoints name=kind[:arg][@times][#skip];…]
-//	           [-trace-ring 256] [-trace-sample 0.1] [-trace-slow 250ms]
+//	           [-trace-ring 256]
 //	           [-diag-dir DIR]
 //
 // API: the bgpcd job surface (POST /color, POST /color/{fp}/delta)
@@ -92,9 +92,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	recoverProbes := fs.Int("recover-probes", 0, "consecutive probe successes an ejected backend needs to rejoin (0 = default 2)")
 	logJSON := fs.Bool("log-json", false, "emit structured logs as JSON instead of logfmt-style text")
 	failpoints := fs.String("failpoints", "", "arm failpoints for chaos testing, e.g. 'router.probe=err@10' (applied after $"+failpoint.EnvVar+")")
-	traceRing := fs.Int("trace-ring", 0, "completed routed requests kept; the kept ones serve /debug/trace (0 = 256, negative disables tracing)")
-	traceSample := fs.Float64("trace-sample", 0, "head-sampling ratio over trace ids, 0..1 (0 = keep all; errors and slow requests are kept regardless)")
-	traceSlow := fs.Duration("trace-slow", 0, "tail-keep any routed request at least this slow even when head sampling dropped it (0 disables)")
+	traceRing := fs.Int("trace-ring", 0, "completed routed requests kept, every one traced, for /debug/trace and /rtr/trace (< 1 = 256)")
 	diagDir := fs.String("diag-dir", "", "flight-recorder directory: anomalies (a backend being ejected) write diagnostic bundles here (empty disables)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -150,11 +148,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			ProbeInterval: *probeInterval,
 			RecoverProbes: *recoverProbes,
 		},
-		Log:         logger,
-		TraceRing:   *traceRing,
-		TraceSample: *traceSample,
-		TraceSlow:   *traceSlow,
-		Diag:        diag,
+		Log:       logger,
+		TraceRing: *traceRing,
+		Diag:      diag,
 	})
 	if err != nil {
 		return err

@@ -16,13 +16,13 @@ import (
 func validTrace() trace.Assembled {
 	tid := "4bf92f3577b34da6a3ce929d0e0e4736"
 	rt := trace.FragmentFromTimeline(obs.Timeline{
-		ID: tid, TraceID: tid, SpanID: "00f067aa0ba902b7", Sampled: true, Status: 200,
+		ID: tid, TraceID: tid, SpanID: "00f067aa0ba902b7", Status: 200,
 		Start: time.Unix(1700000000, 0),
 		Spans: []obs.Span{{Name: "hop", Kind: trace.KindProxy, ID: "bbbbbbbbbbbbbbbb"}},
 	}, "bgpcrouter")
 	be := trace.FragmentFromTimeline(obs.Timeline{
 		ID: tid, TraceID: tid, SpanID: "cccccccccccccccc", ParentID: "bbbbbbbbbbbbbbbb",
-		Sampled: true, Status: 200, Start: time.Unix(1700000000, 0),
+		Status: 200, Start: time.Unix(1700000000, 0),
 		Spans: []obs.Span{{Name: "color", Kind: trace.KindColor}},
 	}, "bgpcd")
 	return trace.Assembled{TraceID: tid, Fragments: []trace.Fragment{rt, be}}

@@ -160,15 +160,9 @@ var (
 	RtrRecoveries Counter
 )
 
-// Tracing and flight-recorder counters (internal/trace). Request-path
-// adjacent — one bump per completed request at most — so bumped
-// unconditionally.
+// Flight-recorder counters (internal/trace). Bumped only on anomaly
+// triggers, so bumped unconditionally.
 var (
-	// TraceKept counts completed traces retained for export (head
-	// sampled, or tail-kept on error/slowness).
-	TraceKept Counter
-	// TraceDropped counts completed traces discarded by the sampler.
-	TraceDropped Counter
 	// DiagBundles counts diagnostic bundles written by the flight
 	// recorder.
 	DiagBundles Counter
@@ -259,8 +253,6 @@ var counters = []struct {
 	{"bgpc.rtr_delta_miss_hops", &RtrDeltaMissHops, "Delta hops answered 404 by a backend without the base, walked past."},
 	{"bgpc.rtr_ejections", &RtrEjections, "Backend suspect-to-ejected health transitions."},
 	{"bgpc.rtr_recoveries", &RtrRecoveries, "Ejected backends that passed recovery probes and rejoined."},
-	{"bgpc.trace_kept", &TraceKept, "Completed traces retained for export (head sampled, or tail-kept on error or slowness)."},
-	{"bgpc.trace_dropped", &TraceDropped, "Completed traces discarded by the sampler."},
 	{"bgpc.diag_bundles", &DiagBundles, "Diagnostic bundles written by the flight recorder."},
 	{"bgpc.diag_suppressed", &DiagSuppressed, "Anomaly triggers swallowed by the flight recorder cooldown or an in-progress bundle write."},
 	{"bgpc.diag_errors", &DiagErrors, "Diagnostic bundle writes that failed partway."},

@@ -138,8 +138,8 @@ func TestNopHotPathZeroAllocs(t *testing.T) {
 		sp2.End()
 		rec.AddSpanKind("phase", "queue", time.Time{}, 0)
 		rec.AddSpanFull("", "phase", "queue", time.Time{}, 0, nil)
-		rec.SetTraceContext("", "", "", false)
-		if rec.TraceID() != "" || rec.TraceSampled() {
+		rec.SetTraceContext("", "", "")
+		if rec.TraceID() != "" {
 			t.Fatal("nil recorder must report an empty trace context")
 		}
 		rec.Emit(ev)

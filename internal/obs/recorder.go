@@ -38,11 +38,10 @@ type Recorder struct {
 	droppedSpans, droppedIters int
 
 	// Distributed-trace context (see internal/trace): the trace id this
-	// request belongs to, this process's root span id, the remote
-	// parent that reached it, and the propagated sampling decision.
-	// Zero-valued unless the serving layer calls SetTraceContext.
+	// request belongs to, this process's root span id, and the remote
+	// parent that reached it. Zero-valued unless the serving layer
+	// calls SetTraceContext.
 	traceID, spanID, parentID string
-	sampled                   bool
 
 	// stats accumulates scheduler-level telemetry (chunk dispatches)
 	// from the parallel loops of the run this Recorder is attached to.
@@ -138,12 +137,11 @@ type IterEvent struct {
 type Timeline struct {
 	ID    string    `json:"id"`
 	Start time.Time `json:"start"`
-	// TraceID / SpanID / ParentID / Sampled mirror the recorder's
+	// TraceID / SpanID / ParentID mirror the recorder's
 	// distributed-trace context (zero unless SetTraceContext ran).
 	TraceID  string `json:"trace_id,omitempty"`
 	SpanID   string `json:"span_id,omitempty"`
 	ParentID string `json:"parent_id,omitempty"`
-	Sampled  bool   `json:"sampled,omitempty"`
 	// Status is the HTTP status the request finished with (0 for
 	// timelines snapshotted mid-flight or outside a server).
 	Status int `json:"status,omitempty"`
@@ -159,14 +157,13 @@ type Timeline struct {
 }
 
 // SetTraceContext installs the request's distributed-trace context
-// (trace id, this process's root span id, remote parent, sampling
-// decision). Nil-safe.
-func (r *Recorder) SetTraceContext(traceID, spanID, parentID string, sampled bool) {
+// (trace id, this process's root span id, remote parent). Nil-safe.
+func (r *Recorder) SetTraceContext(traceID, spanID, parentID string) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.traceID, r.spanID, r.parentID, r.sampled = traceID, spanID, parentID, sampled
+	r.traceID, r.spanID, r.parentID = traceID, spanID, parentID
 	r.mu.Unlock()
 }
 
@@ -178,17 +175,6 @@ func (r *Recorder) TraceID() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.traceID
-}
-
-// TraceSampled reports the propagated head-sampling decision (false
-// when nil or untraced).
-func (r *Recorder) TraceSampled() bool {
-	if r == nil {
-		return false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.sampled
 }
 
 // ActiveSpan is an in-flight span handle returned by StartSpanKind. The
@@ -330,7 +316,6 @@ func (r *Recorder) Snapshot() Timeline {
 		TraceID:      r.traceID,
 		SpanID:       r.spanID,
 		ParentID:     r.parentID,
-		Sampled:      r.sampled,
 		Spans:        append([]Span(nil), r.spans...),
 		Iters:        append([]IterEvent(nil), r.iters...),
 		DroppedSpans: r.droppedSpans,

@@ -26,10 +26,6 @@ const assembleTimeout = 2 * time.Second
 
 func (rt *Router) handleOwnTrace(w http.ResponseWriter, r *http.Request) {
 	tid := r.PathValue("traceid")
-	if rt.traces == nil {
-		rt.writeError(w, r, http.StatusNotFound, "tracing is disabled on this router (-trace-ring < 0)")
-		return
-	}
 	if !trace.ValidTraceID(tid) {
 		rt.writeError(w, r, http.StatusBadRequest, "malformed trace id %q (want 32 lowercase hex digits)", tid)
 		return
@@ -44,10 +40,6 @@ func (rt *Router) handleOwnTrace(w http.ResponseWriter, r *http.Request) {
 
 func (rt *Router) handleAssembledTrace(w http.ResponseWriter, r *http.Request) {
 	tid := r.PathValue("traceid")
-	if rt.traces == nil {
-		rt.writeError(w, r, http.StatusNotFound, "tracing is disabled on this router (-trace-ring < 0)")
-		return
-	}
 	if !trace.ValidTraceID(tid) {
 		rt.writeError(w, r, http.StatusBadRequest, "malformed trace id %q (want 32 lowercase hex digits)", tid)
 		return
@@ -55,7 +47,7 @@ func (rt *Router) handleAssembledTrace(w http.ResponseWriter, r *http.Request) {
 	asm := rt.assemble(r.Context(), tid)
 	if len(asm.Fragments) == 0 {
 		rt.writeError(w, r, http.StatusNotFound,
-			"no fragments anywhere in the fleet for trace %s (sampled out, or evicted from every ring)", tid)
+			"no fragments anywhere in the fleet for trace %s (evicted from every ring)", tid)
 		return
 	}
 	writeTraceJSON(w, asm)

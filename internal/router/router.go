@@ -57,18 +57,10 @@ type Config struct {
 	// Log receives the router's structured request log; nil means
 	// slog.Default().
 	Log *slog.Logger
-	// TraceRing bounds the router's own ring of completed requests, whose
-	// kept entries serve its trace fragments; 0 means 256, negative
-	// disables router-side tracing — hops are not spanned, no trace
-	// context is minted, and an inbound traceparent is forwarded
-	// verbatim (legacy passthrough).
+	// TraceRing bounds the router's own ring of completed requests,
+	// which serves its trace fragments; < 1 means 256. Every routed
+	// request is traced, its hops spanned, and filed in the ring.
 	TraceRing int
-	// TraceSample is the head-sampling ratio for traces the router
-	// originates; 0 means 1.0, negative means 0 (tail-keeps only).
-	TraceSample float64
-	// TraceSlow, when positive, tail-keeps any request at least this
-	// slow end to end.
-	TraceSlow time.Duration
 	// Diag, when set, arms the router's flight recorder: a backend
 	// being ejected writes one diagnostic bundle.
 	Diag *trace.Flight
@@ -84,7 +76,7 @@ func (c Config) withDefaults() Config {
 	if c.MaxRequestBytes <= 0 {
 		c.MaxRequestBytes = 64 << 20
 	}
-	if c.TraceRing == 0 {
+	if c.TraceRing < 1 {
 		c.TraceRing = 256
 	}
 	if c.Log == nil {
@@ -106,7 +98,7 @@ type Router struct {
 	hc       *http.Client
 	sf       *group
 	mux      *http.ServeMux
-	traces   *trace.Ring // nil when router-side tracing is disabled
+	traces   *trace.Ring
 
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
@@ -131,7 +123,7 @@ func New(cfg Config) (*Router, error) {
 		hc:       &http.Client{Transport: tr},
 		sf:       newGroup(),
 		mux:      http.NewServeMux(),
-		traces:   trace.NewRing(cfg.TraceRing, "bgpcrouter", cfg.TraceSample, cfg.TraceSlow),
+		traces:   trace.NewRing(cfg.TraceRing, "bgpcrouter"),
 	}
 	for _, m := range ring.Members() {
 		rt.backends[m] = newBackend(m)
@@ -307,22 +299,17 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request, body []byte, key
 	sfKey := r.URL.Path + "\x00" + hex.EncodeToString(sum[:])
 
 	// Resolve the request's identity at ingress — one correlation id
-	// and (when tracing) one trace context per request, echoed in the
-	// response headers before anything can fail, so every outcome
-	// (proxied, replayed rejection, 503 no-backend) carries them.
-	id, _ := obs.RequestIDFromHeaders(r.Header.Get("traceparent"), r.Header.Get("X-Request-ID"))
+	// and one trace context per request, from one parse of the inbound
+	// headers, echoed in the response headers before anything can
+	// fail, so every outcome (proxied, replayed rejection, 503
+	// no-backend) carries them.
+	sc, id, _ := trace.Extract(r.Header.Get("traceparent"), r.Header.Get("X-Request-ID"))
 	w.Header().Set("X-Request-ID", id)
-
-	var rec *obs.Recorder
-	var sc trace.SpanContext
-	if rt.traces != nil {
-		sc = rt.traces.Extract(r.Header.Get("traceparent"), id)
-		w.Header().Set("X-BGPC-Trace", sc.TraceID)
-		rec = obs.NewRecorder(id, 0, 0)
-		rec.SetTraceContext(sc.TraceID, sc.SpanID, sc.ParentID, sc.Sampled)
-		rec.Annotate("key", key)
-		rec.Annotate("variant", variant)
-	}
+	w.Header().Set("X-BGPC-Trace", sc.TraceID)
+	rec := obs.NewRecorder(id, 0, 0)
+	rec.SetTraceContext(sc.TraceID, sc.SpanID, sc.ParentID)
+	rec.Annotate("key", key)
+	rec.Annotate("variant", variant)
 
 	hdr := make(http.Header, 4)
 	if ct := r.Header.Get("Content-Type"); ct != "" {
@@ -332,22 +319,15 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request, body []byte, key
 	// backend, so router and backend agree on the correlation id even
 	// when the router minted it. The traceparent the backend sees is
 	// NOT the inbound one: proxy mints a child span id per hop so the
-	// backend's root span parents to the hop that reached it. Only
-	// with tracing disabled is an inbound traceparent passed through
-	// verbatim (the router stays invisible to the caller's trace).
+	// backend's root span parents to the hop that reached it.
 	hdr.Set("X-Request-ID", id)
-	if rt.traces == nil {
-		if tp := r.Header.Get("traceparent"); tp != "" {
-			hdr.Set("traceparent", tp)
-		}
-	}
 
 	res, shared, err := rt.sf.Do(r.Context(), sfKey, func(ctx context.Context) (*flightResult, error) {
 		return rt.proxy(ctx, rec, sc, r.Method, r.URL.RequestURI(), hdr, body, key, delta)
 	})
 	if shared {
 		obs.RtrDedupHits.Inc()
-		if rec != nil && res != nil {
+		if res != nil {
 			// This request never ran anywhere: its span tree is one
 			// dedup-follow span pointing at the leader's flight. The
 			// leader's hop span id is the join point an assembled view
@@ -392,11 +372,8 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request, body []byte, key
 }
 
 // finishTrace closes the router's slice of the trace: stamp the
-// envelope and file it in the ring, which makes the keep decision.
+// envelope and file it in the ring.
 func (rt *Router) finishTrace(rec *obs.Recorder, status int, start time.Time) {
-	if rec == nil {
-		return
-	}
 	t := rec.Snapshot()
 	t.Status = status
 	t.DurNS = time.Since(start).Nanoseconds()
@@ -405,12 +382,8 @@ func (rt *Router) finishTrace(rec *obs.Recorder, status int, start time.Time) {
 
 // hopSpan records one cross-process hop span (explicit id — it
 // travelled to the backend in a traceparent header) with inline
-// key/value attrs. The attrs map is only materialized when a recorder
-// is present, so untraced routing allocates nothing here.
+// key/value attrs.
 func hopSpan(rec *obs.Recorder, hopID, kind string, start time.Time, kv ...string) {
-	if rec == nil {
-		return
-	}
 	attrs := make(map[string]string, len(kv)/2)
 	for i := 0; i+1 < len(kv); i += 2 {
 		attrs[kv[i]] = kv[i+1]
@@ -480,11 +453,8 @@ func (rt *Router) proxy(ctx context.Context, rec *obs.Recorder, sc trace.SpanCon
 		// tree show WHICH attempt a backend fragment hangs under: the
 		// failed owner's span stays a leaf, the serving successor's
 		// span gains the backend's whole subtree.
-		hopID := ""
-		if rec != nil {
-			hopID = trace.NewSpanID()
-			hdr.Set("traceparent", trace.Traceparent(sc.TraceID, hopID, sc.Sampled))
-		}
+		hopID := trace.NewSpanID()
+		hdr.Set("traceparent", trace.Traceparent(sc.TraceID, hopID))
 		t0 := time.Now()
 		res, err := rt.send(ctx, b, method, uri, hdr, body)
 		if err != nil {
@@ -605,14 +575,12 @@ func (rt *Router) writeError(w http.ResponseWriter, r *http.Request, status int,
 	// stamps them on the response headers; honor those first so the
 	// error body names the same ids the success path would have. Only
 	// errors raised before (or outside) route() resolve them here.
-	id := w.Header().Get("X-Request-ID")
+	id, tid := w.Header().Get("X-Request-ID"), w.Header().Get("X-BGPC-Trace")
 	if id == "" {
-		id, _ = obs.RequestIDFromHeaders(r.Header.Get("traceparent"), r.Header.Get("X-Request-ID"))
+		var sc trace.SpanContext
+		sc, id, _ = trace.Extract(r.Header.Get("traceparent"), r.Header.Get("X-Request-ID"))
+		tid = sc.TraceID
 		w.Header().Set("X-Request-ID", id)
-	}
-	tid := w.Header().Get("X-BGPC-Trace")
-	if tid == "" && rt.traces != nil {
-		tid = rt.traces.Extract(r.Header.Get("traceparent"), id).TraceID
 		w.Header().Set("X-BGPC-Trace", tid)
 	}
 	if status == http.StatusServiceUnavailable {

@@ -262,9 +262,10 @@ func TestRouterSpillover(t *testing.T) {
 
 // TestRouterHeaderForwarding: the correlation id crosses the hop
 // verbatim; the traceparent does NOT — the router joins the caller's
-// trace (same trace id, same sampled flag) but mints a child span id
-// per hop so the backend parents to the router's attempt, not to the
-// caller directly.
+// trace (same trace id) but mints a child span id per hop so the
+// backend parents to the router's attempt, not to the caller directly.
+// Every request is traced: a caller's flags-00 header is adopted, the
+// hop goes out with flags 01, and the router records the hop span.
 func TestRouterHeaderForwarding(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
 	fleet, rt := newFleet(t, 2)
@@ -295,7 +296,7 @@ func TestRouterHeaderForwarding(t *testing.T) {
 	const callerSpan = "b7ad6b7169203331"
 	w = postColor(t, rt, jobBody, map[string]string{
 		"X-Request-ID": "caller-chosen-id",
-		"traceparent":  trace.Traceparent(callerTID, callerSpan, true),
+		"traceparent":  "00-" + callerTID + "-" + callerSpan + "-00",
 	})
 	if w.Code != 200 {
 		t.Fatalf("status %d: %s", w.Code, w.Body)
@@ -303,15 +304,25 @@ func TestRouterHeaderForwarding(t *testing.T) {
 	if gotID != callerTID {
 		t.Fatalf("backend saw id=%q, want the trace id %q", gotID, callerTID)
 	}
-	tid, pid, sampled, ok := obs.ParseTraceparent(gotTP)
+	tid, pid, ok := trace.ParseTraceparent(gotTP)
 	if !ok {
 		t.Fatalf("backend saw malformed traceparent %q", gotTP)
 	}
-	if tid != callerTID || !sampled {
-		t.Fatalf("router must stay in the caller's trace: got %s sampled=%v", tid, sampled)
+	if tid != callerTID || !strings.HasSuffix(gotTP, "-01") {
+		t.Fatalf("router must stay in the caller's trace with flags 01: got %q", gotTP)
 	}
 	if pid == callerSpan {
 		t.Fatal("router must mint a child span id per hop, not forward the caller's")
+	}
+	code, asm := getAssembled(t, rt, "/debug/trace/"+callerTID)
+	if code != 200 {
+		t.Fatalf("router fragment of a flags-00 request not exported: %d", code)
+	}
+	if asm.Fragments[0].ParentID != callerSpan {
+		t.Fatalf("router fragment parent %q, want the caller's span %q", asm.Fragments[0].ParentID, callerSpan)
+	}
+	if proxies := asm.FindSpans(trace.KindProxy); len(proxies) != 1 || proxies[0].ID != pid {
+		t.Fatalf("proxy hop spans %+v, want one with the forwarded id %s", proxies, pid)
 	}
 	if got := w.Header().Get("X-BGPC-Trace"); got != callerTID {
 		t.Fatalf("response X-BGPC-Trace %q, want the caller's trace id", got)
@@ -321,6 +332,36 @@ func TestRouterHeaderForwarding(t *testing.T) {
 	w = postColor(t, rt, jobBody, nil)
 	if gotID == "" {
 		t.Fatal("router forwarded no X-Request-ID for an anonymous request")
+	}
+}
+
+// TestRouterTraceRingBelowOneMeans256: a ring size below one is the
+// default ring, not a tracing-off mode — responses still carry a trace
+// id, the ring keeps the last 256 requests and each exports its trace.
+func TestRouterTraceRingBelowOneMeans256(t *testing.T) {
+	_, rt := newFleetWith(t, 2, Config{TraceRing: -1, Health: HealthConfig{ProbeInterval: time.Hour}})
+	var first, last string
+	for i := 0; i < 257; i++ {
+		w := postColor(t, rt, jobBody, nil)
+		if w.Code != 200 {
+			t.Fatalf("request %d: status %d: %s", i, w.Code, w.Body)
+		}
+		last = w.Header().Get("X-BGPC-Trace")
+		if !trace.ValidTraceID(last) {
+			t.Fatalf("request %d: X-BGPC-Trace %q is not a trace id", i, last)
+		}
+		if i == 0 {
+			first = last
+		}
+	}
+	if n := len(rt.traces.List()); n != 256 {
+		t.Fatalf("router ring holds %d requests, want 256", n)
+	}
+	if code, _ := getAssembled(t, rt, "/debug/trace/"+first); code != 404 {
+		t.Fatalf("the oldest request must be evicted, got %d", code)
+	}
+	if code, asm := getAssembled(t, rt, "/debug/trace/"+last); code != 200 || len(asm.FindSpans(trace.KindProxy)) != 1 {
+		t.Fatalf("newest trace not exported with its hop: %d %+v", code, asm)
 	}
 }
 

@@ -126,18 +126,9 @@ type Config struct {
 	WAL *wal.Log
 	// TraceRing bounds the ring of completed /color requests behind
 	// GET /debug/requests, GET /debug/trace/{traceid} and the flight
-	// recorder; 0 means 256. Negative disables distributed tracing and
-	// all retention: requests carry no trace context, the request list
-	// is empty and lookups 404 (ids and access logs still work).
+	// recorder; < 1 means 256. Every /color request is traced and
+	// filed, and every filed request exports its trace.
 	TraceRing int
-	// TraceSample is the head-sampling ratio for traces this process
-	// originates (inbound traceparent decisions are always honored);
-	// 0 means 1.0 — sample everything — and negative means 0: only the
-	// tail conditions (error status, TraceSlow) retain traces.
-	TraceSample float64
-	// TraceSlow, when positive, tail-keeps any trace at least this
-	// slow even when head sampling passed on it.
-	TraceSlow time.Duration
 	// Diag, when set, arms the anomaly-triggered flight recorder:
 	// watchdog trips, the WAL fuse, and DiagLatency breaches each
 	// write one bounded diagnostic bundle (profiles, metrics, recent
@@ -183,7 +174,7 @@ func (c *Config) withDefaults() Config {
 	if out.MemBudget < 0 {
 		out.MemBudget = 0
 	}
-	if out.TraceRing == 0 {
+	if out.TraceRing < 1 {
 		out.TraceRing = 256
 	}
 	out.ParseLimits = out.ParseLimits.WithDefaults()
@@ -287,8 +278,8 @@ type ErrorResponse struct {
 	// resume the chain from the new fingerprint.
 	Recoverable bool `json:"recoverable,omitempty"`
 	// TraceID is the distributed-trace id, when the failing request ran
-	// under one (mirrors the X-BGPC-Trace header) — error-kept traces
-	// are exactly the ones worth looking up.
+	// under one (mirrors the X-BGPC-Trace header) — failed requests'
+	// traces are exactly the ones worth looking up.
 	TraceID string `json:"trace_id,omitempty"`
 }
 
@@ -302,7 +293,7 @@ type Server struct {
 	quar   *quarantine
 	mux    *http.ServeMux
 	log    *slog.Logger
-	traces *trace.Ring // nil when tracing is disabled
+	traces *trace.Ring
 	start  time.Time
 	warmed int // (fingerprint, mode) colorings re-verified from the WAL at boot
 	// walWarn limits the WAL degrade report to the fuse's one trip.
@@ -322,7 +313,7 @@ func New(cfg Config) *Server {
 		quar:   newQuarantine(cfg.QuarantineAfter, cfg.QuarantineFor),
 		mux:    http.NewServeMux(),
 		log:    cfg.Log,
-		traces: trace.NewRing(cfg.TraceRing, "bgpcd", cfg.TraceSample, cfg.TraceSlow),
+		traces: trace.NewRing(cfg.TraceRing, "bgpcd"),
 		start:  time.Now(),
 	}
 	if s.log == nil {
@@ -345,15 +336,19 @@ func New(cfg Config) *Server {
 // X-Request-ID or minted), echoed in the X-Request-ID response header
 // before any handler runs so error bodies on every path can carry it;
 // POST /color additionally gets an obs.Recorder in its context, which
-// receives the runners' phase events and which finishRequest files in
-// the trace ring. It is also the outermost containment boundary for
+// carries the request's trace context, receives the runners' phase
+// events, and which finishRequest files in the trace ring. It is also the outermost containment boundary for
 // request goroutines: a panic anywhere in a handler
 // becomes a structured 500 (best-effort — headers may already be out)
 // instead of relying on net/http's connection-killing recover.
 // http.ErrAbortHandler is re-raised per its contract.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	id, adopted := obs.RequestIDFromHeaders(r.Header.Get("traceparent"), r.Header.Get("X-Request-ID"))
+	// One parse of the inbound headers resolves both the correlation id
+	// and the trace context: a valid traceparent is adopted (its parent
+	// span id becomes this process's remote parent), otherwise the
+	// request id doubles as the trace id when it has that shape.
+	sc, id, adopted := trace.Extract(r.Header.Get("traceparent"), r.Header.Get("X-Request-ID"))
 	w.Header().Set("X-Request-ID", id)
 	// The durability promise rides on every response: "wal" while
 	// acknowledged colorings are being logged, "none" when no log is
@@ -368,16 +363,10 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if adopted {
 			rec.Annotate("id_source", "client")
 		}
-		if s.traces != nil {
-			// Join (or start) the distributed trace: a valid inbound
-			// traceparent is adopted — its parent span id becomes this
-			// process's remote parent — otherwise the request id doubles
-			// as the trace id and the head sampler decides. The trace id
-			// rides the X-BGPC-Trace response header on every outcome.
-			sc := s.traces.Extract(r.Header.Get("traceparent"), id)
-			w.Header().Set("X-BGPC-Trace", sc.TraceID)
-			rec.SetTraceContext(sc.TraceID, sc.SpanID, sc.ParentID, sc.Sampled)
-		}
+		// The trace id rides the X-BGPC-Trace response header on every
+		// outcome.
+		w.Header().Set("X-BGPC-Trace", sc.TraceID)
+		rec.SetTraceContext(sc.TraceID, sc.SpanID, sc.ParentID)
 		r = r.WithContext(obs.ContextWithRecorder(r.Context(), rec))
 	}
 

@@ -274,8 +274,8 @@ func TestColorHandlerAllocs(t *testing.T) {
 		allocs   float64
 		bytesMax uint64
 	}{
-		{"miss", Config{Workers: 2, CacheEntries: -1}, 122, 20 << 10},
-		{"hit", Config{Workers: 2}, 108, 18 << 10},
+		{"miss", Config{Workers: 2, CacheEntries: -1}, 119, 20 << 10},
+		{"hit", Config{Workers: 2}, 105, 18 << 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := newTestServer(t, tc.cfg)

@@ -18,7 +18,7 @@ import (
 // requests additionally carry an obs.Recorder in their context; the
 // runners hand it their per-phase trace events, and the completed
 // timeline lands in the trace ring served by /debug/requests/{id} and
-// (when kept) /debug/trace/{traceid}. One structured access-log line
+// /debug/trace/{traceid}. One structured access-log line
 // per request closes the loop: the id in a client's error message, the
 // timeline, and the log line all correlate.
 
@@ -55,8 +55,7 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 }
 
 // finishRequest closes out one request: it stamps the timeline with the
-// final status and duration, files it in the trace ring (which makes
-// the export decision), feeds the latency histogram, and writes the
+// final status and duration, files it in the trace ring, feeds the latency histogram, and writes the
 // access-log line. rec is nil for non-/color requests, which still get
 // the log line and the latency observation.
 func (s *Server) finishRequest(sw *statusWriter, r *http.Request, rec *obs.Recorder, id string, start time.Time) {
@@ -198,10 +197,6 @@ func (s *Server) diagTriggerFromRec(reason, detail string, rec *obs.Recorder) {
 // /rtr/trace/{traceid} returns — one schema for both endpoints.
 func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 	tid := r.PathValue("traceid")
-	if s.traces == nil {
-		writeError(w, http.StatusNotFound, "tracing is disabled on this daemon (-trace-ring < 0)")
-		return
-	}
 	if !trace.ValidTraceID(tid) {
 		writeError(w, http.StatusBadRequest, "malformed trace id %q (want 32 lowercase hex digits)", tid)
 		return
@@ -209,7 +204,7 @@ func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 	frags := s.traces.Get(tid)
 	if len(frags) == 0 {
 		writeError(w, http.StatusNotFound,
-			"no fragments for trace %s (sampled out, evicted from the ring, or served elsewhere)", tid)
+			"no fragments for trace %s (evicted from the ring, or served elsewhere)", tid)
 		return
 	}
 	writeJSON(w, http.StatusOK, trace.Assembled{TraceID: tid, Fragments: frags})
@@ -227,7 +222,7 @@ func (s *Server) handleRequestByID(w http.ResponseWriter, r *http.Request) {
 	t, ok := s.traces.Request(id)
 	if !ok {
 		writeError(w, http.StatusNotFound,
-			"no timeline for request id %q (the ring keeps the last %d /color requests)", id, max(s.cfg.TraceRing, 0))
+			"no timeline for request id %q (the ring keeps the last %d /color requests)", id, s.cfg.TraceRing)
 		return
 	}
 	writeJSON(w, http.StatusOK, t)

@@ -286,10 +286,9 @@ func TestMetricsEndpointServesValidExposition(t *testing.T) {
 }
 
 // TestRequestRing: the trace ring is the one store of completed
-// requests. Listing is newest-first and bounded; a kept request
-// resolves by request id and by trace id, an unkept one by request id
-// only, and eviction removes both lookups. A negative ring disables
-// retention entirely while requests still succeed.
+// requests. Listing is newest-first and bounded; every filed request
+// resolves by request id and by trace id, and eviction removes both
+// lookups.
 func TestRequestRing(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
 	s := newTestServer(t, Config{Workers: 1, TraceRing: 2})
@@ -312,12 +311,14 @@ func TestRequestRing(t *testing.T) {
 	if len(list) != 2 || list[0].ID != ids[2] || list[1].ID != ids[1] {
 		t.Fatalf("ring contents wrong: %v (ids %v)", list, ids)
 	}
-	// A kept request resolves both ways.
-	if w := get(t, s, "/debug/requests/"+ids[2]); w.Code != http.StatusOK {
-		t.Fatalf("kept request by id: %d", w.Code)
-	}
-	if w := get(t, s, "/debug/trace/"+tids[2]); w.Code != http.StatusOK {
-		t.Fatalf("kept request by trace id: %d", w.Code)
+	// Every filed request resolves both ways.
+	for _, i := range []int{1, 2} {
+		if w := get(t, s, "/debug/requests/"+ids[i]); w.Code != http.StatusOK {
+			t.Fatalf("request %d by id: %d", i, w.Code)
+		}
+		if w := get(t, s, "/debug/trace/"+tids[i]); w.Code != http.StatusOK {
+			t.Fatalf("request %d by trace id: %d", i, w.Code)
+		}
 	}
 	// The oldest fell out of the ring, from both lookups.
 	if w := get(t, s, "/debug/requests/"+ids[0]); w.Code != http.StatusNotFound {
@@ -325,38 +326,5 @@ func TestRequestRing(t *testing.T) {
 	}
 	if w := get(t, s, "/debug/trace/"+tids[0]); w.Code != http.StatusNotFound {
 		t.Fatalf("evicted trace still resolves: %d", w.Code)
-	}
-
-	// An unsampled request is listed but exports no trace.
-	unsampled := newTestServer(t, Config{Workers: 1, TraceSample: -1})
-	w = post(t, unsampled, req)
-	if w.Code != http.StatusOK {
-		t.Fatalf("unsampled request: status %d", w.Code)
-	}
-	id, tid := w.Header().Get("X-Request-ID"), w.Header().Get("X-BGPC-Trace")
-	list = nil
-	if err := json.Unmarshal(get(t, unsampled, "/debug/requests").Body.Bytes(), &list); err != nil {
-		t.Fatal(err)
-	}
-	if len(list) != 1 || list[0].ID != id {
-		t.Fatalf("unsampled request not listed: %v", list)
-	}
-	if w := get(t, unsampled, "/debug/requests/"+id); w.Code != http.StatusOK {
-		t.Fatalf("unsampled request by id: %d", w.Code)
-	}
-	if w := get(t, unsampled, "/debug/trace/"+tid); w.Code != http.StatusNotFound {
-		t.Fatalf("unsampled request must not export a trace: %d", w.Code)
-	}
-
-	off := newTestServer(t, Config{Workers: 1, TraceRing: -1})
-	w = post(t, off, req)
-	if w.Code != http.StatusOK {
-		t.Fatalf("disabled-ring request: status %d", w.Code)
-	}
-	if w = get(t, off, "/debug/requests"); strings.TrimSpace(w.Body.String()) != "[]" {
-		t.Fatalf("disabled ring lists %q, want []", w.Body)
-	}
-	if w := get(t, off, "/debug/requests/"+w.Header().Get("X-Request-ID")); w.Code != http.StatusNotFound {
-		t.Fatalf("disabled ring resolves an id: %d", w.Code)
 	}
 }

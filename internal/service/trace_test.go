@@ -62,13 +62,16 @@ func TestTraceFragmentExportedAndServed(t *testing.T) {
 	}
 }
 
+// TestTraceAdoptsInboundTraceparent: every request is kept, so a
+// caller's unsampled (flags 00) traceparent is adopted and exported
+// like any other — the fragment's root parents to the caller's span.
 func TestTraceAdoptsInboundTraceparent(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, TraceSample: -1}) // head-sample nothing
+	s := newTestServer(t, Config{Workers: 1})
 	const tid = "4bf92f3577b34da6a3ce929d0e0e4736"
 	const hop = "00f067aa0ba902b7"
 	body := `{"matrix":` + jsonString(tinyMtx) + `,"algorithm":"V-V"}`
 	req := httptest.NewRequest("POST", "/color", strings.NewReader(body))
-	req.Header.Set("traceparent", trace.Traceparent(tid, hop, true))
+	req.Header.Set("traceparent", "00-"+tid+"-"+hop+"-00")
 	w := httptest.NewRecorder()
 	s.ServeHTTP(w, req)
 	if w.Code != 200 {
@@ -77,55 +80,47 @@ func TestTraceAdoptsInboundTraceparent(t *testing.T) {
 	if got := w.Header().Get("X-BGPC-Trace"); got != tid {
 		t.Fatalf("trace id %q, want adopted %q", got, tid)
 	}
-	// flags=01 overrides the local zero sampling ratio, so the
-	// fragment is kept — and its root must parent to the caller's hop.
 	code, asm := getTrace(t, s, tid)
 	if code != 200 {
-		t.Fatalf("sampled-by-caller trace not exported: %d", code)
+		t.Fatalf("trace of a flags-00 request not exported: %d", code)
 	}
 	if asm.Fragments[0].ParentID != hop {
 		t.Fatalf("fragment parent %q, want the inbound hop %q", asm.Fragments[0].ParentID, hop)
 	}
 }
 
-func TestTraceUnsampledIsDroppedForFree(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, TraceSample: -1})
-	w := post(t, s, ColorRequest{Matrix: tinyMtx, Algorithm: "V-V"})
-	if w.Code != 200 {
-		t.Fatalf("status %d: %s", w.Code, w.Body)
-	}
-	tid := w.Header().Get("X-BGPC-Trace")
-	if code, _ := getTrace(t, s, tid); code != 404 {
-		t.Fatalf("unsampled healthy trace must not be retained, got %d", code)
-	}
-}
-
-func TestTraceKeepOnSlow(t *testing.T) {
-	// Head-sample nothing but tail-keep anything over 1ns: every
-	// request qualifies, proving the tail path exports fragments that
-	// head sampling dropped.
-	s := newTestServer(t, Config{Workers: 1, TraceSample: -1, TraceSlow: time.Nanosecond})
-	w := post(t, s, ColorRequest{Matrix: tinyMtx, Algorithm: "V-V"})
-	if w.Code != 200 {
-		t.Fatalf("status %d: %s", w.Code, w.Body)
-	}
-	tid := w.Header().Get("X-BGPC-Trace")
-	if code, _ := getTrace(t, s, tid); code != 200 {
-		t.Fatalf("slow trace must be tail-kept, got %d", code)
-	}
-}
-
-func TestTraceDisabledByNegativeRing(t *testing.T) {
+// TestTraceRingBelowOneMeans256: a ring size below one is the default
+// ring, not a tracing-off mode — requests still carry a trace id, the
+// ring keeps the last 256 and every kept request exports its trace.
+func TestTraceRingBelowOneMeans256(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, TraceRing: -1})
-	w := post(t, s, ColorRequest{Matrix: tinyMtx, Algorithm: "V-V"})
-	if w.Code != 200 {
-		t.Fatalf("status %d: %s", w.Code, w.Body)
+	body, err := json.Marshal(ColorRequest{Matrix: tinyMtx, Algorithm: "V-V"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if h := w.Header().Get("X-BGPC-Trace"); h != "" {
-		t.Fatalf("disabled tracing must not advertise a trace id, got %q", h)
+	var first, last string
+	for i := 0; i < 257; i++ {
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest("POST", "/color", bytes.NewReader(body)))
+		if w.Code != 200 {
+			t.Fatalf("request %d: status %d: %s", i, w.Code, w.Body)
+		}
+		last = w.Header().Get("X-BGPC-Trace")
+		if !trace.ValidTraceID(last) {
+			t.Fatalf("request %d: X-BGPC-Trace %q is not a trace id", i, last)
+		}
+		if i == 0 {
+			first = last
+		}
 	}
-	if code, _ := getTrace(t, s, "4bf92f3577b34da6a3ce929d0e0e4736"); code != 404 {
-		t.Fatalf("trace endpoint must 404 when disabled, got %d", code)
+	if n := len(s.traces.List()); n != 256 {
+		t.Fatalf("ring holds %d requests, want 256", n)
+	}
+	if code, _ := getTrace(t, s, first); code != 404 {
+		t.Fatalf("the oldest request must be evicted, got %d", code)
+	}
+	if code, asm := getTrace(t, s, last); code != 200 || asm.Validate() != nil {
+		t.Fatalf("newest trace not exported: %d", code)
 	}
 }
 
@@ -197,44 +192,28 @@ func jsonString(s string) string {
 }
 
 // BenchmarkTraceOverhead measures the full /color request path under
-// the three tracing regimes an operator can configure: tracing
-// disabled (-trace-ring -1), tracing on but this request not kept
-// (-trace-sample -1 head-drops everything and no tail condition
-// fires), and every request kept (the default). The disabled/unsampled
-// delta is the cost of carrying trace context; the unsampled/sampled
-// delta is the cost of keeping a request, which is only the ring's keep
-// bit because fragments are built when /debug/trace reads them.
-// EXPERIMENTS.md carries a measured table from this benchmark.
+// the one tracing regime: every request traced and filed in the ring.
+// Fragments are built when /debug/trace reads them, so this is the
+// whole per-request cost of tracing. EXPERIMENTS.md carries a measured
+// table from this benchmark.
 func BenchmarkTraceOverhead(b *testing.B) {
-	cases := []struct {
-		name string
-		cfg  Config
-	}{
-		{"disabled", Config{Workers: 2, TraceRing: -1}},
-		{"unsampled", Config{Workers: 2, TraceSample: -1}},
-		{"sampled", Config{Workers: 2}},
-	}
 	body, err := json.Marshal(ColorRequest{Matrix: tinyMtx, Algorithm: "V-V"})
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, tc := range cases {
-		b.Run(tc.name, func(b *testing.B) {
-			s := New(tc.cfg)
-			defer func() {
-				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-				defer cancel()
-				s.Drain(ctx)
-			}()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				w := httptest.NewRecorder()
-				s.ServeHTTP(w, httptest.NewRequest("POST", "/color", bytes.NewReader(body)))
-				if w.Code != 200 {
-					b.Fatalf("status %d: %s", w.Code, w.Body)
-				}
-			}
-		})
+	s := New(Config{Workers: 2})
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		s.Drain(ctx)
+	}()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest("POST", "/color", bytes.NewReader(body)))
+		if w.Code != 200 {
+			b.Fatalf("status %d: %s", w.Code, w.Body)
+		}
 	}
 }

@@ -5,16 +5,21 @@
 // assembly (Assembled), and the anomaly-triggered flight recorder
 // (Flight).
 //
-// The design goal is end-to-end attribution at fleet scale with a
-// hot path that stays untouched: sampling decisions are per-request
-// (never per-vertex), span identity for in-process spans is derived at
-// export time rather than minted at record time, and every handle is
-// nil-safe so unsampled requests pay a pointer test — the same
-// contract obs pins with its zero-alloc test.
+// Every request is traced and kept: each process files every
+// completed request in its bounded Ring, and every filed request can
+// be exported, so there is one trace policy and no sampling decision.
+// The hot path stays untouched: span identity for in-process spans is
+// derived at export time rather than minted at record time, and
+// fragments are built only when a trace is read.
 //
-// Wire format: the standard `traceparent` header,
+// Wire format: the standard `traceparent` header, parsed here and
+// nowhere else,
 //
 //	00-<32 hex trace-id>-<16 hex parent-id>-<2 hex flags>
+//
+// Outbound headers always carry flags 01; inbound flags are validated
+// and ignored. Extract resolves a request's id and trace context from
+// one parse at ingress.
 //
 // The router does NOT forward an inbound traceparent verbatim: it
 // mints a fresh child span-id per backend hop and sends that as the
@@ -74,50 +79,90 @@ const (
 )
 
 // SpanContext is one process's view of its position in a distributed
-// trace: the shared trace id, this process's root span id, the remote
-// parent that reached it (if any), and the propagated head-sampling
-// decision.
+// trace: the shared trace id, this process's root span id, and the
+// remote parent that reached it (if any).
 type SpanContext struct {
 	TraceID  string // 32 lowercase hex, non-zero
 	SpanID   string // 16 lowercase hex — this process's root span
 	ParentID string // remote parent span id; "" at the trace root
-	Sampled  bool   // head-sampling decision, propagated in the flags byte
 }
 
 // Traceparent renders the W3C header value for a child call: the
-// receiver becomes the callee's remote parent.
-func Traceparent(traceID, spanID string, sampled bool) string {
-	flags := "00"
-	if sampled {
-		flags = "01"
-	}
-	var b strings.Builder
-	b.Grow(3 + 33 + 17 + 2)
-	b.WriteString("00-")
-	b.WriteString(traceID)
-	b.WriteByte('-')
-	b.WriteString(spanID)
-	b.WriteByte('-')
-	b.WriteString(flags)
-	return b.String()
+// receiver becomes the callee's remote parent. Every request is traced
+// and kept, so the flags byte is always 01 (sampled).
+func Traceparent(traceID, spanID string) string {
+	return "00-" + traceID + "-" + spanID + "-01"
 }
 
-// Extract resolves a request's SpanContext at ingress. A valid inbound
-// traceparent is adopted — trace id and sampled flag are the caller's
-// decision, and a fresh root span id is minted for this process. With
-// no (valid) traceparent, a new trace starts: fallbackTraceID is used
-// when it already has trace-id shape (the request-id layer mints ids
-// in exactly that shape, so request id == trace id for minted ids),
-// and the head sampler decides.
-func Extract(traceparent, fallbackTraceID string, s Sampler) SpanContext {
-	if tid, pid, sampled, ok := obs.ParseTraceparent(traceparent); ok {
-		return SpanContext{TraceID: tid, SpanID: NewSpanID(), ParentID: pid, Sampled: sampled}
+// Extract resolves one inbound request's identity at ingress from a
+// single parse of its headers. A valid traceparent wins: its trace id
+// is both the request id and the trace id, its parent id becomes this
+// process's remote parent. Otherwise a sane X-Request-ID is adopted as
+// the request id, or one is minted; the trace id is the request id
+// when it has trace-id shape (minted ids always do, so request id ==
+// trace id for them), else a fresh one. Either way a fresh root span
+// id is minted for this process. adopted reports whether the request
+// id came from the client.
+func Extract(traceparent, xRequestID string) (sc SpanContext, id string, adopted bool) {
+	if tid, pid, ok := ParseTraceparent(traceparent); ok {
+		return SpanContext{TraceID: tid, SpanID: NewSpanID(), ParentID: pid}, tid, true
 	}
-	tid := fallbackTraceID
+	id, adopted = SanitizeRequestID(xRequestID)
+	if !adopted {
+		id = obs.NewRequestID()
+	}
+	tid := id
 	if !ValidTraceID(tid) {
-		tid = newTraceID()
+		tid = obs.NewRequestID()
 	}
-	return SpanContext{TraceID: tid, SpanID: NewSpanID(), Sampled: s.Head(tid)}
+	return SpanContext{TraceID: tid, SpanID: NewSpanID()}, id, adopted
+}
+
+// ParseTraceparent parses a W3C traceparent header
+// (version-traceid-parentid-flags, e.g.
+// "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01") into its
+// lowercased trace and parent ids; surrounding space is trimmed. ok is
+// false for malformed values, version ff, the all-zero trace or parent
+// id, and a version-00 header with anything after the flags. Higher
+// versions may append "-"-separated fields, which are ignored. The
+// flags byte must be two hex digits and is otherwise ignored: every
+// request is kept.
+func ParseTraceparent(h string) (traceID, parentID string, ok bool) {
+	const n = 2 + 1 + 32 + 1 + 16 + 1 + 2
+	h = strings.TrimSpace(h)
+	if len(h) < n || h[2] != '-' || h[35] != '-' || h[52] != '-' {
+		return "", "", false
+	}
+	ver, tid, pid, flags := h[:2], h[3:35], h[36:52], h[53:55]
+	if len(h) > n && (ver == "00" || h[n] != '-') {
+		return "", "", false
+	}
+	if !isHex(ver) || strings.EqualFold(ver, "ff") || !isHex(flags) ||
+		!isHex(tid) || allZero(tid) || !isHex(pid) || allZero(pid) {
+		return "", "", false
+	}
+	return strings.ToLower(tid), strings.ToLower(pid), true
+}
+
+// maxRequestIDLen bounds adopted X-Request-ID values so a hostile
+// client cannot make a process log and retain megabyte "ids".
+const maxRequestIDLen = 128
+
+// SanitizeRequestID validates a client-supplied X-Request-ID: printable
+// ASCII without spaces, quotes or backslashes (it is echoed into JSON
+// bodies, headers and log lines), at most 128 bytes. Returns ok=false
+// when the value must not be adopted.
+func SanitizeRequestID(id string) (string, bool) {
+	if id == "" || len(id) > maxRequestIDLen {
+		return "", false
+	}
+	for i := 0; i < len(id); i++ {
+		c := id[i]
+		if c <= ' ' || c > '~' || c == '"' || c == '\\' {
+			return "", false
+		}
+	}
+	return id, true
 }
 
 // ValidTraceID reports whether s is a well-formed, non-zero W3C
@@ -147,18 +192,6 @@ func NewSpanID() string {
 	return s
 }
 
-func newTraceID() string {
-	var b [16]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "00000000000000000000000000000001"
-	}
-	s := hex.EncodeToString(b[:])
-	if allZero(s) {
-		return "00000000000000000000000000000001"
-	}
-	return s
-}
-
 // DeriveSpanID deterministically derives a 16-hex span id for the
 // idx-th in-process span of the fragment rooted at root. Derivation
 // (instead of minting at record time) is what keeps span recording off
@@ -176,49 +209,6 @@ func DeriveSpanID(root string, idx int, name string) string {
 		h >>= 8
 	}
 	return hex.EncodeToString(b[:])
-}
-
-// Sampler holds the trace-retention policy: a head ratio decided
-// deterministically from the trace id (so every process in the fleet
-// agrees without coordination) plus tail-based keeps that retain
-// anomalous traces even when unsampled. The zero value samples
-// nothing and keeps nothing; NewRing applies the serving defaults.
-type Sampler struct {
-	// HeadRatio is the fraction of new trace ids sampled at ingress;
-	// ≥ 1 samples everything, ≤ 0 nothing.
-	HeadRatio float64
-	// KeepErrors tail-keeps any trace that finished with a 5xx status.
-	KeepErrors bool
-	// SlowNS, when positive, tail-keeps any trace at least this slow.
-	SlowNS int64
-}
-
-// Head is the head-sampling decision for a freshly minted trace id.
-// It hashes the id into [0,1) so the decision is uniform, stateless,
-// and identical on every process that computes it.
-func (s Sampler) Head(traceID string) bool {
-	if s.HeadRatio >= 1 {
-		return true
-	}
-	if s.HeadRatio <= 0 {
-		return false
-	}
-	h := fnv1a(traceID)
-	return float64(h>>11)/float64(1<<53) < s.HeadRatio
-}
-
-// Keep is the export decision for a completed request: head-sampled
-// traces are always kept; unsampled ones are kept only when a tail
-// condition (error status, slow request) fires. Pure arithmetic — it
-// allocates nothing, so the unsampled fast path discards for free.
-func (s Sampler) Keep(sampled bool, status int, durNS int64) bool {
-	if sampled {
-		return true
-	}
-	if s.KeepErrors && status >= 500 {
-		return true
-	}
-	return s.SlowNS > 0 && durNS >= s.SlowNS
 }
 
 // fnv1a is 64-bit FNV-1a over a string, hand-rolled so hashing a
@@ -239,6 +229,16 @@ func fnv1aByte(h uint64, bs ...byte) uint64 {
 		h *= 1099511628211
 	}
 	return h
+}
+
+func isHex(s string) bool {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if !(c >= '0' && c <= '9' || c >= 'a' && c <= 'f' || c >= 'A' && c <= 'F') {
+			return false
+		}
+	}
+	return true
 }
 
 func isLowerHex(s string) bool {
