@@ -59,10 +59,26 @@ type Forbidden struct {
 	stamp int32
 }
 
+// cacheLine is the cache line size the per-thread layout assumes, that
+// of x86-64 and of most arm64 cores.
+const cacheLine = 64
+
+// lineSlots is one cache line of int32 slots. A per-thread array that
+// the kernel writes is allocated with this much slack past its end, so
+// that another thread's array allocated right after it never shares the
+// line its last slots sit on.
+const lineSlots = cacheLine / 4
+
 // NewForbidden returns a forbidden set able to hold colors < size
 // without growing.
 func NewForbidden(size int) *Forbidden {
-	return &Forbidden{mark: make([]int32, max(size, 1)+1)}
+	return &Forbidden{mark: newMarks(max(size, 1) + 1)}
+}
+
+// newMarks returns n zeroed mark slots with a cache line of slack past
+// the last.
+func newMarks(n int) []int32 {
+	return make([]int32, n, n+lineSlots)
 }
 
 // ForbiddenSize is the size every forbidden set for colorings of g
@@ -142,7 +158,7 @@ func (f *Forbidden) addNbrs(g *bipartite.Graph, w int32, c *Colors, below int32)
 }
 
 func (f *Forbidden) grow(minLen int) []int32 {
-	next := make([]int32, max(2*len(f.mark), minLen))
+	next := newMarks(max(2*len(f.mark), minLen))
 	copy(next, f.mark)
 	f.mark = next
 	return next

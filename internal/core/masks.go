@@ -30,11 +30,15 @@ const maskNNZPerWord = 4
 //
 // The masks equal the scan's forbidden set only while every vertex
 // being colored starts Uncolored: bits are added, never removed. So a
-// run uses them in the first vertex coloring phase and in vertex phases
-// that follow a net-based conflict removal (after build), not after a
-// vertex-based one, whose queue keeps its stale colors. The sequential
-// greedy loop uses them from an empty start, and after build on a
-// partial coloring.
+// run publishes into them in the first vertex coloring phase and in
+// vertex phases that follow a net-based conflict removal (after build).
+// After a vertex-based removal the queue keeps its stale colors, so
+// build leaves the queued vertices out of the masks and lists each
+// row's queued members instead; a queued vertex adds their current
+// colors to its forbidden set, and the phase publishes nothing. The
+// colors outside the queue do not change in the phase, so the result
+// is the scan's. The sequential greedy loop uses the masks from an
+// empty start, and after build on a partial coloring.
 //
 // Concurrency: coloring phases read words with atomic loads and
 // publish a new color with a CAS loop after the vertex's Colors.Set, so
@@ -53,9 +57,10 @@ type netMasks struct {
 	nets      []int32 // net of each row
 	maxBlocks int     // blocks the cap and the vertex count allow
 
-	// flag[u] == stamp marks u as flagged by the last detect pass. The
-	// stamp grows across pooled runs, so a flag left by an earlier pass,
-	// on this graph or another, never matches.
+	// flag[u] == stamp marks u as flagged by the last detect pass, or
+	// as queued by the last build of a queue. The stamp grows across
+	// pooled runs, so a flag left by an earlier pass, on this graph or
+	// another, never matches.
 	flag  []int32
 	stamp int32
 
@@ -63,7 +68,21 @@ type netMasks struct {
 	nblocks atomic.Int32
 	blocks  [][]uint64 // len maxBlocks; blocks ≥ nblocks are not in use
 
-	big [][]int32 // per-thread rows of the vertex being colored
+	// members[memberOff[r]:memberOff[r+1]] are the queued vertices of
+	// row r's net, as of the last build of a queue.
+	memberOff []int
+	members   []int32
+
+	big []rowBuf // per-thread rows of the vertex being colored
+}
+
+// rowBuf is one thread's row buffer. The header is written on every
+// vertex, so a cache line of padding keeps the next thread's header off
+// its line, and the array holds every row plus a line of slack, so it
+// never grows.
+type rowBuf struct {
+	rows []int32
+	_    [cacheLine]byte
 }
 
 // maskPool keeps masks between runs, so repeated jobs on graphs of a
@@ -109,6 +128,11 @@ func acquireMasks(g *bipartite.Graph, threads int) *netMasks {
 	m.maxBlocks = min((g.NumVertices()+63)/64, max(1, int(g.NumEdges()/maskNNZPerWord)/rows))
 	m.blocks = resize(m.blocks, m.maxBlocks)
 	m.big = resize(m.big, threads)
+	for i := range m.big {
+		if cap(m.big[i].rows) < rows+lineSlots {
+			m.big[i].rows = make([]int32, 0, rows+lineSlots)
+		}
+	}
 	m.nblocks.Store(0)
 	return m
 }
@@ -148,8 +172,10 @@ func (m *netMasks) grow(n int) {
 // build sets the masks from the colors already present, in a run whose
 // previous phase was not a masked vertex coloring or before
 // FinishSequential completes a partial coloring: each row ORs in its
-// net's colors.
-func (m *netMasks) build(g *bipartite.Graph, c *Colors, o *Options, cn *par.Canceler) {
+// net's colors. A non-nil queue lists the vertices the next phase
+// recolors: they are flagged, left out of the masks, and listed in
+// their rows' members.
+func (m *netMasks) build(g *bipartite.Graph, c *Colors, queue []int32, o *Options, cn *par.Canceler) {
 	maxColor := Uncolored
 	for _, col := range c.Raw() {
 		maxColor = max(maxColor, col)
@@ -158,10 +184,22 @@ func (m *netMasks) build(g *bipartite.Graph, c *Colors, o *Options, cn *par.Canc
 	m.nblocks.Store(0)
 	m.grow(nb)
 	limit := int32(nb * 64)
+	queued := queue != nil
+	if queued {
+		m.listQueue(g, queue)
+	}
+	flag, stamp := m.flag, m.stamp
 	par.For(len(m.nets), o.parOpts(cn), func(_, lo, hi int) {
 		for r := lo; r < hi; r++ {
+			k := 0
+			if queued {
+				k = m.memberOff[r]
+			}
 			for _, u := range g.Vtxs(m.nets[r]) {
-				if col := c.Get(u); col >= 0 && col < limit {
+				if queued && flag[u] == stamp {
+					m.members[k] = u
+					k++
+				} else if col := c.Get(u); col >= 0 && col < limit {
 					m.blocks[col>>6][r] |= 1 << (col & 63)
 				}
 			}
@@ -169,14 +207,66 @@ func (m *netMasks) build(g *bipartite.Graph, c *Colors, o *Options, cn *par.Canc
 	})
 }
 
-// color gives w, which must be Uncolored, its first-fit color and
-// publishes it, and returns the work model's charge for w's scan,
-// |vtxs(v)|+1 per net, as addNbrs does. f must be reset; tid selects
-// the caller's row buffer. below bounds the small nets' scans as in
-// addNbrs.
-func (m *netMasks) color(g *bipartite.Graph, w int32, c *Colors, f *Forbidden, tid int, below int32) (work int64) {
-	work, big := m.scanSmall(g, w, c, f, below, m.big[tid][:0])
-	m.big[tid] = big
+// listQueue flags queue's vertices under a new stamp and sizes each
+// row's member list, one entry per incidence of a queued vertex in a
+// masked net; build fills the lists.
+func (m *netMasks) listQueue(g *bipartite.Graph, queue []int32) {
+	flag, stamp := m.nextStamp(g.NumVertices())
+	off := resize(m.memberOff, len(m.nets)+1)
+	clear(off)
+	for _, w := range queue {
+		flag[w] = stamp
+		for _, v := range g.Nets(w) {
+			if r := m.rowOf[v]; r >= 0 {
+				off[r+1]++
+			}
+		}
+	}
+	for r := range m.nets {
+		off[r+1] += off[r]
+	}
+	m.memberOff = off
+	total := off[len(m.nets)]
+	if total > cap(m.members) {
+		// Queues differ from phase to phase; the headroom keeps the
+		// pooled list from being reallocated for each larger one.
+		m.members = make([]int32, min(2*total, int(g.NumEdges())))
+	}
+	m.members = m.members[:total]
+}
+
+// nextStamp starts a new epoch of flag, sized for n vertices, and
+// returns the array and the stamp.
+func (m *netMasks) nextStamp(n int) ([]int32, int32) {
+	m.flag = resize(m.flag, n)
+	m.stamp++
+	if m.stamp <= 0 { // wrapped around: resize may expose any old entry
+		clear(m.flag[:cap(m.flag)])
+		m.stamp = 1
+	}
+	return m.flag, m.stamp
+}
+
+// color gives w its first-fit color and returns the work model's
+// charge for w's scan, |vtxs(v)|+1 per net, as addNbrs does. f must be
+// reset; tid selects the caller's row buffer. below bounds the small
+// nets' scans as in addNbrs. Without queued, w must be Uncolored and
+// its color is published. With queued, the masks come from a build of
+// the queue w is in: the current colors of its large nets' queued
+// members are added to f, and nothing is published.
+func (m *netMasks) color(g *bipartite.Graph, w int32, c *Colors, f *Forbidden, tid int, below int32, queued bool) (work int64) {
+	buf := &m.big[tid]
+	work, buf.rows = m.scanSmall(g, w, c, f, below, buf.rows[:0])
+	big := buf.rows
+	if queued {
+		for _, r := range big {
+			for _, u := range m.members[m.memberOff[r]:m.memberOff[r+1]] {
+				if u != w {
+					f.Add(c.Get(u))
+				}
+			}
+		}
+	}
 	col := m.firstFit(f, big)
 	if col < 0 {
 		// Every maskable color is taken: scan the large nets too for
@@ -191,7 +281,9 @@ func (m *netMasks) color(g *bipartite.Graph, w int32, c *Colors, f *Forbidden, t
 		col = FirstFitFrom(f, int32(m.maxBlocks*64))
 	}
 	c.Set(w, col)
-	m.publish(col, big)
+	if !queued {
+		m.publish(col, big)
+	}
 	return work
 }
 
@@ -280,16 +372,10 @@ func (m *netMasks) publish(col int32, rows []int32) {
 // from several nets at once, and read after the par.For barrier. The
 // pass is not charged to the work model: the per-vertex check charges
 // the masked nets as the scan would.
-func (m *netMasks) detect(g *bipartite.Graph, c *Colors, s *scratch, o *Options, cn *par.Canceler) {
-	m.flag = resize(m.flag, g.NumVertices())
-	m.stamp++
-	if m.stamp <= 0 { // wrapped around: resize may expose any old entry
-		clear(m.flag[:cap(m.flag)])
-		m.stamp = 1
-	}
-	flag, stamp := m.flag, m.stamp
+func (m *netMasks) detect(g *bipartite.Graph, c *Colors, s scratch, o *Options, cn *par.Canceler) {
+	flag, stamp := m.nextStamp(g.NumVertices())
 	par.For(len(m.nets), o.parOpts(cn), func(tid, lo, hi int) {
-		f := s.forb[tid]
+		f := &s[tid].forb
 		for r := lo; r < hi; r++ {
 			f.Reset()
 			for _, u := range g.Vtxs(m.nets[r]) {

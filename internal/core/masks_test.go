@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"time"
+	"unsafe"
 
 	"bgpc/internal/bipartite"
 	"bgpc/internal/failpoint"
@@ -200,7 +202,7 @@ func checkDetect(g *bipartite.Graph, opts Options) (flagged int, err error) {
 	if opts.Balance == BalanceNone {
 		colorMasks = m
 	}
-	colorVertexPhase(g, W, c, scr, colorMasks, &opts, NewWorkCounters(threads), nil)
+	colorVertexPhase(g, W, c, scr, colorMasks, false, &opts, NewWorkCounters(threads), nil)
 
 	var want []int32
 	var scanWork int64
@@ -240,6 +242,127 @@ func checkDetect(g *bipartite.Graph, opts Options) (flagged int, err error) {
 		return flagged, fmt.Errorf("conflict work %d with detection, %d scanning", work, scanned)
 	}
 	return flagged, nil
+}
+
+// TestMasksQueuedExact replays the vertex coloring phase that follows
+// a vertex-based conflict removal. From a random-order Sequential
+// coloring, 1/2, 1/16 and 1/200 of the vertices are queued in random
+// order, every other one given a distance-2 neighbour's color (a
+// conflict) and the rest a random stale color. The phase then runs at
+// threads = 1 on the masks built from the queue and on the scan, from
+// the same colors: colors and work must be identical. At threads = 4
+// no queued vertex may end on the color of a distance-2 neighbour
+// outside the queue, since the masks hold those colors exactly.
+func TestMasksQueuedExact(t *testing.T) {
+	gs := maskGraphs(t)
+	for _, name := range []string{"movielens", "copapers"} {
+		g, err := gen.Preset(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gs[name+"@1"] = g
+	}
+	cases := 0
+	for name, g := range gs {
+		if !hasLargeNet(g) {
+			continue
+		}
+		n := g.NumVertices()
+		base := Sequential(g, rng.New(3).Perm(n)).Colors
+		for _, share := range []int{2, 16, 200} {
+			W, colors := staleQueue(g, base, share)
+			if detectQueueShare*len(W) < n {
+				t.Fatalf("%s/1/%d: %d of %d vertices queued would not take the masks", name, share, len(W), n)
+			}
+			masked, work := replayQueued(t, g, W, colors, 1, true)
+			scanned, scanWork := replayQueued(t, g, W, colors, 1, false)
+			if !slices.Equal(masked, scanned) {
+				t.Errorf("%s/1/%d: colors differ from the scan", name, share)
+			}
+			if work != scanWork {
+				t.Errorf("%s/1/%d: work %d with masks, %d scanning", name, share, work, scanWork)
+			}
+			wide, _ := replayQueued(t, g, W, colors, 4, true)
+			if err := outsideConflict(g, W, wide); err != nil {
+				t.Errorf("%s/1/%d at 4 threads: %v", name, share, err)
+			}
+			cases++
+		}
+	}
+	if cases < 40 {
+		t.Fatalf("only %d masked cases ran", cases)
+	}
+	t.Logf("%d masked cases", cases)
+}
+
+// staleQueue queues ⌈n/share⌉ random vertices with a net, in random
+// order, and returns them with a copy of base in which every other
+// queued vertex holds the color of a distance-2 neighbour and the rest
+// a random color up to a few past base's largest.
+func staleQueue(g *bipartite.Graph, base []int32, share int) (W, colors []int32) {
+	n := g.NumVertices()
+	r := rng.New(uint64(share))
+	for _, w := range r.Perm(n) {
+		if g.VtxDeg(w) > 0 {
+			W = append(W, w)
+		}
+	}
+	W = W[:min(len(W), (n+share-1)/share)]
+	colors = slices.Clone(base)
+	top := slices.Max(base) + 8
+	for i, w := range W {
+		colors[w] = int32(r.Intn(int(top)))
+		if i%2 == 0 {
+			nets := g.Nets(w)
+			vt := g.Vtxs(nets[r.Intn(len(nets))])
+			colors[w] = base[vt[r.Intn(len(vt))]]
+		}
+	}
+	return W, colors
+}
+
+// replayQueued runs V-V-64D's vertex coloring phase over W from colors
+// with the given threads, on masks built from the queue or on the
+// scan, and returns the colors and the phase's total work.
+func replayQueued(tb testing.TB, g *bipartite.Graph, W, colors []int32, threads int, masks bool) ([]int32, int64) {
+	tb.Helper()
+	opts, err := ParseAlgorithm("V-V-64D")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	opts.Threads = threads
+	c := &Colors{c: slices.Clone(colors)}
+	var m *netMasks
+	if masks {
+		if m = acquireMasks(g, threads); m == nil {
+			tb.Fatal("no masks")
+		}
+		defer m.release()
+		m.build(g, c, W, &opts, nil)
+	}
+	wc := NewWorkCounters(threads)
+	colorVertexPhase(g, W, c, newScratch(g, threads, BalanceNone), m, masks, &opts, wc, nil)
+	total, _ := wc.TotalAndMax()
+	return c.Raw(), total
+}
+
+// outsideConflict reports a queued vertex of W that shares its color
+// with a distance-2 neighbour outside W.
+func outsideConflict(g *bipartite.Graph, W, colors []int32) error {
+	queued := make([]bool, g.NumVertices())
+	for _, w := range W {
+		queued[w] = true
+	}
+	for _, w := range W {
+		for _, v := range g.Nets(w) {
+			for _, u := range g.Vtxs(v) {
+				if !queued[u] && colors[u] == colors[w] {
+					return fmt.Errorf("queued vertex %d shares color %d with vertex %d outside the queue", w, colors[w], u)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // TestFinishSequentialMasksExact uncolors random shares of a
@@ -358,6 +481,102 @@ func TestDetectCancelPoolReuse(t *testing.T) {
 	}
 }
 
+// queueCancelSink arms a cancel at the first chunk of iteration 2's
+// color loop, after skip dispatches of its build, when iteration 1's
+// conflict phase queued enough vertices for the masks.
+type queueCancelSink struct {
+	tb    testing.TB
+	n     int
+	skip  int
+	armed bool
+}
+
+func (s *queueCancelSink) Emit(e obs.Event) {
+	if e.Iter == 1 && e.Phase == obs.PhaseConflict && detectQueueShare*e.Conflicts >= s.n {
+		if err := failpoint.Arm(par.FPDispatch, fmt.Sprintf("cancel@1#%d", s.skip)); err != nil {
+			s.tb.Error(err)
+		}
+		s.armed = true
+	}
+}
+
+// TestQueuedMasksCancelPoolReuse cancels a V-V-64D run of scale-1
+// movielens in iteration 2's color loop, after build has flagged the
+// queue and listed its members. It then colors two smaller graphs at
+// threads = 1 from the same mask pool and replays a queued phase on
+// one: each must match the scan. The queued state a canceled phase
+// leaves in pooled masks must never be read as current. Iteration 2
+// exists only when iteration 1's threads collided, so the run is
+// repeated until they have, for up to 5 s: on a host too loaded to run
+// two of them at once the test is skipped.
+func TestQueuedMasksCancelPoolReuse(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("iteration 1's threads collide only when two of them run at once")
+	}
+	defer failpoint.Reset()
+	g, err := gen.Preset("movielens", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts, err := ParseAlgorithm("V-V-64D")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Threads = 4
+	m := acquireMasks(g, opts.Threads)
+	if m == nil {
+		t.Fatal("no masks for movielens")
+	}
+	builds := (len(m.nets) + opts.chunk() - 1) / opts.chunk()
+	m.release()
+
+	var ce *CancelError
+	tries := 0
+	for start := time.Now(); ce == nil && time.Since(start) < 5*time.Second; tries++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		sink := &queueCancelSink{tb: t, n: g.NumVertices(), skip: builds}
+		canceled := opts
+		canceled.Obs = obs.New(sink).WithAlgo("V-V-64D")
+		res, err := ColorCtx(ctx, g, canceled)
+		cancel()
+		if !sink.armed {
+			continue
+		}
+		if !errors.As(err, &ce) || ce.Iteration != 2 || slices.Contains(failpoint.Active(), par.FPDispatch) {
+			t.Fatalf("err = %v, failpoint still pending %v: not canceled in iteration 2", err, failpoint.Active())
+		}
+		if err := verify.BGPCPartial(g, res.Colors); err != nil {
+			t.Fatalf("partial coloring invalid: %v", err)
+		}
+	}
+	if ce == nil {
+		t.Skipf("none of %d runs in 5 s queued enough conflicts for the masks in iteration 2", tries)
+	}
+	t.Logf("canceled in iteration 2 of run %d", tries)
+
+	gs := smallPresets(t)
+	opts.Threads = 1
+	for _, name := range []string{"movielens", "copapers"} {
+		a, err := ColorCtx(context.Background(), gs[name], opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := colorCtx(context.Background(), gs[name], opts, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameRun(a, b); err != nil {
+			t.Errorf("%s after the canceled run: %v", name, err)
+		}
+	}
+	h := gs["copapers"]
+	W, colors := staleQueue(h, Sequential(h, nil).Colors, 16)
+	masked, _ := replayQueued(t, h, W, colors, 1, true)
+	if scanned, _ := replayQueued(t, h, W, colors, 1, false); !slices.Equal(masked, scanned) {
+		t.Error("queued replay after the canceled run: colors differ from the scan")
+	}
+}
+
 // TestDetectStampWrap fills a pooled flag array with the stamp that
 // follows a wrap-around and runs a detect pass whose stamp wraps: the
 // array must be cleared, so that the flags are exactly the vertices
@@ -414,7 +633,7 @@ func TestMasksCap(t *testing.T) {
 	c, f := NewColors(g.NumVertices()), NewForbidden(ForbiddenSize(g))
 	for u := int32(0); int(u) < g.NumVertices(); u++ {
 		f.Reset()
-		m.color(g, u, c, f, 0, fullScan)
+		m.color(g, u, c, f, 0, fullScan, false)
 	}
 	words, limit := int(m.nblocks.Load())*len(m.nets), int(g.NumEdges()/maskNNZPerWord)
 	if words > limit {
@@ -470,12 +689,13 @@ func TestMasksNoAllocs(t *testing.T) {
 
 // retainedBytes is the memory m holds, by capacity.
 func (m *netMasks) retainedBytes() int64 {
-	n := 4*cap(m.rowOf) + 4*cap(m.nets) + 4*cap(m.flag) + 24*cap(m.blocks) + 24*cap(m.big)
+	n := 4*cap(m.rowOf) + 4*cap(m.nets) + 4*cap(m.flag) + 24*cap(m.blocks) +
+		8*cap(m.memberOff) + 4*cap(m.members) + int(unsafe.Sizeof(rowBuf{}))*cap(m.big)
 	for _, b := range m.blocks[:cap(m.blocks)] {
 		n += 8 * cap(b)
 	}
 	for _, b := range m.big[:cap(m.big)] {
-		n += 4 * cap(b)
+		n += 4 * cap(b.rows)
 	}
 	return int64(n)
 }

@@ -21,7 +21,7 @@ func phaseKind(netBased bool) string {
 // reaches the Event assembly. When o.stats is armed the event
 // additionally carries the phase's chunk-dispatch count (the take
 // resets the accumulator, so each event sees only its own phase).
-func emitPhaseEvent(tr *obs.Observer, rec *obs.Recorder, o *Options, s *scratch, iter int, phase string, netBased bool,
+func emitPhaseEvent(tr *obs.Observer, rec *obs.Recorder, o *Options, s scratch, iter int, phase string, netBased bool,
 	items, conflicts int, c *Colors, wall time.Duration, work, maxWork int64) {
 	e := obs.Event{
 		Iter:       iter,
@@ -32,7 +32,7 @@ func emitPhaseEvent(tr *obs.Observer, rec *obs.Recorder, o *Options, s *scratch,
 		Threads:    o.threads(),
 		Items:      items,
 		Conflicts:  conflicts,
-		Colors:     distinctColors(c.Raw(), s.forb[0]),
+		Colors:     distinctColors(c.Raw(), &s[0].forb),
 		WallNS:     wall.Nanoseconds(),
 		Work:       work,
 		MaxWork:    maxWork,

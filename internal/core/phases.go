@@ -6,34 +6,38 @@ import (
 	"bgpc/internal/par"
 )
 
-// scratch bundles the per-thread state allocated once per run, per the
+// scratch is the per-thread state allocated once per run, per the
 // paper's implementation notes (forbidden arrays and local queues are
-// never freed or cleared between nets/vertices).
-type scratch struct {
-	forb []*Forbidden
-	wl   [][]int32 // per-thread W_local for the two-pass net coloring
-	pol  []Policy
+// never freed or cleared between nets/vertices): one block per thread.
+type scratch []threadScratch
+
+// threadScratch is one thread's block. Forbidden.Reset writes the stamp
+// on every vertex or net, and a balancing Policy is written on every
+// pick, so a cache line of padding keeps the next thread's block off
+// the lines they sit on; the mark array and the worklist carry a line
+// of slack past their end.
+type threadScratch struct {
+	forb Forbidden
+	wl   []int32 // W_local for the two-pass net coloring
+	pol  Policy
+	_    [cacheLine]byte
 }
 
-func newScratch(g *bipartite.Graph, threads int, balance Balance) *scratch {
-	s := &scratch{
-		forb: make([]*Forbidden, threads),
-		wl:   make([][]int32, threads),
-		pol:  make([]Policy, threads),
-	}
+func newScratch(g *bipartite.Graph, threads int, balance Balance) scratch {
+	s := make(scratch, threads)
 	size := ForbiddenSize(g)
-	for i := 0; i < threads; i++ {
-		s.forb[i] = NewForbidden(size)
-		s.pol[i] = Policy{balance: balance}
+	for i := range s {
+		s[i].forb.mark = newMarks(size + 1)
+		s[i].pol = Policy{balance: balance}
 	}
 	return s
 }
 
 // resetPolicies reinitializes the thread-private balancing state at the
 // start of a coloring phase (colmax ← 0, colnext ← 0).
-func (s *scratch) resetPolicies(balance Balance) {
-	for i := range s.pol {
-		s.pol[i] = Policy{balance: balance}
+func (s scratch) resetPolicies(balance Balance) {
+	for i := range s {
+		s[i].pol = Policy{balance: balance}
 	}
 }
 
@@ -44,20 +48,23 @@ func (o *Options) parOpts(cn *par.Canceler) par.Options {
 // colorVertexPhase is BGPC-COLORWORKQUEUE-VERTEX (Algorithm 4) with the
 // balancing policies of Algorithms 11/12: each vertex of W scans its
 // distance-2 neighbourhood through its nets, builds a private forbidden
-// set, and picks a color. With masks (first-fit only, every vertex of
-// W Uncolored) a vertex scans only its small nets and reads its large
-// nets' color masks.
-func colorVertexPhase(g *bipartite.Graph, W []int32, c *Colors, s *scratch, m *netMasks, o *Options, wc *WorkCounters, cn *par.Canceler) {
+// set, and picks a color. With masks (first fit only) a vertex scans
+// only its small nets and reads its large nets' color masks: masks
+// published as W is colored when every vertex of W starts Uncolored,
+// or, with queued, masks that build made from the colors of the
+// vertices outside W, plus the current colors of the W members of each
+// large net.
+func colorVertexPhase(g *bipartite.Graph, W []int32, c *Colors, s scratch, m *netMasks, queued bool, o *Options, wc *WorkCounters, cn *par.Canceler) {
 	s.resetPolicies(o.Balance)
 	par.For(len(W), o.parOpts(cn), func(tid, lo, hi int) {
-		f := s.forb[tid]
-		pol := &s.pol[tid]
+		f := &s[tid].forb
+		pol := &s[tid].pol
 		work := int64(DispatchCostUnits) * int64(o.threads())
 		for i := lo; i < hi; i++ {
 			w := W[i]
 			f.Reset()
 			if m != nil {
-				work += m.color(g, w, c, f, tid, fullScan)
+				work += m.color(g, w, c, f, tid, fullScan, queued)
 				continue
 			}
 			work += f.addNbrs(g, w, c, fullScan)
@@ -136,9 +143,9 @@ func vertexConflicts(g *bipartite.Graph, w int32, c *Colors, work *int64) bool {
 // keeps the first occurrence of each color and uncolors later
 // duplicates in place. The caller gathers the uncolored vertices into
 // the next work queue afterwards.
-func conflictNetPhase(g *bipartite.Graph, c *Colors, s *scratch, o *Options, wc *WorkCounters, cn *par.Canceler) {
+func conflictNetPhase(g *bipartite.Graph, c *Colors, s scratch, o *Options, wc *WorkCounters, cn *par.Canceler) {
 	par.For(g.NumNets(), o.parOpts(cn), func(tid, lo, hi int) {
-		f := s.forb[tid]
+		f := &s[tid].forb
 		work := int64(DispatchCostUnits) * int64(o.threads())
 		for v := lo; v < hi; v++ {
 			f.Reset()
@@ -163,7 +170,7 @@ func conflictNetPhase(g *bipartite.Graph, c *Colors, s *scratch, o *Options, wc 
 
 // colorNetPhase dispatches to the configured net-based coloring
 // variant over all nets.
-func colorNetPhase(g *bipartite.Graph, c *Colors, s *scratch, o *Options, wc *WorkCounters, cn *par.Canceler) {
+func colorNetPhase(g *bipartite.Graph, c *Colors, s scratch, o *Options, wc *WorkCounters, cn *par.Canceler) {
 	s.resetPolicies(o.Balance)
 	switch o.NetColorVariant {
 	case NetV1:
@@ -179,11 +186,19 @@ func colorNetPhase(g *bipartite.Graph, c *Colors, s *scratch, o *Options, wc *Wo
 // marks the colors already present in the net and collects the vertices
 // to (re)color; pass two colors them with reverse first-fit from
 // |vtxs(v)|−1 (or the B1/B2 Policy when balancing).
-func colorNetTwoPass(g *bipartite.Graph, c *Colors, s *scratch, o *Options, wc *WorkCounters, cn *par.Canceler) {
+func colorNetTwoPass(g *bipartite.Graph, c *Colors, s scratch, o *Options, wc *WorkCounters, cn *par.Canceler) {
+	if cap(s[0].wl) == 0 {
+		// A net's worklist holds at most its |vtxs(v)| vertices, so it
+		// never grows out of its slack.
+		lb := g.ColorLowerBound()
+		for i := range s {
+			s[i].wl = make([]int32, 0, lb+lineSlots)
+		}
+	}
 	par.For(g.NumNets(), o.parOpts(cn), func(tid, lo, hi int) {
-		f := s.forb[tid]
-		pol := &s.pol[tid]
-		wl := s.wl[tid]
+		f := &s[tid].forb
+		pol := &s[tid].pol
+		wl := s[tid].wl
 		work := int64(DispatchCostUnits) * int64(o.threads())
 		for v := lo; v < hi; v++ {
 			vt := g.Vtxs(int32(v))
@@ -223,7 +238,6 @@ func colorNetTwoPass(g *bipartite.Graph, c *Colors, s *scratch, o *Options, wc *
 				}
 			}
 		}
-		s.wl[tid] = wl // keep the grown buffer
 		obs.CountForbiddenScans(int64(hi - lo))
 		wc.AddChunk(work)
 	})
@@ -234,9 +248,9 @@ func colorNetTwoPass(g *bipartite.Graph, c *Colors, s *scratch, o *Options, wc *
 // a net-local monotone first-fit (reverse=false) or the "Alg 6 +
 // reverse" first-fit from |vtxs(v)|−1 (reverse=true), the two upper
 // rows of Table I.
-func colorNetV1(g *bipartite.Graph, c *Colors, s *scratch, o *Options, wc *WorkCounters, cn *par.Canceler, reverse bool) {
+func colorNetV1(g *bipartite.Graph, c *Colors, s scratch, o *Options, wc *WorkCounters, cn *par.Canceler, reverse bool) {
 	par.For(g.NumNets(), o.parOpts(cn), func(tid, lo, hi int) {
-		f := s.forb[tid]
+		f := &s[tid].forb
 		work := int64(DispatchCostUnits) * int64(o.threads())
 		for v := lo; v < hi; v++ {
 			vt := g.Vtxs(int32(v))

@@ -24,7 +24,9 @@ const FPIterate = "core.iterate"
 // at least 1/detectQueueShare of the vertices. Measured on copapers and
 // movielens (DESIGN.md, "Linear-time conflict detection"), the pass
 // costs about as much as the scans it saves at 0.2–0.5 % of the
-// vertices.
+// vertices. A vertex coloring phase after a vertex-based conflict phase
+// builds the masks from the same share up, since build walks the same
+// nets.
 const detectQueueShare = 256
 
 // Color runs the speculative parallel BGPC loop (Algorithm 1) with the
@@ -81,11 +83,14 @@ func colorCtx(ctx context.Context, g *bipartite.Graph, opts Options, masks bool)
 	c := NewColors(n)
 	wc := NewWorkCounters(threads)
 	scr := newScratch(g, threads, opts.Balance)
-	// The masks serve first fit only, in a vertex phase whose queue is
-	// all Uncolored (fresh): the first iteration's, and one after a
-	// net-based conflict removal, which rebuilds them from the colors.
-	// Their net list also serves vertex-based conflict detection, under
-	// every balancing policy.
+	// The masks serve first fit only. A vertex phase whose queue is all
+	// Uncolored (fresh), the first iteration's or one after a net-based
+	// conflict removal, publishes into them; the latter rebuilds them
+	// from the colors first. After a vertex-based removal they are built
+	// from the colors outside the queue, when the queue is large enough
+	// to pay for that walk (detectQueueShare), and the phase publishes
+	// nothing. Their net list also serves vertex-based conflict
+	// detection, under every balancing policy.
 	var m *netMasks
 	if masks {
 		m = acquireMasks(g, threads)
@@ -140,11 +145,14 @@ func colorCtx(ctx context.Context, g *bipartite.Graph, opts Options, masks bool)
 			colorNetPhase(g, c, scr, &opts, wc, cn)
 		case colorMasks && fresh:
 			if iter > 1 {
-				m.build(g, c, &opts, cn)
+				m.build(g, c, nil, &opts, cn)
 			}
-			colorVertexPhase(g, W, c, scr, m, &opts, wc, cn)
+			colorVertexPhase(g, W, c, scr, m, false, &opts, wc, cn)
+		case colorMasks && detectQueueShare*len(W) >= n:
+			m.build(g, c, W, &opts, cn)
+			colorVertexPhase(g, W, c, scr, m, true, &opts, wc, cn)
 		default:
-			colorVertexPhase(g, W, c, scr, nil, &opts, wc, cn)
+			colorVertexPhase(g, W, c, scr, nil, false, &opts, wc, cn)
 		}
 	}
 	doConflict := func() {
@@ -189,7 +197,7 @@ func colorCtx(ctx context.Context, g *bipartite.Graph, opts Options, masks bool)
 		}
 		if cn.Canceled() {
 			res.Time = time.Since(start)
-			return cancelResult(g, c, scr.forb[0], res, ctx.Err())
+			return cancelResult(g, c, &scr[0].forb, res, ctx.Err())
 		}
 		res.Iterations = iter
 		netColor = iter <= opts.NetColorIters
@@ -216,7 +224,7 @@ func colorCtx(ctx context.Context, g *bipartite.Graph, opts Options, masks bool)
 		if cn.Canceled() {
 			res.ColoringTime += it.ColoringTime
 			res.Time = time.Since(start)
-			return cancelResult(g, c, scr.forb[0], res, ctx.Err())
+			return cancelResult(g, c, &scr[0].forb, res, ctx.Err())
 		}
 
 		conflictItems := len(W)
@@ -242,7 +250,7 @@ func colorCtx(ctx context.Context, g *bipartite.Graph, opts Options, masks bool)
 			res.ColoringTime += it.ColoringTime
 			res.ConflictTime += it.ConflictTime
 			res.Time = time.Since(start)
-			return cancelResult(g, c, scr.forb[0], res, ctx.Err())
+			return cancelResult(g, c, &scr[0].forb, res, ctx.Err())
 		}
 
 		res.ColoringTime += it.ColoringTime
@@ -256,6 +264,6 @@ func colorCtx(ctx context.Context, g *bipartite.Graph, opts Options, masks bool)
 
 	res.Colors = c.Raw()
 	res.Time = time.Since(start)
-	res.countColors(scr.forb[0])
+	res.countColors(&scr[0].forb)
 	return res, nil
 }

@@ -77,7 +77,7 @@ func greedy(g *bipartite.Graph, c *Colors, order []int32, f *Forbidden, fresh, m
 		m = acquireMasks(g, 1)
 		defer m.release()
 		if m != nil && !fresh {
-			m.build(g, c, &Options{Threads: 1}, nil)
+			m.build(g, c, nil, &Options{Threads: 1}, nil)
 		}
 	}
 	// In natural order from fresh colors every vertex ≥ u is still
@@ -102,7 +102,7 @@ func greedy(g *bipartite.Graph, c *Colors, order []int32, f *Forbidden, fresh, m
 		}
 		f.Reset()
 		if m != nil {
-			work += m.color(g, u, c, f, 0, below)
+			work += m.color(g, u, c, f, 0, below, false)
 			continue
 		}
 		work += f.addNbrs(g, u, c, below)

@@ -231,9 +231,16 @@ func EstimateBytes(sh Shape) int64 {
 //     at most one per 32 nonzeros
 //   - a table of 24-byte slice headers, one per 64 colors, and colors
 //     are fewer than Cols+1
-//   - per thread, a buffer of a vertex's masked nets: at most one per
-//     32 nonzeros, twice that after append growth, plus its header
-//   - a 4-byte conflict-detection flag per vertex (Cols)
+//   - per thread, a buffer of a vertex's masked nets: a 4-byte slot per
+//     masked net plus a 64-byte cache line of slack, and its slice
+//     header padded by another cache line (88 bytes)
+//   - a 4-byte flag per vertex (Cols), which marks both the vertices
+//     conflict detection flags and the queued vertices of a recoloring
+//     phase, each under its own stamp
+//   - for a recoloring phase after a vertex-based conflict removal, an
+//     8-byte offset per masked net plus one, and a list of each masked
+//     net's queued members: at most one 4-byte entry per incidence of
+//     a queued vertex, so per nonzero
 //
 // The masks are pooled between jobs, so a pooled set also outlives its
 // job, up to the largest job's bound.
@@ -246,9 +253,10 @@ func MaskBytes(sh Shape) int64 {
 	words := satMul(e/4, 8)
 	index := satAdd(satMul(rows, 4), satMul(e/32, 4))
 	table := satMul(cols/64+2, 24)
-	buffers := satMul(threads, satAdd(satMul(e/32, 8), 24))
+	buffers := satMul(threads, satAdd(satMul(e/32, 4), 64+88))
 	flags := satMul(cols, 4)
-	return satAdd(satAdd(satAdd(words, index), satAdd(table, buffers)), flags)
+	members := satAdd(satMul(e/32+1, 8), satMul(e, 4))
+	return satAdd(satAdd(satAdd(words, index), satAdd(table, buffers)), satAdd(flags, members))
 }
 
 func satAdd(a, b int64) int64 {

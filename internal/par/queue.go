@@ -50,19 +50,27 @@ func (q *SharedQueue) Items() []int32 { return q.buf[:q.Len()] }
 // thread pushes to its own queue with zero synchronization; Merge
 // concatenates them after the parallel region.
 type LocalQueues struct {
-	qs [][]int32
+	qs []localQueue
+}
+
+// localQueue is one thread's queue. Every push writes its slice header,
+// so a cache line of padding keeps the next thread's header off the
+// header's line.
+type localQueue struct {
+	items []int32
+	_     [64]byte
 }
 
 // NewLocalQueues returns queues for the given number of threads, each
 // with an initial capacity hint.
 func NewLocalQueues(threads, capHint int) *LocalQueues {
-	qs := make([][]int32, threads)
+	qs := make([]localQueue, threads)
 	per := capHint / threads
 	if per < 16 {
 		per = 16
 	}
 	for i := range qs {
-		qs[i] = make([]int32, 0, per)
+		qs[i].items = make([]int32, 0, per)
 	}
 	return &LocalQueues{qs: qs}
 }
@@ -70,21 +78,22 @@ func NewLocalQueues(threads, capHint int) *LocalQueues {
 // Reset empties all per-thread queues, retaining their buffers.
 func (l *LocalQueues) Reset() {
 	for i := range l.qs {
-		l.qs[i] = l.qs[i][:0]
+		l.qs[i].items = l.qs[i].items[:0]
 	}
 }
 
 // Push appends v to thread tid's queue. Each tid must be used by at
 // most one goroutine at a time.
 func (l *LocalQueues) Push(tid int, v int32) {
-	l.qs[tid] = append(l.qs[tid], v)
+	q := &l.qs[tid]
+	q.items = append(q.items, v)
 }
 
 // Len returns the total number of queued items across threads.
 func (l *LocalQueues) Len() int {
 	n := 0
 	for _, q := range l.qs {
-		n += len(q)
+		n += len(q.items)
 	}
 	return n
 }
@@ -100,7 +109,7 @@ func (l *LocalQueues) MergeInto(dst []int32) []int32 {
 	dst = dst[:total]
 	off := 0
 	for _, q := range l.qs {
-		off += copy(dst[off:], q)
+		off += copy(dst[off:], q.items)
 	}
 	return dst
 }
