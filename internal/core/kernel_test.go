@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,6 +12,7 @@ import (
 	"bgpc/internal/gen"
 	"bgpc/internal/graph"
 	"bgpc/internal/rng"
+	"bgpc/internal/verify"
 )
 
 // kernelPresets are the presets perfbench's batch-kernel workload
@@ -40,6 +43,33 @@ func runKernel(tb testing.TB, g *bipartite.Graph, algo string, threads int) *Res
 	return res
 }
 
+// earlyStopGraphs are the inputs of the early-stop differentials: the
+// four batch-kernel presets at scale 0.05, Zipf and RMAT seeds, and
+// copapers' closed and own-net views, whose nets are not sorted.
+func earlyStopGraphs(tb testing.TB) map[string]*bipartite.Graph {
+	gs := smallPresets(tb)
+	for seed := uint64(1); seed <= 3; seed++ {
+		gs[fmt.Sprintf("zipf/%d", seed)] = gen.ZipfBipartite(60, 300, 2, 40, 1.1, 0.9, seed)
+		gs[fmt.Sprintf("rmat/%d", seed)] = gen.RMAT(8, 4, 0.57, 0.19, 0.19, false, seed)
+	}
+	ug, err := graph.FromBipartite(gs["copapers"])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	gs["copapers/closed"], gs["copapers/ownnet"] = ug.Closed(), ug.OwnNet()
+	return gs
+}
+
+// identityOrder is the natural order given explicitly, which switches
+// the early stops off.
+func identityOrder(n int) []int32 {
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	return order
+}
+
 // TestSequentialEarlyStopExact checks natural-order Sequential, which
 // stops each net's scan at the vertex being colored when nets are
 // sorted, against the identity order, which always scans in full:
@@ -47,22 +77,8 @@ func runKernel(tb testing.TB, g *bipartite.Graph, algo string, threads int) *Res
 // vertex first, so a view that took the early stop would skip colored
 // neighbours and fail here.
 func TestSequentialEarlyStopExact(t *testing.T) {
-	gs := smallPresets(t)
-	for seed := uint64(1); seed <= 3; seed++ {
-		gs[fmt.Sprintf("zipf/%d", seed)] = gen.ZipfBipartite(60, 300, 2, 40, 1.1, 0.9, seed)
-		gs[fmt.Sprintf("rmat/%d", seed)] = gen.RMAT(8, 4, 0.57, 0.19, 0.19, false, seed)
-	}
-	ug, err := graph.FromBipartite(gs["copapers"])
-	if err != nil {
-		t.Fatal(err)
-	}
-	gs["copapers/closed"], gs["copapers/ownnet"] = ug.Closed(), ug.OwnNet()
-	for name, g := range gs {
-		identity := make([]int32, g.NumVertices())
-		for i := range identity {
-			identity[i] = int32(i)
-		}
-		early, full := Sequential(g, nil), Sequential(g, identity)
+	for name, g := range earlyStopGraphs(t) {
+		early, full := Sequential(g, nil), Sequential(g, identityOrder(g.NumVertices()))
 		if !slices.Equal(early.Colors, full.Colors) {
 			t.Errorf("%s: natural order colors differ from the full scan", name)
 		}
@@ -72,35 +88,99 @@ func TestSequentialEarlyStopExact(t *testing.T) {
 	}
 }
 
+// TestFirstIterationFrontierExact checks the dispatch frontier of the
+// first vertex coloring phase. At threads = 1 the running chunk is
+// always the furthest handed out, so each scan stops at the vertex
+// being colored, as natural-order Sequential's does. V-V, V-V-64 and
+// V-V-64D under first fit must then color exactly as Sequential, in
+// one iteration. Under every policy, with the masks on and off, they
+// must color and charge exactly as the identity order, which scans in
+// full. A cancelable context makes the one-thread loop hand its chunks
+// out one by one. At threads = 4 every coloring of a graph with sorted
+// nets must be valid.
+func TestFirstIterationFrontierExact(t *testing.T) {
+	chunked, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for name, g := range earlyStopGraphs(t) {
+		seq := Sequential(g, nil).Colors
+		identity := identityOrder(g.NumVertices())
+		for _, algo := range []string{"V-V", "V-V-64", "V-V-64D"} {
+			for _, b := range []Balance{BalanceNone, BalanceB1, BalanceB2} {
+				for _, masks := range []bool{true, false} {
+					key := fmt.Sprintf("%s/%s-%s/masks=%v", name, algo, b, masks)
+					opts, err := ParseAlgorithm(algo)
+					if err != nil {
+						t.Fatal(err)
+					}
+					opts.Balance = b
+					run := func(ctx context.Context, threads int, order []int32) *Result {
+						opts.Threads, opts.Order = threads, order
+						res, err := colorCtx(ctx, g, opts, masks)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return res
+					}
+					for _, ctx := range []context.Context{context.Background(), chunked} {
+						got := run(ctx, 1, nil)
+						if err := sameRun(got, run(ctx, 1, identity)); err != nil {
+							t.Errorf("%s: against the full scan: %v", key, err)
+						}
+						if got.Iterations != 1 {
+							t.Errorf("%s: %d iterations at one thread, want 1", key, got.Iterations)
+						}
+						if b == BalanceNone && !slices.Equal(got.Colors, seq) {
+							t.Errorf("%s: colors differ from natural-order Sequential", key)
+						}
+					}
+					if !g.SortedNets() {
+						continue // a view scans in full; its own-net form is a distance-1 coloring
+					}
+					if err := verify.BGPC(g, run(context.Background(), 4, nil).Colors); err != nil {
+						t.Errorf("%s at 4 threads: %v", key, err)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestWorkModelPinned pins the deterministic work model behind the
 // paper's speedup tables, TotalWork and CriticalWork at threads = 1, so
 // a kernel speed change that moves the model fails here rather than in
 // review. The values were recorded from full scans: the early stops
-// must charge the same units.
+// must charge the same units. V-V-64 and V-N2 join the batch-kernel
+// algorithms because the first iteration's frontier stop reaches every
+// vertex-first schedule.
 func TestWorkModelPinned(t *testing.T) {
 	want := map[string][2]int64{
 		"copapers/seq":      {477150, 477150},
 		"copapers/N1-N2":    {240079, 240079},
 		"copapers/V-V-64D":  {954308, 954308},
+		"copapers/V-V-64":   {954308, 954308},
+		"copapers/V-N2":     {487500, 487500},
 		"movielens/seq":     {28634, 28634},
 		"movielens/N1-N2":   {12072, 12072},
 		"movielens/V-V-64D": {57276, 57276},
+		"movielens/V-V-64":  {57276, 57276},
+		"movielens/V-N2":    {29537, 29537},
 		"channel/seq":       {47084, 47084},
 		"channel/N1-N2":     {29503, 29503},
 		"channel/V-V-64D":   {94176, 94176},
+		"channel/V-V-64":    {94176, 94176},
+		"channel/V-N2":      {50562, 50562},
 		"nlpkkt/seq":        {42610, 42610},
 		"nlpkkt/N1-N2":      {21663, 21663},
 		"nlpkkt/V-V-64D":    {85228, 85228},
+		"nlpkkt/V-V-64":     {85228, 85228},
+		"nlpkkt/V-N2":       {45162, 45162},
 	}
 	gs := smallPresets(t)
-	for _, name := range kernelPresets {
-		for _, algo := range kernelAlgos {
-			key := name + "/" + algo
-			res := runKernel(t, gs[name], algo, 1)
-			got := [2]int64{res.TotalWork, res.CriticalWork}
-			if got != want[key] {
-				t.Errorf("%s: work (total, critical) = %v, want %v", key, got, want[key])
-			}
+	for key, w := range want {
+		name, algo, _ := strings.Cut(key, "/")
+		res := runKernel(t, gs[name], algo, 1)
+		if got := [2]int64{res.TotalWork, res.CriticalWork}; got != w {
+			t.Errorf("%s: work (total, critical) = %v, want %v", key, got, w)
 		}
 	}
 }

@@ -202,7 +202,7 @@ func checkDetect(g *bipartite.Graph, opts Options) (flagged int, err error) {
 	if opts.Balance == BalanceNone {
 		colorMasks = m
 	}
-	colorVertexPhase(g, W, c, scr, colorMasks, false, &opts, NewWorkCounters(threads), nil)
+	colorVertexPhase(g, W, c, scr, colorMasks, false, g.SortedNets(), &opts, NewWorkCounters(threads), nil)
 
 	var want []int32
 	var scanWork int64
@@ -341,7 +341,7 @@ func replayQueued(tb testing.TB, g *bipartite.Graph, W, colors []int32, threads 
 		m.build(g, c, W, &opts, nil)
 	}
 	wc := NewWorkCounters(threads)
-	colorVertexPhase(g, W, c, newScratch(g, threads, BalanceNone), m, masks, &opts, wc, nil)
+	colorVertexPhase(g, W, c, newScratch(g, threads, BalanceNone), m, masks, false, &opts, wc, nil)
 	total, _ := wc.TotalAndMax()
 	return c.Raw(), total
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync/atomic"
+
 	"bgpc/internal/bipartite"
 	"bgpc/internal/obs"
 	"bgpc/internal/par"
@@ -53,26 +55,80 @@ func (o *Options) parOpts(cn *par.Canceler) par.Options {
 // published as W is colored when every vertex of W starts Uncolored,
 // or, with queued, masks that build made from the colors of the
 // vertices outside W, plus the current colors of the W members of each
-// large net.
-func colorVertexPhase(g *bipartite.Graph, W []int32, c *Colors, s scratch, m *netMasks, queued bool, o *Options, wc *WorkCounters, cn *par.Canceler) {
+// large net. With frontier, for W ascending on sorted nets with every
+// vertex Uncolored, each net's scan stops at the dispatch frontier.
+func colorVertexPhase(g *bipartite.Graph, W []int32, c *Colors, s scratch, m *netMasks, queued, frontier bool, o *Options, wc *WorkCounters, cn *par.Canceler) {
 	s.resetPolicies(o.Balance)
+	var front *dispatchFrontier
+	if frontier {
+		front = &wc.frontier
+		front.end.Store(0)
+	}
 	par.For(len(W), o.parOpts(cn), func(tid, lo, hi int) {
 		f := &s[tid].forb
 		pol := &s[tid].pol
 		work := int64(DispatchCostUnits) * int64(o.threads())
+		if front != nil {
+			front.raise(hi)
+		}
 		for i := lo; i < hi; i++ {
 			w := W[i]
+			below := int32(fullScan)
+			if front != nil {
+				below = front.below(W, i, hi)
+			}
 			f.Reset()
 			if m != nil {
-				work += m.color(g, w, c, f, tid, fullScan, queued)
+				work += m.color(g, w, c, f, tid, below, queued)
 				continue
 			}
-			work += f.addNbrs(g, w, c, fullScan)
+			work += f.addNbrs(g, w, c, below)
 			c.Set(w, pol.Pick(f, w))
 		}
 		obs.CountForbiddenScans(int64(hi - lo))
 		wc.AddChunk(work)
 	})
+}
+
+// dispatchFrontier is the end of the furthest chunk of W a vertex
+// coloring phase has handed out: each chunk raises it when it starts.
+// When W is ascending, nets are sorted and every vertex of W starts
+// Uncolored, a vertex at or past W[end] has not been handed out, so it
+// is still Uncolored and a scan can stop there. The word sits on a
+// cache line of its own, since every chunk writes it and every vertex
+// reads it.
+type dispatchFrontier struct {
+	_   [cacheLine]byte
+	end atomic.Int64
+	_   [cacheLine - 8]byte
+}
+
+// raise lifts the frontier to hi, the end of a chunk that starts.
+func (d *dispatchFrontier) raise(hi int) {
+	for {
+		old := d.end.Load()
+		if old >= int64(hi) || d.end.CompareAndSwap(old, int64(hi)) {
+			return
+		}
+	}
+}
+
+// below returns the scan bound of W[i], in the chunk that ends at hi.
+// While that chunk is the furthest handed out, every vertex past W[i]
+// is Uncolored and the scan stops at W[i], as natural-order Sequential
+// does; that is exact at one thread. Otherwise it stops at the
+// frontier's vertex, and scans to the end once the frontier is past W.
+// At more threads a chunk handed out after the read may color vertices
+// the scan skipped, as a concurrent chunk may in a full scan; the
+// conflict phase, which reads the colors, catches both.
+func (d *dispatchFrontier) below(W []int32, i, hi int) int32 {
+	switch end := int(d.end.Load()); {
+	case end == hi:
+		return W[i]
+	case end < len(W):
+		return W[end]
+	}
+	return fullScan
 }
 
 // conflictVertexPhase is BGPC-REMOVECONFLICTS-VERTEX (Algorithm 5):

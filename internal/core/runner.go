@@ -24,9 +24,8 @@ const FPIterate = "core.iterate"
 // at least 1/detectQueueShare of the vertices. Measured on copapers and
 // movielens (DESIGN.md, "Linear-time conflict detection"), the pass
 // costs about as much as the scans it saves at 0.2–0.5 % of the
-// vertices. A vertex coloring phase after a vertex-based conflict phase
-// builds the masks from the same share up, since build walks the same
-// nets.
+// vertices. A vertex coloring phase after any conflict phase builds the
+// masks from the same share up, since build walks the same nets.
 const detectQueueShare = 256
 
 // Color runs the speculative parallel BGPC loop (Algorithm 1) with the
@@ -87,10 +86,12 @@ func colorCtx(ctx context.Context, g *bipartite.Graph, opts Options, masks bool)
 	// Uncolored (fresh), the first iteration's or one after a net-based
 	// conflict removal, publishes into them; the latter rebuilds them
 	// from the colors first. After a vertex-based removal they are built
-	// from the colors outside the queue, when the queue is large enough
-	// to pay for that walk (detectQueueShare), and the phase publishes
-	// nothing. Their net list also serves vertex-based conflict
-	// detection, under every balancing policy.
+	// from the colors outside the queue, and the phase publishes
+	// nothing. A build walks every masked net, so after either removal
+	// the masks serve only a queue large enough to pay for that walk
+	// (detectQueueShare); a smaller one is scanned. Their net list also
+	// serves vertex-based conflict detection, under every balancing
+	// policy.
 	var m *netMasks
 	if masks {
 		m = acquireMasks(g, threads)
@@ -98,6 +99,10 @@ func colorCtx(ctx context.Context, g *bipartite.Graph, opts Options, masks bool)
 	}
 	colorMasks := m != nil && opts.Balance == BalanceNone
 	fresh := true
+	// Iteration 1 colors W in ascending order from all Uncolored, so on
+	// sorted nets its vertex phase stops the scans at the dispatch
+	// frontier.
+	natural := opts.Order == nil && g.SortedNets()
 
 	// Build the initial work queue. Vertices incident to no net cannot
 	// conflict; they take color 0 immediately (as first-fit would) and
@@ -140,19 +145,20 @@ func colorCtx(ctx context.Context, g *bipartite.Graph, opts Options, masks bool)
 	var netColor, netCR bool
 	var iter int
 	doColor := func() {
+		front := natural && iter == 1
 		switch {
 		case netColor:
 			colorNetPhase(g, c, scr, &opts, wc, cn)
-		case colorMasks && fresh:
+		case colorMasks && fresh && (iter == 1 || detectQueueShare*len(W) >= n):
 			if iter > 1 {
 				m.build(g, c, nil, &opts, cn)
 			}
-			colorVertexPhase(g, W, c, scr, m, false, &opts, wc, cn)
-		case colorMasks && detectQueueShare*len(W) >= n:
+			colorVertexPhase(g, W, c, scr, m, false, front, &opts, wc, cn)
+		case colorMasks && !fresh && detectQueueShare*len(W) >= n:
 			m.build(g, c, W, &opts, cn)
-			colorVertexPhase(g, W, c, scr, m, true, &opts, wc, cn)
+			colorVertexPhase(g, W, c, scr, m, true, false, &opts, wc, cn)
 		default:
-			colorVertexPhase(g, W, c, scr, nil, false, &opts, wc, cn)
+			colorVertexPhase(g, W, c, scr, nil, false, front, &opts, wc, cn)
 		}
 	}
 	doConflict := func() {

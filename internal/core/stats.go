@@ -32,9 +32,14 @@ const (
 // fewer cores than Options.Threads (a single-core host would otherwise
 // let one goroutine drain every chunk and collapse the critical path
 // to the total work).
+//
+// The counters also carry the dispatch frontier of the run's first
+// vertex coloring phase: like them, it is per-run state that every
+// chunk of a phase writes.
 type WorkCounters struct {
-	mu sync.Mutex
-	c  []paddedInt64
+	mu       sync.Mutex
+	c        []paddedInt64
+	frontier dispatchFrontier
 }
 
 type paddedInt64 struct {
