@@ -6,7 +6,7 @@
 //
 //	bgpcd [-addr :8972] [-workers N] [-queue N]
 //	      [-timeout 30s] [-max-timeout 2m] [-cache 64] [-max-threads N]
-//	      [-trace trace.jsonl] [-metrics] [-log-json]
+//	      [-metrics] [-log-json]
 //	      [-watchdog 0] [-quarantine 3] [-quarantine-for 30s]
 //	      [-mem-budget BYTES] [-max-job-bytes BYTES]
 //	      [-max-rows N] [-max-cols N] [-max-nnz N] [-max-line-bytes N]
@@ -61,7 +61,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -106,7 +105,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	cache := fs.Int("cache", 64, "content-hash graph cache entries (negative disables)")
 	maxThreads := fs.Int("max-threads", 0, "cap on per-job threads a client may request (0 = GOMAXPROCS)")
 	drainGrace := fs.Duration("drain-grace", 30*time.Second, "how long shutdown waits for in-flight jobs")
-	traceFile := fs.String("trace", "", "write a JSON-lines trace event per phase of every job to this file")
 	metrics := fs.Bool("metrics", false, "enable the hot-path counters (chunk dispatches, queue pushes, forbidden scans) on /metrics")
 	logJSON := fs.Bool("log-json", false, "emit structured logs as JSON instead of logfmt-style text")
 	watchdog := fs.Duration("watchdog", 0, "cancel jobs making no coloring progress for this window and finish them sequentially (0 disables)")
@@ -210,19 +208,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "bgpcd: wal recovered %s (%s)\n", *walDir, stats)
 		cfg.WAL = l
 	}
-	if *traceFile != "" {
-		f, err := os.Create(*traceFile)
-		if err != nil {
-			return err
-		}
-		bw := bufio.NewWriter(f)
-		cfg.Obs = obs.New(obs.NewJSONL(bw))
-		defer func() {
-			bw.Flush()
-			f.Close()
-		}()
-	}
-
 	srv := service.New(cfg)
 	if cfg.WAL != nil {
 		fmt.Fprintf(stdout, "bgpcd: wal warmed %d colorings into the cache\n", srv.WarmedColorings())

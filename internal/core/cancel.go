@@ -48,56 +48,14 @@ func (e *CancelError) Error() string {
 // errors.Is(err, context.DeadlineExceeded).
 func (e *CancelError) Unwrap() []error { return []error{ErrCanceled, e.Cause} }
 
-// repairBGPC makes an interrupted speculative state valid by running
-// conflict removal sequentially over the already-colored prefix: each
-// net keeps the first occurrence of every color (the smallest vertex
-// id, since net adjacency is sorted) and uncolors later duplicates.
-// Uncoloring only removes conflicts and never re-creates one, so a
-// single pass leaves the colored subset conflict-free. Returns the
-// number of colored vertices after repair.
-//
-// This is the graceful-degradation half of the paper's speculate-and-
-// iterate contract: the speculative phases may leave any interleaving
-// of conflicting colors behind when cut off mid-flight, and the repair
-// recovers the maximal consistent prefix in one cheap O(nnz) sweep.
-func repairBGPC(g *bipartite.Graph, colors []int32) (colored int) {
-	maxColor := int32(-1)
-	for _, c := range colors {
-		if c > maxColor {
-			maxColor = c
-		}
-	}
-	if maxColor >= 0 {
-		stamp := make([]int32, maxColor+1)
-		for v := int32(0); int(v) < g.NumNets(); v++ {
-			tag := v + 1
-			for _, u := range g.Vtxs(v) {
-				c := colors[u]
-				if c < 0 {
-					continue
-				}
-				if stamp[c] == tag {
-					colors[u] = Uncolored
-				} else {
-					stamp[c] = tag
-				}
-			}
-		}
-	}
-	for _, c := range colors {
-		if c >= 0 {
-			colored++
-		}
-	}
-	return colored
-}
-
 // cancelResult packages the partial state of an interrupted run: it
-// repairs the colors sequentially, fills the Result's color statistics
-// over the surviving prefix (counting in f, an idle forbidden set), and
-// builds the typed error.
+// repairs the colors (Repair), fills the Result's color statistics over
+// the surviving prefix (counting in f, an idle forbidden set), and
+// builds the typed error. The speculative phases may leave any
+// interleaving of conflicting colors behind when cut off mid-flight;
+// the repair keeps a maximal consistent subset in one O(nnz) sweep.
 func cancelResult(g *bipartite.Graph, c *Colors, f *Forbidden, res *Result, cause error) (*Result, error) {
-	colored := repairBGPC(g, c.Raw())
+	colored := Repair(g, c.Raw())
 	res.Colors = c.Raw()
 	res.countColors(f)
 	return res, &CancelError{

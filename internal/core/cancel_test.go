@@ -181,7 +181,7 @@ func TestColorCtxNilAndBackgroundContexts(t *testing.T) {
 func TestRepairBGPC(t *testing.T) {
 	g := tinyGraph(t)             // nets {0,1,2}, {2,3}, {1,3}
 	colors := []int32{0, 0, 1, 1} // net0: 0 vs 1 clash on color 0; net1: 2 vs 3 clash on 1
-	colored := repairBGPC(g, colors)
+	colored := Repair(g, colors)
 	if err := verify.BGPCPartial(g, colors); err != nil {
 		t.Fatalf("repair left conflicts: %v", err)
 	}

@@ -11,6 +11,7 @@ import (
 	"bgpc/internal/bipartite"
 	"bgpc/internal/gen"
 	"bgpc/internal/graph"
+	"bgpc/internal/par"
 	"bgpc/internal/rng"
 	"bgpc/internal/verify"
 )
@@ -264,6 +265,54 @@ func BenchmarkFinishSequential(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						copy(colors, partial)
 						finishSequential(g, colors, masks)
+					}
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkDetectShare times a later iteration's vertex conflict phase
+// of V-V-64D at threads = 2 on each kernel preset at scale 1, with the
+// detect pass first ("detect") and with the scan alone ("scan"), for a
+// queue of a random 1/share of the vertices (staleQueue: half of them
+// conflicting). Where the two meet is the break-even share that
+// detectQueueShare sets.
+func BenchmarkDetectShare(b *testing.B) {
+	opts, err := ParseAlgorithm("V-V-64D")
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts.Threads = 2
+	for _, name := range kernelPresets {
+		g, err := gen.Preset(name, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		base := Sequential(g, nil).Colors
+		scr := newScratch(g, opts.Threads, opts.Balance)
+		for _, share := range []int{32, 64, 128, 256, 512, 1024} {
+			W, colors := staleQueue(g, base, share)
+			c := &Colors{c: colors}
+			l := par.NewLocalQueues(opts.Threads, len(W))
+			for _, detect := range []bool{true, false} {
+				mode := "scan"
+				if detect {
+					mode = "detect"
+				}
+				b.Run(fmt.Sprintf("%s/1of%d/%s", name, share, mode), func(b *testing.B) {
+					m := acquireMasks(g, opts.Threads)
+					defer m.release()
+					wc := NewWorkCounters(opts.Threads)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						var flags *netMasks
+						if detect {
+							m.detect(g, c, scr, &opts, nil)
+							flags = m
+						}
+						l.Reset()
+						conflictVertexPhase(g, W, c, flags, nil, l, &opts, wc, nil)
 					}
 				})
 			}

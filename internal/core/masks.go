@@ -48,10 +48,9 @@ const maskNNZPerWord = 4
 // plain stores, one row per worker, ordered before the next phase by
 // the par.For barrier; that is why the words are plain uint64s.
 //
-// The masked nets also serve vertex-based conflict detection: detect
-// flags the vertices that are not the first holder of their color in
-// some masked net, so the per-vertex check reads their flag instead of
-// scanning those nets (see conflictVertexPhase).
+// The masks do not serve conflict detection; they only lend it their
+// pooled flag array. detect walks every net, and on a graph without a
+// large net the masks come with zero rows and serve detection alone.
 type netMasks struct {
 	rowOf     []int32 // row of each net, -1 for a net that is scanned
 	nets      []int32 // net of each row
@@ -89,11 +88,17 @@ type rowBuf struct {
 // similar shape allocate no mask memory.
 var maskPool sync.Pool
 
+// hasRows reports whether g has a net that gets a color mask, which
+// the masked first fit needs.
+func hasRows(g *bipartite.Graph) bool {
+	return g.SortedNets() && g.ColorLowerBound() >= maskMinNetDeg
+}
+
 // acquireMasks returns cleared masks for one run on g with the given
-// threads, or nil when the run must scan: on a view, whose Nets()
-// direction is not the transpose of Vtxs() (they are the graphs with
-// unsorted nets), and on a graph without a net of maskMinNetDeg
-// vertices.
+// threads, or nil on a view, whose Nets() direction is not the
+// transpose of Vtxs() (they are the graphs with unsorted nets). On a
+// graph without a net of maskMinNetDeg vertices the masks have zero
+// rows and serve only detect's flags.
 func acquireMasks(g *bipartite.Graph, threads int) *netMasks {
 	if !g.SortedNets() {
 		return nil
@@ -104,9 +109,6 @@ func acquireMasks(g *bipartite.Graph, threads int) *netMasks {
 		if g.NetDeg(v) >= maskMinNetDeg {
 			rows++
 		}
-	}
-	if rows == 0 {
-		return nil
 	}
 	m, _ := maskPool.Get().(*netMasks)
 	if m == nil {
@@ -125,7 +127,10 @@ func acquireMasks(g *bipartite.Graph, threads int) *netMasks {
 	}
 	// Every color is below the vertex count; the blocks are allocated
 	// as colors reach them.
-	m.maxBlocks = min((g.NumVertices()+63)/64, max(1, int(g.NumEdges()/maskNNZPerWord)/rows))
+	m.maxBlocks = 0
+	if rows > 0 {
+		m.maxBlocks = min((g.NumVertices()+63)/64, max(1, int(g.NumEdges()/maskNNZPerWord)/rows))
+	}
 	m.blocks = resize(m.blocks, m.maxBlocks)
 	m.big = resize(m.big, threads)
 	for i := range m.big {
@@ -135,6 +140,15 @@ func acquireMasks(g *bipartite.Graph, threads int) *netMasks {
 	}
 	m.nblocks.Store(0)
 	return m
+}
+
+// takeMasks returns *m, first setting it to acquireMasks(g, threads)
+// when it is nil.
+func takeMasks(m **netMasks, g *bipartite.Graph, threads int) *netMasks {
+	if *m == nil {
+		*m = acquireMasks(g, threads)
+	}
+	return *m
 }
 
 // release returns m to the pool; m must not be used afterwards.
@@ -361,24 +375,29 @@ func (m *netMasks) publish(col int32, rows []int32) {
 	}
 }
 
-// detect is the paper's Algorithm 7 pass used as a detector: each
-// masked net is walked in ascending order with the thread's stamped
-// Forbidden, and a vertex whose color an earlier vertex of the net
-// already holds is flagged. Uncolored lives in Forbidden's slot 0, so
-// two Uncolored vertices conflict here as they do in vertexConflicts.
-// Detection writes no color, so afterwards a vertex is unflagged
-// exactly when no smaller vertex of a masked net holds its color. Flags
-// are published with atomic stores, since one vertex may be flagged
-// from several nets at once, and read after the par.For barrier. The
-// pass is not charged to the work model: the per-vertex check charges
-// the masked nets as the scan would.
+// detect is the paper's Algorithm 7 pass used as a detector: each net
+// of at least 2 vertices is walked in ascending order with the thread's
+// stamped Forbidden, and a vertex whose color an earlier vertex of the
+// net already holds is flagged. Uncolored lives in Forbidden's slot 0,
+// so two Uncolored vertices conflict here as they do in
+// vertexConflicts. Detection writes no color, so afterwards a vertex is
+// unflagged exactly when no smaller vertex of its nets holds its color:
+// exactly when vertexConflicts reports no conflict. Flags are published
+// with atomic stores, since one vertex may be flagged from several nets
+// at once, and read after the par.For barrier. The pass is not charged
+// to the work model: the per-vertex check charges every net as the scan
+// would.
 func (m *netMasks) detect(g *bipartite.Graph, c *Colors, s scratch, o *Options, cn *par.Canceler) {
 	flag, stamp := m.nextStamp(g.NumVertices())
-	par.For(len(m.nets), o.parOpts(cn), func(tid, lo, hi int) {
+	par.For(g.NumNets(), o.parOpts(cn), func(tid, lo, hi int) {
 		f := &s[tid].forb
-		for r := lo; r < hi; r++ {
+		for v := lo; v < hi; v++ {
+			vt := g.Vtxs(int32(v))
+			if len(vt) < 2 {
+				continue
+			}
 			f.Reset()
-			for _, u := range g.Vtxs(m.nets[r]) {
+			for _, u := range vt {
 				if cu := c.Get(u); f.Has(cu) {
 					atomic.StoreInt32(&flag[u], stamp)
 				} else {
@@ -387,29 +406,4 @@ func (m *netMasks) detect(g *bipartite.Graph, c *Colors, s scratch, o *Options, 
 			}
 		}
 	})
-}
-
-// conflicts is vertexConflicts for a vertex w that detect did not
-// flag: no smaller vertex of a masked net holds w's color, so only the
-// small nets are scanned, and each masked net is charged |vtxs(v)|+1
-// as the scan that finds nothing there. The answer and the charge are
-// the scan's.
-func (m *netMasks) conflicts(g *bipartite.Graph, w int32, c *Colors, work *int64) bool {
-	cw := c.Get(w)
-	for _, v := range g.Nets(w) {
-		vt := g.Vtxs(v)
-		if m.rowOf[v] < 0 {
-			for i, u := range vt {
-				if u >= w {
-					break
-				}
-				if c.Get(u) == cw {
-					*work += int64(i) + 2
-					return true
-				}
-			}
-		}
-		*work += int64(len(vt)) + 1
-	}
-	return false
 }

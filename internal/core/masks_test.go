@@ -79,15 +79,6 @@ func maskGraphs(tb testing.TB) map[string]*bipartite.Graph {
 	return gs
 }
 
-func hasLargeNet(g *bipartite.Graph) bool {
-	for v := int32(0); int(v) < g.NumNets(); v++ {
-		if g.NetDeg(v) >= maskMinNetDeg {
-			return true
-		}
-	}
-	return false
-}
-
 // sameRun reports how two runs of one job differ in colors or work.
 func sameRun(masked, scanned *Result) error {
 	if !slices.Equal(masked.Colors, scanned.Colors) {
@@ -119,13 +110,16 @@ func maskSpecs() []Spec {
 // masks off, which also switches conflict detection off: Sequential in
 // natural and random order, and every variant of maskSpecs at
 // threads = 1. Colors and work must be identical. At threads = 4 every
-// coloring must be valid, and iteration 1's detected queue must be the
-// scan's (checkDetect). Some vertex must be flagged, or the detection
-// path went untested.
+// coloring must be valid, and the detected queue must be the scan's
+// (checkDetect), on iteration 1's colors and on a clashing coloring.
+// Detection must flag vertices on graphs without a large net, and
+// vertices whose only conflicts lie in nets smaller than
+// maskMinNetDeg, or the pass went untested where the masks have no
+// row.
 func TestMasksExact(t *testing.T) {
-	masked, flagged := 0, 0
+	masked, rowless, small := 0, 0, 0
 	for name, g := range maskGraphs(t) {
-		if hasLargeNet(g) {
+		if hasRows(g) {
 			masked++
 		}
 		for _, order := range []struct {
@@ -158,30 +152,40 @@ func TestMasksExact(t *testing.T) {
 			if err := verify.BGPC(g, res.Colors); err != nil {
 				t.Errorf("%s/%s at 4 threads: %v", name, spec.Name, err)
 			}
-			if opts.NetColorIters == 0 && opts.NetCRIters == 0 {
-				f, err := checkDetect(g, opts)
+			if opts.NetColorIters != 0 || opts.NetCRIters != 0 {
+				continue
+			}
+			for _, colors := range []struct {
+				name string
+				make func(*bipartite.Graph, Options) ([]int32, *Colors)
+			}{{"iteration 1", firstColors}, {"clash", clashColors}} {
+				W, c := colors.make(g, opts)
+				flags, err := checkDetect(g, W, c, opts)
 				if err != nil {
-					t.Errorf("%s/%s at 4 threads: %v", name, spec.Name, err)
+					t.Errorf("%s/%s at 4 threads on %s colors: %v", name, spec.Name, colors.name, err)
 				}
-				flagged += f
+				if !hasRows(g) {
+					rowless += len(flags)
+				}
+				small += smallOnly(g, c, flags)
 			}
 		}
 	}
 	if masked < 10 {
 		t.Fatalf("only %d graphs have a net of %d vertices; the differential would not cover the masks", masked, maskMinNetDeg)
 	}
-	if flagged == 0 {
-		t.Fatal("conflict detection flagged no vertex: the flagged scan went untested")
+	if rowless == 0 {
+		t.Fatal("conflict detection flagged no vertex of a graph without a large net")
+	}
+	if small == 0 {
+		t.Fatalf("conflict detection flagged no vertex whose conflicts all lie in nets of fewer than %d vertices", maskMinNetDeg)
 	}
 }
 
-// checkDetect replays iteration 1 of a vertex-based schedule with its
-// own threads: a vertex coloring phase, then the vertex conflict phase
-// with and without a detect pass on the same colors. The detected
-// queue must hold exactly the vertices vertexConflicts reports, and
-// both phases must charge the same total work. It returns how many
-// queued vertices the pass flagged (0 on a graph without masks).
-func checkDetect(g *bipartite.Graph, opts Options) (flagged int, err error) {
+// firstColors replays iteration 1's vertex coloring phase of a
+// vertex-based schedule with its own threads, and returns its queue and
+// colors.
+func firstColors(g *bipartite.Graph, opts Options) ([]int32, *Colors) {
 	n, threads := g.NumVertices(), opts.threads()
 	c := NewColors(n)
 	var W []int32
@@ -192,18 +196,39 @@ func checkDetect(g *bipartite.Graph, opts Options) (flagged int, err error) {
 			W = append(W, u)
 		}
 	}
+	var m *netMasks
+	if opts.Balance == BalanceNone && hasRows(g) {
+		m = acquireMasks(g, threads)
+		defer m.release()
+	}
 	scr := newScratch(g, threads, opts.Balance)
-	m := acquireMasks(g, threads)
-	if m == nil {
-		return 0, nil
-	}
-	defer m.release()
-	var colorMasks *netMasks
-	if opts.Balance == BalanceNone {
-		colorMasks = m
-	}
-	colorVertexPhase(g, W, c, scr, colorMasks, false, g.SortedNets(), &opts, NewWorkCounters(threads), nil)
+	colorVertexPhase(g, W, c, scr, m, false, g.SortedNets(), &opts, NewWorkCounters(threads), nil)
+	return W, c
+}
 
+// clashColors queues every vertex with a net and gives each one of four
+// colors at random, so that nets of every size hold conflicts.
+func clashColors(g *bipartite.Graph, _ Options) ([]int32, *Colors) {
+	n := g.NumVertices()
+	r := rng.New(uint64(n))
+	c := NewColors(n)
+	var W []int32
+	for u := int32(0); int(u) < n; u++ {
+		c.Set(u, int32(r.Intn(4)))
+		if g.VtxDeg(u) > 0 {
+			W = append(W, u)
+		}
+	}
+	return W, c
+}
+
+// checkDetect runs the vertex conflict phase of a vertex-based
+// schedule on W and colors c with its own threads, with and without a
+// detect pass on those colors. The detected queue must hold exactly
+// the vertices vertexConflicts reports, and both phases must charge the
+// same total work. It returns the queued vertices the pass flagged.
+func checkDetect(g *bipartite.Graph, W []int32, c *Colors, opts Options) (flagged []int32, err error) {
+	threads := opts.threads()
 	var want []int32
 	var scanWork int64
 	for _, w := range W {
@@ -227,10 +252,15 @@ func checkDetect(g *bipartite.Graph, opts Options) (flagged int, err error) {
 		total, _ := wc.TotalAndMax()
 		return got, total
 	}
-	m.detect(g, c, scr, &opts, nil)
+	m := acquireMasks(g, threads)
+	if m == nil {
+		return nil, fmt.Errorf("no masks on sorted nets")
+	}
+	defer m.release()
+	m.detect(g, c, newScratch(g, threads, opts.Balance), &opts, nil)
 	for _, w := range W {
 		if m.flag[w] == m.stamp {
-			flagged++
+			flagged = append(flagged, w)
 		}
 	}
 	got, work := phase(m)
@@ -242,6 +272,29 @@ func checkDetect(g *bipartite.Graph, opts Options) (flagged int, err error) {
 		return flagged, fmt.Errorf("conflict work %d with detection, %d scanning", work, scanned)
 	}
 	return flagged, nil
+}
+
+// smallOnly counts the vertices of flagged whose every conflict lies in
+// a net of fewer than maskMinNetDeg vertices: no smaller vertex of
+// their large nets holds their color.
+func smallOnly(g *bipartite.Graph, c *Colors, flagged []int32) (k int) {
+	for _, w := range flagged {
+		large := false
+		for _, v := range g.Nets(w) {
+			if g.NetDeg(v) < maskMinNetDeg {
+				continue
+			}
+			for _, u := range g.Vtxs(v) {
+				if u < w && c.Get(u) == c.Get(w) {
+					large = true
+				}
+			}
+		}
+		if !large {
+			k++
+		}
+	}
+	return k
 }
 
 // TestMasksQueuedExact replays the vertex coloring phase that follows
@@ -264,7 +317,7 @@ func TestMasksQueuedExact(t *testing.T) {
 	}
 	cases := 0
 	for name, g := range gs {
-		if !hasLargeNet(g) {
+		if !hasRows(g) {
 			continue
 		}
 		n := g.NumVertices()
@@ -378,7 +431,7 @@ func TestFinishSequentialMasksExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !hasLargeNet(g) {
+		if !hasRows(g) {
 			t.Fatalf("%s has no net of %d vertices", name, maskMinNetDeg)
 		}
 		n := g.NumVertices()
@@ -417,7 +470,7 @@ func TestDetectCancelPoolReuse(t *testing.T) {
 	defer failpoint.Reset()
 	gs := smallPresets(t)
 	g, other := gs["copapers"], gs["movielens"]
-	if !hasLargeNet(g) || !hasLargeNet(other) || other.NumVertices() >= g.NumVertices() {
+	if !hasRows(g) || !hasRows(other) || other.NumVertices() >= g.NumVertices() {
 		t.Fatal("the presets no longer give two masked graphs, the second smaller")
 	}
 	opts, err := ParseAlgorithm("V-V-64D")
@@ -580,7 +633,7 @@ func TestQueuedMasksCancelPoolReuse(t *testing.T) {
 // TestDetectStampWrap fills a pooled flag array with the stamp that
 // follows a wrap-around and runs a detect pass whose stamp wraps: the
 // array must be cleared, so that the flags are exactly the vertices
-// that are not their color's first holder in some masked net.
+// that are not their color's first holder in some net.
 func TestDetectStampWrap(t *testing.T) {
 	g := smallPresets(t)["copapers"]
 	opts := Options{Threads: 1}
@@ -595,14 +648,13 @@ func TestDetectStampWrap(t *testing.T) {
 		all[i] = 1
 	}
 	m.stamp = math.MaxInt32
-	c := &Colors{c: sequential(g, nil, false).Colors}
-	scr := newScratch(g, 1, BalanceNone)
-	m.detect(g, c, scr, &opts, nil)
+	_, c := clashColors(g, opts)
+	m.detect(g, c, newScratch(g, 1, BalanceNone), &opts, nil)
 	if m.stamp != 1 {
 		t.Fatalf("stamp after the wrap = %d, want 1", m.stamp)
 	}
 	want := make([]bool, g.NumVertices())
-	for _, v := range m.nets {
+	for v := int32(0); int(v) < g.NumNets(); v++ {
 		seen := map[int32]bool{}
 		for _, u := range g.Vtxs(v) {
 			want[u] = want[u] || seen[c.Get(u)]
@@ -720,7 +772,8 @@ func runMaskBytes(job func()) int64 {
 
 // TestMasksWithinEstimate checks limits.MaskBytes, the masks' term of
 // the admission estimate, against the memory the masks of a run keep,
-// for Sequential and two schedules at 1 and 4 threads.
+// for Sequential and two schedules at 1 and 4 threads. A run that ends
+// without a vertex phase must not take masks at all.
 func TestMasksWithinEstimate(t *testing.T) {
 	gs := smallPresets(t)
 	gs["cap"] = capShape(t)
@@ -729,8 +782,15 @@ func TestMasksWithinEstimate(t *testing.T) {
 		for _, threads := range []int{1, 4} {
 			sh := limits.Shape{Rows: g.NumNets(), Cols: g.NumVertices(), NNZ: g.NumEdges(), Threads: threads}
 			for _, algo := range []string{"seq", "N1-N2", "V-V-64D"} {
-				got := runMaskBytes(func() { runKernel(t, g, algo, threads) })
-				if bound := limits.MaskBytes(sh); got == 0 || got > bound {
+				var res *Result
+				got := runMaskBytes(func() { res = runKernel(t, g, algo, threads) })
+				// An N1-N2 run done in one iteration ran net phases only,
+				// which take no masks.
+				netOnly := algo == "N1-N2" && res.Iterations == 1
+				switch bound := limits.MaskBytes(sh); {
+				case netOnly && got != 0:
+					t.Errorf("%s/%s at %d threads: net phases only, yet masks keep %d B", name, algo, threads, got)
+				case !netOnly && (got == 0 || got > bound):
 					t.Errorf("%s/%s at %d threads: masks keep %d B, limits.MaskBytes = %d", name, algo, threads, got, bound)
 				}
 			}

@@ -136,10 +136,11 @@ func (d *dispatchFrontier) below(W []int32, i, hi int) int32 {
 // shared next-iteration queue q (V-V, V-V-64), or, when q is nil, to
 // its thread's local queue in l, merged at the barrier (the lazy "D"
 // construction of V-V-64D). Only the shared queue's pushes are charged
-// to the work model. A non-nil m holds the flags of a detect pass on
-// the current colors: an unflagged vertex then scans only its small
-// nets, and a flagged one keeps the full scan.
-func conflictVertexPhase(g *bipartite.Graph, W []int32, c *Colors, m *netMasks, q *par.SharedQueue, l *par.LocalQueues, o *Options, wc *WorkCounters, cn *par.Canceler) {
+// to the work model. A non-nil flags holds the flags of a detect pass
+// on the current colors: an unflagged vertex then is no conflict and is
+// charged |vtxs(v)|+1 per net, as the scan that finds nothing, without
+// reading a color, and a flagged one keeps the scan.
+func conflictVertexPhase(g *bipartite.Graph, W []int32, c *Colors, flags *netMasks, q *par.SharedQueue, l *par.LocalQueues, o *Options, wc *WorkCounters, cn *par.Canceler) {
 	var pushCost int64
 	if q != nil {
 		pushCost = int64(queuePushCostUnits) * int64(o.threads())
@@ -148,13 +149,13 @@ func conflictVertexPhase(g *bipartite.Graph, W []int32, c *Colors, m *netMasks, 
 		work := int64(DispatchCostUnits) * int64(o.threads())
 		for i := lo; i < hi; i++ {
 			w := W[i]
-			var conflict bool
-			if m != nil && m.flag[w] != m.stamp {
-				conflict = m.conflicts(g, w, c, &work)
-			} else {
-				conflict = vertexConflicts(g, w, c, &work)
+			if flags != nil && flags.flag[w] != flags.stamp {
+				for _, v := range g.Nets(w) {
+					work += int64(g.NetDeg(v)) + 1
+				}
+				continue
 			}
-			if !conflict {
+			if !vertexConflicts(g, w, c, &work) {
 				continue
 			}
 			if q != nil {
@@ -198,7 +199,8 @@ func vertexConflicts(g *bipartite.Graph, w int32, c *Colors, work *int64) bool {
 // conflictNetPhase is BGPC-REMOVECONFLICTS-NET (Algorithm 7): every net
 // keeps the first occurrence of each color and uncolors later
 // duplicates in place. The caller gathers the uncolored vertices into
-// the next work queue afterwards.
+// the next work queue afterwards. Any negative color counts as
+// Uncolored, since Repair runs it on colorings it did not make.
 func conflictNetPhase(g *bipartite.Graph, c *Colors, s scratch, o *Options, wc *WorkCounters, cn *par.Canceler) {
 	par.For(g.NumNets(), o.parOpts(cn), func(tid, lo, hi int) {
 		f := &s[tid].forb
@@ -209,7 +211,7 @@ func conflictNetPhase(g *bipartite.Graph, c *Colors, s scratch, o *Options, wc *
 			work += int64(len(vt)) + 1
 			for _, u := range vt {
 				cu := c.Get(u)
-				if cu == Uncolored {
+				if cu < 0 {
 					continue
 				}
 				if f.Has(cu) {

@@ -20,12 +20,15 @@ import (
 const FPIterate = "core.iterate"
 
 // detectQueueShare sets when a vertex-based conflict phase after the
-// first runs the detection pass (netMasks.detect): when its queue holds
-// at least 1/detectQueueShare of the vertices. Measured on copapers and
-// movielens (DESIGN.md, "Linear-time conflict detection"), the pass
-// costs about as much as the scans it saves at 0.2–0.5 % of the
-// vertices. A vertex coloring phase after any conflict phase builds the
-// masks from the same share up, since build walks the same nets.
+// first runs the detection pass (netMasks.detect), a walk of every net:
+// when its queue holds at least 1/detectQueueShare of the vertices.
+// Measured over whole runs of the four kernel presets (EXPERIMENTS.md,
+// "Detection on every net"), 1/256 beats 1/16, 1/64 and 1/1024: later
+// queues are hub-heavy, so on the skewed presets the pass pays for
+// small queues, and on the regular ones a smaller share would run it on
+// queues whose scans are cheaper. A vertex coloring phase after any
+// conflict phase builds the masks from the same share up, since build
+// walks the masked nets.
 const detectQueueShare = 256
 
 // Color runs the speculative parallel BGPC loop (Algorithm 1) with the
@@ -82,22 +85,21 @@ func colorCtx(ctx context.Context, g *bipartite.Graph, opts Options, masks bool)
 	c := NewColors(n)
 	wc := NewWorkCounters(threads)
 	scr := newScratch(g, threads, opts.Balance)
-	// The masks serve first fit only. A vertex phase whose queue is all
-	// Uncolored (fresh), the first iteration's or one after a net-based
-	// conflict removal, publishes into them; the latter rebuilds them
-	// from the colors first. After a vertex-based removal they are built
-	// from the colors outside the queue, and the phase publishes
-	// nothing. A build walks every masked net, so after either removal
-	// the masks serve only a queue large enough to pay for that walk
-	// (detectQueueShare); a smaller one is scanned. Their net list also
-	// serves vertex-based conflict detection, under every balancing
-	// policy.
+	// The masks serve first fit on a graph with a large net (hasRows),
+	// under BalanceNone. A vertex phase whose queue is all Uncolored
+	// (fresh), the first iteration's or one after a net-based conflict
+	// removal, publishes into them; the latter rebuilds them from the
+	// colors first. After a vertex-based removal they are built from the
+	// colors outside the queue, and the phase publishes nothing. A build
+	// walks every masked net, so after either removal the masks serve
+	// only a queue large enough to pay for that walk (detectQueueShare);
+	// a smaller one is scanned. Their flag array serves vertex-based
+	// conflict detection on sorted nets, under every balancing policy.
+	// They are taken from the pool when a phase first needs them.
 	var m *netMasks
-	if masks {
-		m = acquireMasks(g, threads)
-		defer m.release()
-	}
-	colorMasks := m != nil && opts.Balance == BalanceNone
+	defer func() { m.release() }()
+	detect := masks && g.SortedNets()
+	colorMasks := masks && opts.Balance == BalanceNone && hasRows(g)
 	fresh := true
 	// Iteration 1 colors W in ascending order from all Uncolored, so on
 	// sorted nets its vertex phase stops the scans at the dispatch
@@ -150,12 +152,13 @@ func colorCtx(ctx context.Context, g *bipartite.Graph, opts Options, masks bool)
 		case netColor:
 			colorNetPhase(g, c, scr, &opts, wc, cn)
 		case colorMasks && fresh && (iter == 1 || detectQueueShare*len(W) >= n):
+			takeMasks(&m, g, threads)
 			if iter > 1 {
 				m.build(g, c, nil, &opts, cn)
 			}
 			colorVertexPhase(g, W, c, scr, m, false, front, &opts, wc, cn)
 		case colorMasks && !fresh && detectQueueShare*len(W) >= n:
-			m.build(g, c, W, &opts, cn)
+			takeMasks(&m, g, threads).build(g, c, W, &opts, cn)
 			colorVertexPhase(g, W, c, scr, m, true, false, &opts, wc, cn)
 		default:
 			colorVertexPhase(g, W, c, scr, nil, false, front, &opts, wc, cn)
@@ -168,13 +171,13 @@ func colorCtx(ctx context.Context, g *bipartite.Graph, opts Options, masks bool)
 			W = gatherUncolored(g, c, &opts)
 			return
 		}
-		// Detection walks every masked net once, so it runs when the
-		// queue holds every non-isolated vertex (iteration 1) or enough
-		// of the rest to pay for that walk.
+		// Detection walks every net once, so it runs when the queue
+		// holds every non-isolated vertex (iteration 1) or enough of the
+		// rest to pay for that walk.
 		var flags *netMasks
-		if m != nil && (iter == 1 || detectQueueShare*len(W) >= n) {
-			m.detect(g, c, scr, &opts, cn)
-			flags = m
+		if detect && (iter == 1 || detectQueueShare*len(W) >= n) {
+			flags = takeMasks(&m, g, threads)
+			flags.detect(g, c, scr, &opts, cn)
 		}
 		if opts.LazyQueues {
 			local.Reset()

@@ -50,8 +50,8 @@ func FinishSequential(g *bipartite.Graph, colors []int32) int {
 // finishSequential is FinishSequential with the color masks switched
 // on or off. The masks are built from the colors already present, a
 // walk of every masked net, so they are used only when at least
-// 1/detectQueueShare of the vertices are to be colored, the share at
-// which the runner's detection pass pays for the same walk.
+// 1/detectQueueShare of the vertices are to be colored, the share from
+// which the runner's later vertex phases rebuild them.
 func finishSequential(g *bipartite.Graph, colors []int32, masks bool) int {
 	uncolored := 0
 	for _, col := range colors {
@@ -73,10 +73,10 @@ func finishSequential(g *bipartite.Graph, colors []int32, masks bool) int {
 // scanned to its end and the masks are built from the colors.
 func greedy(g *bipartite.Graph, c *Colors, order []int32, f *Forbidden, fresh, masks bool) (work int64) {
 	var m *netMasks
-	if masks {
+	if masks && hasRows(g) {
 		m = acquireMasks(g, 1)
 		defer m.release()
-		if m != nil && !fresh {
+		if !fresh {
 			m.build(g, c, nil, &Options{Threads: 1}, nil)
 		}
 	}

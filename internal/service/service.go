@@ -80,9 +80,6 @@ type Config struct {
 	// MaxThreads caps the per-job thread count a client may request;
 	// values < 1 mean GOMAXPROCS.
 	MaxThreads int
-	// Obs, when enabled, emits the runners' per-phase trace events for
-	// every request (labeled mode/algorithm) into its sink.
-	Obs *obs.Observer
 	// QuarantineAfter is the number of worker panics on the same graph
 	// fingerprint before that fingerprint is refused (429 with
 	// Retry-After) for QuarantineFor; 0 means 3, negative disables
@@ -250,7 +247,7 @@ type ColorResponse struct {
 	// TraceID is the distributed-trace id this request ran under (also
 	// in the X-BGPC-Trace response header): the key into
 	// /debug/trace/{traceid} here and /rtr/trace/{traceid} on the
-	// router. Empty when tracing is disabled.
+	// router. Every POST /color is traced, so it is always set.
 	TraceID string `json:"trace_id,omitempty"`
 }
 
@@ -682,9 +679,6 @@ func (s *Server) resolve(req *ColorRequest) (*jobSpec, int, error) {
 	spec.variant = algo
 	if d2mode {
 		spec.variant = "d2/" + algo
-	}
-	if s.cfg.Obs.Enabled() {
-		spec.opts.Obs = s.cfg.Obs.WithAlgo("svc/" + spec.variant)
 	}
 	return spec, 0, nil
 }
