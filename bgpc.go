@@ -302,17 +302,16 @@ func NewPlan(colors []int32) (*Plan, error) {
 }
 
 // Observability re-exports (see internal/obs): structured per-phase
-// trace events, pluggable sinks, hot-path counters, and pprof phase
-// labels.
+// trace events and pluggable sinks.
 type (
 	// Observer emits one trace event per phase per speculative
-	// iteration and labels phase goroutines for CPU profiling. Attach
-	// it via Options.Obs; nil disables observability at ~zero cost.
+	// iteration. Attach it via Options.Obs; nil disables observability
+	// at ~zero cost.
 	Observer = obs.Observer
 	// TraceEvent is one structured per-phase trace record.
 	TraceEvent = obs.Event
-	// TraceSink receives trace events (JSON-lines, discard, or a
-	// user implementation).
+	// TraceSink receives trace events (JSON-lines or a user
+	// implementation).
 	TraceSink = obs.Sink
 )
 
@@ -367,21 +366,6 @@ func NewObserver(sink TraceSink) *Observer { return obs.New(sink) }
 
 // NewJSONLTrace returns a sink writing one JSON object per event to w.
 func NewJSONLTrace(w io.Writer) *obs.JSONLSink { return obs.NewJSONL(w) }
-
-// DiscardTrace returns a sink that drops every event — attach it to
-// get an enabled Observer's pprof phase labels without a trace.
-func DiscardTrace() TraceSink { return obs.Discard }
-
-// EnableMetrics switches the hot-path event counters (chunk
-// dispatches, shared-queue pushes, forbidden-array scans) on or off.
-func EnableMetrics(on bool) { obs.EnableMetrics(on) }
-
-// MetricsSnapshot returns the current counter values keyed by their
-// dump names (the ones WriteMetrics prints).
-func MetricsSnapshot() map[string]int64 { return obs.Snapshot() }
-
-// WriteMetrics writes one "name value" line per counter, sorted.
-func WriteMetrics(w io.Writer) error { return obs.WriteMetrics(w) }
 
 // NaturalOrder returns the identity vertex order.
 func NaturalOrder(n int) []int32 { return order.Natural(n) }

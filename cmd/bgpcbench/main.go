@@ -6,16 +6,15 @@
 //	bgpcbench [-experiment all|table1|…|figure3|trajectory] [-scale S]
 //	          [-threads 2,4,8,16] [-csv]
 //	          [-benchjson out.json] [-benchreps N] [-seed S]
-//	          [-trace trace.jsonl] [-metrics] [-cpuprofile cpu.out]
+//	          [-trace trace.jsonl] [-cpuprofile cpu.out]
 //
 // With -csv the tables are emitted as CSV blocks (one per table),
 // convenient for external plotting of the figure series.
 //
 // Observability: -trace writes one JSON-lines event per phase per
 // speculative iteration of every coloring run (schema in
-// EXPERIMENTS.md), -metrics enables the hot-path event counters and
-// prints them after the run, and -cpuprofile records a CPU profile
-// whose samples carry phase/kind/iter/algo pprof labels.
+// EXPERIMENTS.md), and -cpuprofile records a CPU profile; every phase
+// is its own function, so `go tool pprof -focus` splits it by phase.
 package main
 
 import (
@@ -55,8 +54,7 @@ func run(args []string, stdout io.Writer) error {
 	benchSeed := fs.Uint64("seed", 0, "workload seed stamped into the -benchjson artifact (0 = the presets' baked deterministic seeds)")
 	timeout := fs.Duration("timeout", 0, "abort the whole invocation if it runs longer than this")
 	traceFile := fs.String("trace", "", "write a JSON-lines trace event per phase of every coloring run to this file")
-	metrics := fs.Bool("metrics", false, "count hot-path runtime events (chunk dispatches, queue pushes, forbidden scans) and print them after the run")
-	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile (with per-phase pprof labels) to this file")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -81,21 +79,7 @@ func run(args []string, stdout io.Writer) error {
 			f.Close()
 		}()
 	}
-	if *metrics {
-		obs.EnableMetrics(true)
-		defer func() {
-			obs.WriteMetrics(stdout)
-			obs.EnableMetrics(false)
-		}()
-	}
 	if *cpuProfile != "" {
-		// Phase pprof labels ride on the harness observer; without
-		// -trace, attach a discarding one so the profile is still
-		// labeled.
-		if *traceFile == "" {
-			bench.SetObserver(obs.New(obs.Discard))
-			defer bench.SetObserver(nil)
-		}
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
 			return err

@@ -6,7 +6,7 @@
 //
 //	bgpcd [-addr :8972] [-workers N] [-queue N]
 //	      [-timeout 30s] [-max-timeout 2m] [-cache 64] [-max-threads N]
-//	      [-metrics] [-log-json]
+//	      [-log-json]
 //	      [-watchdog 0] [-quarantine 3] [-quarantine-for 30s]
 //	      [-mem-budget BYTES] [-max-job-bytes BYTES]
 //	      [-max-rows N] [-max-cols N] [-max-nnz N] [-max-line-bytes N]
@@ -77,7 +77,6 @@ import (
 
 	"bgpc/internal/failpoint"
 	"bgpc/internal/limits"
-	"bgpc/internal/obs"
 	"bgpc/internal/service"
 	"bgpc/internal/trace"
 	"bgpc/internal/wal"
@@ -105,7 +104,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	cache := fs.Int("cache", 64, "content-hash graph cache entries (negative disables)")
 	maxThreads := fs.Int("max-threads", 0, "cap on per-job threads a client may request (0 = GOMAXPROCS)")
 	drainGrace := fs.Duration("drain-grace", 30*time.Second, "how long shutdown waits for in-flight jobs")
-	metrics := fs.Bool("metrics", false, "enable the hot-path counters (chunk dispatches, queue pushes, forbidden scans) on /metrics")
 	logJSON := fs.Bool("log-json", false, "emit structured logs as JSON instead of logfmt-style text")
 	watchdog := fs.Duration("watchdog", 0, "cancel jobs making no coloring progress for this window and finish them sequentially (0 disables)")
 	quarAfter := fs.Int("quarantine", 3, "worker panics on one graph before it is quarantined (negative disables)")
@@ -215,11 +213,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if b := srv.MemBudget(); b > 0 {
 		fmt.Fprintf(stdout, "bgpcd: memory budget %d bytes\n", b)
 	}
-	if *metrics {
-		obs.EnableMetrics(true)
-		defer obs.EnableMetrics(false)
-	}
-
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err

@@ -269,11 +269,11 @@ func TestDaemonBadFlags(t *testing.T) {
 }
 
 // TestDaemonStatszCounts exposes the queue/cache gauges over HTTP on
-// /metrics, the daemon's one scrape surface: neither /statsz nor, even
-// with -metrics, /debug/vars is routed.
+// /metrics, the daemon's one scrape surface: neither /statsz nor
+// /debug/vars is routed.
 func TestDaemonStatszCounts(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
-	base, shutdown := startDaemon(t, "-metrics")
+	base, shutdown := startDaemon(t)
 	defer shutdown()
 	client := &http.Client{Timeout: testutil.Scale(10 * time.Second)}
 

@@ -42,8 +42,7 @@ func main() {
 	recolor := flag.Int("recolor", 0, "BGPC only: run up to N iterated-greedy recoloring passes to compact the colors")
 	colorsOut := flag.String("o", "", "write the final coloring to this file (one color id per line, vertex order)")
 	traceFile := flag.String("trace", "", "write a JSON-lines trace event per phase per iteration to this file (parallel algorithms only)")
-	metrics := flag.Bool("metrics", false, "count hot-path runtime events and print them after the run")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile (with per-phase pprof labels) to this file")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	failpoints := flag.String("failpoints", "", "arm failpoints for fault-injection runs, e.g. 'core.iterate=delay:10ms' (applied after $"+failpoint.EnvVar+")")
 	maxRows := flag.Int("max-rows", 0, "reject -mtx files declaring more rows than this (0 = library default)")
 	maxCols := flag.Int("max-cols", 0, "reject -mtx files declaring more columns than this (0 = library default)")
@@ -73,19 +72,7 @@ func main() {
 			f.Close()
 		}()
 	}
-	if *metrics {
-		bgpc.EnableMetrics(true)
-		defer func() {
-			fmt.Println("metrics:")
-			bgpc.WriteMetrics(os.Stdout)
-		}()
-	}
 	if *cpuProfile != "" {
-		// Phase pprof labels ride on the observer; without -trace,
-		// attach a discarding one so the profile is still labeled.
-		if observer == nil {
-			observer = bgpc.NewObserver(bgpc.DiscardTrace()).WithAlgo(*algorithm)
-		}
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
 			fatal(err)
@@ -303,10 +290,7 @@ func printTimeline(t bgpc.Timeline) {
 		if it.Phase == "conflict" {
 			line += fmt.Sprintf(" conflicts=%d", it.Conflicts)
 		}
-		if it.Dispatches > 0 {
-			line += fmt.Sprintf(" dispatches=%d", it.Dispatches)
-		}
-		fmt.Println(line)
+		fmt.Printf("%s dispatches=%d\n", line, it.Dispatches)
 	}
 	if t.DroppedSpans > 0 || t.DroppedIters > 0 {
 		fmt.Printf("  dropped: %d spans, %d events\n", t.DroppedSpans, t.DroppedIters)

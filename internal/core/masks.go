@@ -375,6 +375,12 @@ func (m *netMasks) publish(col int32, rows []int32) {
 	}
 }
 
+// detectGrain is the least number of nets the detect pass hands out
+// per dispatch. Under V-V's chunk of 1 a dispatch per net cost more
+// than the walk of a small net (EXPERIMENTS.md, "Detection on every
+// net").
+const detectGrain = 64
+
 // detect is the paper's Algorithm 7 pass used as a detector: each net
 // of at least 2 vertices is walked in ascending order with the thread's
 // stamped Forbidden, and a vertex whose color an earlier vertex of the
@@ -386,10 +392,13 @@ func (m *netMasks) publish(col int32, rows []int32) {
 // with atomic stores, since one vertex may be flagged from several nets
 // at once, and read after the par.For barrier. The pass is not charged
 // to the work model: the per-vertex check charges every net as the scan
-// would.
+// would. So its grain moves no work, and it hands out at least
+// detectGrain nets per dispatch, whatever the schedule's chunk.
 func (m *netMasks) detect(g *bipartite.Graph, c *Colors, s scratch, o *Options, cn *par.Canceler) {
 	flag, stamp := m.nextStamp(g.NumVertices())
-	par.For(g.NumNets(), o.parOpts(cn), func(tid, lo, hi int) {
+	po := o.parOpts(cn)
+	po.Chunk = max(po.Chunk, detectGrain)
+	par.For(g.NumNets(), po, func(tid, lo, hi int) {
 		f := &s[tid].forb
 		for v := lo; v < hi; v++ {
 			vt := g.Vtxs(int32(v))

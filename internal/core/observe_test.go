@@ -33,24 +33,61 @@ func (s *eventSink) events() []obs.Event {
 // TestTraceEventsMatchIterStats: the trace must agree with the
 // runner's own per-iteration statistics — two events per iteration
 // (color then conflict), with matching kinds, queue sizes, conflict
-// counts, and work totals.
+// counts, and work totals — and every phase must count its chunk
+// dispatches, whether an Observer alone or an Observer beside a
+// context Recorder receives the events. The Recorder is handed the
+// same counts as the Observer.
 func TestTraceEventsMatchIterStats(t *testing.T) {
 	g, err := gen.Preset("copapers", 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := &eventSink{}
-	opts := Options{
-		Threads: 4, Chunk: 64, LazyQueues: true,
-		NetColorIters: 1, NetCRIters: 2,
-		CollectPerIteration: true,
-		Obs:                 obs.New(sink).WithAlgo("N1-N2"),
+	for _, withRec := range []bool{false, true} {
+		ctx := context.Background()
+		var rec *obs.Recorder
+		if withRec {
+			rec = obs.NewRecorder("", 0, 0)
+			ctx = obs.ContextWithRecorder(ctx, rec)
+		}
+		sink := &eventSink{}
+		opts := Options{
+			Threads: 4, Chunk: 64, LazyQueues: true,
+			NetColorIters: 1, NetCRIters: 2,
+			CollectPerIteration: true,
+			Obs:                 obs.New(sink).WithAlgo("N1-N2"),
+		}
+		res, err := ColorCtx(ctx, g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		evs := sink.events()
+		checkTraceEvents(t, evs, res)
+		for i, e := range evs {
+			if e.Dispatches < 1 {
+				t.Fatalf("recorder=%v: event %d (%s[%s] iter %d) counted %d dispatches",
+					withRec, i, e.Phase, e.Kind, e.Iter, e.Dispatches)
+			}
+		}
+		if !withRec {
+			continue
+		}
+		iters := rec.Snapshot().Iters
+		if len(iters) != len(evs) {
+			t.Fatalf("the Recorder got %d events, the Observer %d", len(iters), len(evs))
+		}
+		for i, it := range iters {
+			if it.Dispatches != evs[i].Dispatches || it.Items != evs[i].Items {
+				t.Fatalf("event %d: the Recorder got %d dispatches over %d items, the Observer %d over %d",
+					i, it.Dispatches, it.Items, evs[i].Dispatches, evs[i].Items)
+			}
+		}
 	}
-	res, err := Color(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	evs := sink.events()
+}
+
+// checkTraceEvents checks a run's trace against its per-iteration
+// statistics.
+func checkTraceEvents(t *testing.T, evs []obs.Event, res *Result) {
+	t.Helper()
 	if len(evs) != 2*res.Iterations {
 		t.Fatalf("got %d events for %d iterations, want %d", len(evs), res.Iterations, 2*res.Iterations)
 	}
@@ -140,10 +177,9 @@ func TestTraceDeterministicSingleThreadNetV1(t *testing.T) {
 	}
 }
 
-// TestSharedQueuePushNoAlloc: the queue push is the hottest
-// instrumented operation; with metrics off it must not allocate.
+// TestSharedQueuePushNoAlloc: the queue push sits on the conflict
+// path of every non-lazy vertex phase; it must not allocate.
 func TestSharedQueuePushNoAlloc(t *testing.T) {
-	obs.EnableMetrics(false)
 	q := par.NewSharedQueue(4)
 	allocs := testing.AllocsPerRun(1000, func() {
 		q.Reset()
@@ -189,7 +225,7 @@ func TestColorWithNilObserverSameResult(t *testing.T) {
 
 // TestRecorderRunAllocs: a request Recorder in the context, with no
 // Observer, costs a run no allocation beyond the Recorder's own appends
-// of its per-phase events — no Observer, pprof label scope or
+// of its per-phase events — no Observer, run-local dispatch count or
 // per-event buffer.
 func TestRecorderRunAllocs(t *testing.T) {
 	if testutil.RaceEnabled {

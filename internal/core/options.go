@@ -107,15 +107,14 @@ type Options struct {
 	// the Table I / Figure 1 experiments; small overhead otherwise).
 	CollectPerIteration bool
 	// Obs attaches an observability Observer: one structured trace
-	// event per phase per iteration, and pprof labels (algo, phase,
-	// kind, iter) on the phase goroutines so CPU profiles attribute
-	// samples to paper phases. nil (the default) disables observability
-	// at the cost of one pointer test per phase; the hot loops are
-	// untouched.
+	// event per phase per iteration, with the phase's chunk-dispatch
+	// count. nil (the default) disables observability at the cost of
+	// one pointer test per phase; the hot loops are untouched.
 	Obs *obs.Observer
 
-	// stats is the context Recorder's dispatch accumulator, armed by
-	// the runner; nil keeps the dispatch path at one pointer test.
+	// stats is the dispatch accumulator the runner arms when a phase
+	// event is emitted (the context Recorder's, or a run-local one for
+	// Obs alone); nil keeps the dispatch path at one pointer test.
 	stats *obs.LoopStats
 }
 

@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 
 	"bgpc/internal/bipartite"
-	"bgpc/internal/obs"
 	"bgpc/internal/par"
 )
 
@@ -85,7 +84,6 @@ func colorVertexPhase(g *bipartite.Graph, W []int32, c *Colors, s scratch, m *ne
 			work += f.addNbrs(g, w, c, below)
 			c.Set(w, pol.Pick(f, w))
 		}
-		obs.CountForbiddenScans(int64(hi - lo))
 		wc.AddChunk(work)
 	})
 }
@@ -221,7 +219,6 @@ func conflictNetPhase(g *bipartite.Graph, c *Colors, s scratch, o *Options, wc *
 				}
 			}
 		}
-		obs.CountForbiddenScans(int64(hi - lo))
 		wc.AddChunk(work)
 	})
 }
@@ -296,7 +293,6 @@ func colorNetTwoPass(g *bipartite.Graph, c *Colors, s scratch, o *Options, wc *W
 				}
 			}
 		}
-		obs.CountForbiddenScans(int64(hi - lo))
 		wc.AddChunk(work)
 	})
 }
@@ -335,7 +331,6 @@ func colorNetV1(g *bipartite.Graph, c *Colors, s scratch, o *Options, wc *WorkCo
 				f.Add(cu)
 			}
 		}
-		obs.CountForbiddenScans(int64(hi - lo))
 		wc.AddChunk(work)
 	})
 }

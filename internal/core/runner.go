@@ -68,11 +68,15 @@ func colorCtx(ctx context.Context, g *bipartite.Graph, opts Options, masks bool)
 	}
 	// Request-scoped telemetry: a Recorder riding in ctx (installed by
 	// the serving layer's ingress, or a CLI's -timeline flag) receives
-	// each phase's trace event beside opts.Obs and arms the scheduler's
-	// dispatch stats. One context lookup per run; the per-vertex hot
-	// paths never see it. Only opts.Obs opens pprof label scopes.
+	// each phase's trace event beside opts.Obs, and its dispatch stats
+	// count the scheduler's chunk hand-outs; an Observer alone gets a
+	// run-local count. One context lookup per run; the per-vertex hot
+	// paths never see it.
 	rec := obs.RecorderFromContext(ctx)
 	opts.stats = rec.LoopStats()
+	if opts.stats == nil && opts.Obs.Enabled() {
+		opts.stats = new(obs.LoopStats)
+	}
 	start := time.Now()
 	var cn *par.Canceler
 	if ctx != nil && ctx.Done() != nil {
@@ -138,10 +142,6 @@ func colorCtx(ctx context.Context, g *bipartite.Graph, opts Options, masks bool)
 	}
 	var wnext []int32 // reused buffer for the lazy merge
 
-	// The phase bodies are bound once, before the loop, so that routing
-	// them through the Observer's pprof-label wrapper costs two closure
-	// allocations per run rather than per iteration — and none of the
-	// per-vertex hot paths see the Observer at all.
 	tr := opts.Obs
 	emit := tr.Enabled() || rec != nil
 	var netColor, netCR bool
@@ -219,11 +219,7 @@ func colorCtx(ctx context.Context, g *bipartite.Graph, opts Options, masks bool)
 		}
 
 		t0 := time.Now()
-		if tr.Enabled() {
-			tr.Phase(iter, obs.PhaseColor, phaseKind(netColor), doColor)
-		} else {
-			doColor()
-		}
+		doColor()
 		it.ColoringTime = time.Since(t0)
 		it.ColoringWork, it.ColoringMaxWork = wc.TotalAndMax()
 		if emit {
@@ -241,11 +237,7 @@ func colorCtx(ctx context.Context, g *bipartite.Graph, opts Options, masks bool)
 			conflictItems = g.NumNets()
 		}
 		t1 := time.Now()
-		if tr.Enabled() {
-			tr.Phase(iter, obs.PhaseConflict, phaseKind(netCR), doConflict)
-		} else {
-			doConflict()
-		}
+		doConflict()
 		it.ConflictTime = time.Since(t1)
 		it.ConflictWork, it.ConflictMaxWork = wc.TotalAndMax()
 		it.Conflicts = len(W)

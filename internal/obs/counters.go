@@ -1,15 +1,10 @@
 package obs
 
-import (
-	"fmt"
-	"io"
-	"sort"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Counter is a cache-line-padded atomic event counter. The padding
-// keeps independent hot counters off each other's cache lines so that
-// enabling metrics does not create false sharing between phases.
+// keeps independent counters off each other's cache lines, so request
+// paths bumping different counters do not falsely share one.
 type Counter struct {
 	_ [64]byte
 	v atomic.Int64
@@ -28,27 +23,9 @@ func (c *Counter) Load() int64 { return c.v.Load() }
 // Reset zeroes the counter.
 func (c *Counter) Reset() { c.v.Store(0) }
 
-// The global hot-path counters. They are only bumped while metrics are
-// enabled (EnableMetrics), so the default cost on every hot path is a
-// single atomic flag load.
-var (
-	// ChunkDispatches counts dynamic schedule chunk hand-outs —
-	// each one is a contended atomic RMW on the loop counter.
-	ChunkDispatches Counter
-	// SharedQueuePushes counts pushes into the shared conflict queue
-	// (the contention source the paper's lazy "D" variant removes).
-	SharedQueuePushes Counter
-	// ForbiddenScans counts forbidden-array epochs — one per vertex or
-	// net whose neighbourhood was scanned into a forbidden set.
-	ForbiddenScans Counter
-	// TraceEvents counts events emitted through any Observer.
-	TraceEvents Counter
-)
-
-// Service-layer counters (internal/service). Unlike the hot-path
-// counters above they sit on request paths, not per-vertex paths, so
-// they are bumped unconditionally (no EnableMetrics gate) — a daemon
-// must always be able to report its admission behaviour.
+// Service-layer counters (internal/service). They sit on request
+// paths, not per-vertex paths, and a daemon must always be able to
+// report its admission behaviour.
 var (
 	// SvcAccepted counts jobs admitted into the worker-pool queue.
 	SvcAccepted Counter
@@ -174,55 +151,14 @@ var (
 	DiagErrors Counter
 )
 
-var metricsOn atomic.Bool
-
-// EnableMetrics switches hot-path counting on or off (default off).
-func EnableMetrics(on bool) { metricsOn.Store(on) }
-
-// MetricsEnabled reports whether hot-path counting is on.
-func MetricsEnabled() bool { return metricsOn.Load() }
-
-// CountDispatch records one chunk dispatch when metrics are on. It is
-// called on the runtime's chunk-grab path; keep it branch-and-return.
-func CountDispatch() {
-	if metricsOn.Load() {
-		ChunkDispatches.Inc()
-	}
-}
-
-// CountQueuePush records one shared-queue push when metrics are on.
-func CountQueuePush() {
-	if metricsOn.Load() {
-		SharedQueuePushes.Inc()
-	}
-}
-
-// CountForbiddenScans records n forbidden-array scans when metrics are
-// on. Phases batch this per chunk so the per-vertex path stays free.
-func CountForbiddenScans(n int64) {
-	if metricsOn.Load() {
-		ForbiddenScans.Add(n)
-	}
-}
-
-func countTraceEvent() {
-	if metricsOn.Load() {
-		TraceEvents.Inc()
-	}
-}
-
-// counters lists every counter with its dump name and its Prometheus
-// HELP text, in one place so Snapshot, WriteMetrics and
-// WritePrometheus cannot drift and no counter is exposed undocumented.
+// counters lists every counter with its name and its Prometheus HELP
+// text, in one place so ResetMetrics and WritePrometheus cannot drift
+// and no counter is exposed undocumented.
 var counters = []struct {
 	name string
 	c    *Counter
 	help string
 }{
-	{"bgpc.chunk_dispatches", &ChunkDispatches, "Dynamic schedule chunk hand-outs."},
-	{"bgpc.shared_queue_pushes", &SharedQueuePushes, "Pushes into the shared conflict queue."},
-	{"bgpc.forbidden_scans", &ForbiddenScans, "Forbidden-array scan epochs."},
-	{"bgpc.trace_events", &TraceEvents, "Trace events emitted through any Observer."},
 	{"bgpc.svc_accepted", &SvcAccepted, "Jobs admitted into the worker-pool queue."},
 	{"bgpc.svc_rejected", &SvcRejected, "Jobs refused at admission."},
 	{"bgpc.svc_completed", &SvcCompleted, "Jobs that ran to a fixed point in deadline."},
@@ -258,42 +194,9 @@ var counters = []struct {
 	{"bgpc.diag_errors", &DiagErrors, "Diagnostic bundle writes that failed partway."},
 }
 
-// Snapshot returns the current value of every counter keyed by its
-// dump name.
-func Snapshot() map[string]int64 {
-	out := make(map[string]int64, len(counters))
-	for _, m := range counters {
-		out[m.name] = m.c.Load()
-	}
-	return out
-}
-
-// ResetMetrics zeroes all counters (tests and per-run CLI reporting).
+// ResetMetrics zeroes all counters (tests).
 func ResetMetrics() {
 	for _, m := range counters {
 		m.c.Reset()
 	}
-}
-
-// WriteMetrics writes a stable "name value" line per metric, sorted by
-// name — the CLI's -metrics report. The snapshot is unified: monotonic
-// counters AND every registered live gauge (queue depth, active jobs,
-// bytes in flight, memory budget) appear in one pass, so an operator's
-// text scrape sees the daemon's current state next to its history.
-func WriteMetrics(w io.Writer) error {
-	values := Snapshot()
-	for name, v := range GaugeSnapshot() {
-		values[name] = v
-	}
-	names := make([]string, 0, len(values))
-	for name := range values {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if _, err := fmt.Fprintf(w, "%s %d\n", name, values[name]); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -284,8 +284,8 @@ type histFamily struct {
 	vec *HistogramVec
 }
 
-// ResetHistograms zeroes every registered histogram family (tests and
-// per-run CLI reporting), mirroring ResetMetrics for counters.
+// ResetHistograms zeroes every registered histogram family (tests),
+// mirroring ResetMetrics for counters.
 func ResetHistograms() {
 	for _, f := range histogramFamilies() {
 		if f.vec != nil {

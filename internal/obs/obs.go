@@ -1,32 +1,25 @@
 // Package obs is the repository's low-overhead observability layer:
-// structured per-phase trace events with pluggable sinks, atomic
-// counters for hot-path runtime events (chunk dispatches, shared-queue
-// pushes, forbidden-array scans) exposed on /metrics, and runtime/pprof
-// labels that attribute CPU-profile samples to the paper's phases
-// (coloring vs. conflict removal, net- vs. vertex-based, iteration).
+// one structured trace event per phase of every speculative iteration
+// (Event), sent to the Observer's pluggable Sink and to a request's
+// Recorder, plus the counters, gauges and histograms of the serving
+// layers exposed on /metrics (WritePrometheus).
 //
 // The paper's central observation — 78–89 % of BGPC runtime lives in
 // the first one or two speculative iterations, and the named schedules
 // trade conflict counts against phase cost — is only verifiable with
-// per-phase instrumentation. This package provides it while keeping
-// the disabled path essentially free: a nil *Observer is a valid no-op
-// whose methods cost one branch and allocate nothing, and the counters
-// are gated behind a single atomic flag load.
+// per-phase instrumentation. The per-phase event is the kernel's only
+// telemetry output, and the disabled path is essentially free: a nil
+// *Observer is a valid no-op whose methods cost one branch and
+// allocate nothing.
 package obs
 
-import (
-	"context"
-	"runtime/pprof"
-	"strconv"
-)
-
-// Phase names used in Event.Phase and the pprof "phase" label.
+// Phase names used in Event.Phase.
 const (
 	PhaseColor    = "color"    // speculative (re)coloring
 	PhaseConflict = "conflict" // conflict detection / removal
 )
 
-// Kind names used in Event.Kind and the pprof "kind" label.
+// Kind names used in Event.Kind.
 const (
 	KindNet    = "net"    // net-based phase (paper Algorithms 6–8, 10)
 	KindVertex = "vertex" // vertex-based phase (ColPack baseline)
@@ -69,17 +62,16 @@ type Event struct {
 	// share (the cost-model critical path).
 	Work    int64 `json:"work"`
 	MaxWork int64 `json:"max_work"`
-	// Dispatches is the phase's chunk-dispatch count, populated only
-	// when a request Recorder armed scheduler telemetry (omitted — and
-	// absent from the pinned schema — otherwise).
-	Dispatches int64 `json:"dispatches,omitempty"`
+	// Dispatches is the phase's chunk-dispatch count, the paper's proxy
+	// for scheduling overhead (each dispatch is a contended atomic RMW).
+	Dispatches int64 `json:"dispatches"`
 }
 
-// Observer emits per-phase trace events into a Sink and tags phase
-// execution with pprof labels. A nil *Observer is a valid disabled
-// observer: every method is nil-safe, branches out immediately, and
-// allocates nothing, so runners thread an Observer unconditionally and
-// pay only a pointer test when observability is off.
+// Observer emits per-phase trace events into a Sink, synchronously at
+// the end of each phase. A nil *Observer is a valid disabled observer:
+// every method is nil-safe, branches out immediately, and allocates
+// nothing, so runners thread an Observer unconditionally and pay only
+// a pointer test when observability is off.
 type Observer struct {
 	sink Sink
 	algo string
@@ -94,8 +86,8 @@ func New(sink Sink) *Observer {
 	return &Observer{sink: sink}
 }
 
-// WithAlgo returns a copy of the Observer that stamps events (and the
-// pprof "algo" label) with the given run label. Nil-safe.
+// WithAlgo returns a copy of the Observer that stamps events with the
+// given run label. Nil-safe.
 func (o *Observer) WithAlgo(algo string) *Observer {
 	if o == nil {
 		return nil
@@ -127,28 +119,5 @@ func (o *Observer) Emit(e Event) {
 	if e.Algo == "" {
 		e.Algo = o.algo
 	}
-	countTraceEvent()
 	o.sink.Emit(e)
-}
-
-// Phase runs fn with pprof labels (algo, phase, kind, iter) attached
-// to the calling goroutine — and, by inheritance, to every worker
-// goroutine the parallel runtime spawns inside fn — so CPU profiles
-// attribute samples to paper phases (e.g. phase=color kind=net iter=1
-// algo=N1-N2). On a disabled Observer it calls fn directly.
-//
-// Callers on allocation-sensitive paths should guard with Enabled()
-// and invoke fn themselves in the disabled case, so the closure for fn
-// is never materialized.
-func (o *Observer) Phase(iter int, phase, kind string, fn func()) {
-	if !o.Enabled() {
-		fn()
-		return
-	}
-	pprof.Do(context.Background(), pprof.Labels(
-		"algo", o.algo,
-		"phase", phase,
-		"kind", kind,
-		"iter", strconv.Itoa(iter),
-	), func(context.Context) { fn() })
 }

@@ -33,7 +33,7 @@ func TestJSONLSinkEncodesSchema(t *testing.T) {
 		t.Fatalf("not valid JSON: %v\n%s", err, line)
 	}
 	want := []string{
-		"algo", "chunk", "colors", "conflicts", "items", "iter",
+		"algo", "chunk", "colors", "conflicts", "dispatches", "items", "iter",
 		"kind", "max_work", "phase", "sched", "threads", "wall_ns", "work",
 	}
 	got := make([]string, 0, len(m))
@@ -90,33 +90,17 @@ func TestNilObserverIsSafeNoop(t *testing.T) {
 	if o.Algo() != "" {
 		t.Fatal("nil Algo not empty")
 	}
-	ran := false
-	o.Phase(1, PhaseColor, KindNet, func() { ran = true })
-	if !ran {
-		t.Fatal("Phase did not call fn on nil observer")
-	}
 	if New(nil) != nil {
 		t.Fatal("New(nil) must return a nil observer")
 	}
 }
 
-func TestEnabledObserverPhaseRunsFn(t *testing.T) {
-	o := New(Discard)
-	ran := false
-	o.Phase(2, PhaseConflict, KindVertex, func() { ran = true })
-	if !ran {
-		t.Fatal("Phase did not call fn")
-	}
-}
-
 // TestNopHotPathZeroAllocs is the acceptance-criteria allocation test:
-// with no observer attached, no request recorder in the context, and
-// metrics off, every per-event hook on the hot path must allocate
-// nothing — including the Recorder/LoopStats instrumentation points,
-// which run unconditionally and must stay one pointer test when
-// disabled.
+// with no observer attached and no request recorder in the context,
+// every per-event hook on the hot path must allocate nothing —
+// including the Recorder/LoopStats instrumentation points, which run
+// unconditionally and must stay one pointer test when disabled.
 func TestNopHotPathZeroAllocs(t *testing.T) {
-	EnableMetrics(false)
 	var o *Observer
 	var rec *Recorder
 	st := rec.LoopStats() // nil: the disabled loop-stats path
@@ -126,9 +110,6 @@ func TestNopHotPathZeroAllocs(t *testing.T) {
 		if o.Enabled() {
 			o.Emit(ev)
 		}
-		CountDispatch()
-		CountQueuePush()
-		CountForbiddenScans(64)
 		if r := RecorderFromContext(ctx); r != nil {
 			t.Fatal("unexpected recorder")
 		}
@@ -150,84 +131,4 @@ func TestNopHotPathZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("disabled observability allocated %.1f per run", allocs)
 	}
-}
-
-// TestEnabledCountersZeroAllocs: even with metrics on, counting must
-// not allocate — it is on the chunk-dispatch path.
-func TestEnabledCountersZeroAllocs(t *testing.T) {
-	EnableMetrics(true)
-	defer func() {
-		EnableMetrics(false)
-		ResetMetrics()
-	}()
-	allocs := testing.AllocsPerRun(1000, func() {
-		CountDispatch()
-		CountQueuePush()
-		CountForbiddenScans(64)
-	})
-	if allocs != 0 {
-		t.Fatalf("enabled counters allocated %.1f per run", allocs)
-	}
-}
-
-func TestCountersGatedByEnableMetrics(t *testing.T) {
-	ResetMetrics()
-	EnableMetrics(false)
-	CountDispatch()
-	CountQueuePush()
-	CountForbiddenScans(10)
-	for name, v := range Snapshot() {
-		if v != 0 {
-			t.Fatalf("%s counted %d while disabled", name, v)
-		}
-	}
-	EnableMetrics(true)
-	defer func() {
-		EnableMetrics(false)
-		ResetMetrics()
-	}()
-	CountDispatch()
-	CountDispatch()
-	CountQueuePush()
-	CountForbiddenScans(10)
-	snap := Snapshot()
-	if snap["bgpc.chunk_dispatches"] != 2 {
-		t.Fatalf("dispatches = %d", snap["bgpc.chunk_dispatches"])
-	}
-	if snap["bgpc.shared_queue_pushes"] != 1 {
-		t.Fatalf("pushes = %d", snap["bgpc.shared_queue_pushes"])
-	}
-	if snap["bgpc.forbidden_scans"] != 10 {
-		t.Fatalf("scans = %d", snap["bgpc.forbidden_scans"])
-	}
-}
-
-func TestWriteMetricsStableFormat(t *testing.T) {
-	ResetMetrics()
-	EnableMetrics(true)
-	CountDispatch()
-	EnableMetrics(false)
-	var buf bytes.Buffer
-	if err := WriteMetrics(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	// One line per counter plus one per registered gauge — the unified
-	// metrics surface.
-	if want := len(Snapshot()) + len(GaugeSnapshot()); len(lines) != want {
-		t.Fatalf("got %d lines, want %d: %q", len(lines), want, buf.String())
-	}
-	if !sort.StringsAreSorted(lines) {
-		t.Fatalf("lines not sorted: %q", lines)
-	}
-	found := false
-	for _, l := range lines {
-		if l == "bgpc.chunk_dispatches 1" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("missing counter line in %q", lines)
-	}
-	ResetMetrics()
 }

@@ -26,8 +26,7 @@ var (
 )
 
 // RegisterGauge registers (or replaces) a named live gauge for the
-// text snapshot (WriteMetrics) and the Prometheus exposition
-// (WritePrometheus). Names follow the counters' "bgpc.xyz" convention.
+// Prometheus exposition (WritePrometheus). Names follow the counters' "bgpc.xyz" convention.
 // Replacement semantics — last registration wins — let tests and
 // multi-server processes re-register without ceremony; the serving
 // layer registers queue depth, active jobs, bytes in flight, and
@@ -51,7 +50,7 @@ func GaugeSnapshot() map[string]int64 {
 	return out
 }
 
-// promName maps a Snapshot-style name ("bgpc.svc_accepted") to a
+// promName maps a counter or gauge name ("bgpc.svc_accepted") to a
 // Prometheus metric name ("bgpc_svc_accepted").
 func promName(name string) string {
 	return strings.ReplaceAll(name, ".", "_")

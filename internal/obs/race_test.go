@@ -10,73 +10,59 @@ import (
 
 // These stress tests exist to run under `go test -race` (CI runs the
 // whole module with -race): many goroutines hammer the counters and
-// sinks concurrently, which is exactly how the parallel phases use
-// them.
+// sinks concurrently, as concurrent requests and phases do.
 
 func TestCountersConcurrentStress(t *testing.T) {
 	const goroutines = 32
 	const perG = 2000
 	ResetMetrics()
-	EnableMetrics(true)
-	defer func() {
-		EnableMetrics(false)
-		ResetMetrics()
-	}()
+	defer ResetMetrics()
 	var wg sync.WaitGroup
 	wg.Add(goroutines)
 	for g := 0; g < goroutines; g++ {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				CountDispatch()
-				CountQueuePush()
-				CountForbiddenScans(3)
-				_ = MetricsEnabled()
+				SvcAccepted.Inc()
+				RtrProxied.Inc()
+				WalSyncs.Add(3)
 			}
 		}()
 	}
 	wg.Wait()
-	snap := Snapshot()
-	if got := snap["bgpc.chunk_dispatches"]; got != goroutines*perG {
-		t.Fatalf("dispatches = %d, want %d (lost updates)", got, goroutines*perG)
+	if got := SvcAccepted.Load(); got != goroutines*perG {
+		t.Fatalf("accepted = %d, want %d (lost updates)", got, goroutines*perG)
 	}
-	if got := snap["bgpc.shared_queue_pushes"]; got != goroutines*perG {
-		t.Fatalf("pushes = %d, want %d", got, goroutines*perG)
+	if got := RtrProxied.Load(); got != goroutines*perG {
+		t.Fatalf("proxied = %d, want %d", got, goroutines*perG)
 	}
-	if got := snap["bgpc.forbidden_scans"]; got != int64(goroutines*perG*3) {
-		t.Fatalf("scans = %d, want %d", got, goroutines*perG*3)
+	if got := WalSyncs.Load(); got != int64(goroutines*perG*3) {
+		t.Fatalf("syncs = %d, want %d", got, goroutines*perG*3)
 	}
 }
 
 func TestCountersConcurrentWithToggleAndSnapshot(t *testing.T) {
-	// Writers racing EnableMetrics toggles and Snapshot/Reset readers:
-	// no ordering guarantees, but the race detector must stay silent.
+	// Writers racing exposition and Reset readers: no ordering
+	// guarantees, but the race detector must stay silent.
 	ResetMetrics()
-	defer func() {
-		EnableMetrics(false)
-		ResetMetrics()
-	}()
+	defer ResetMetrics()
 	var wg sync.WaitGroup
-	wg.Add(3)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 500; i++ {
-			EnableMetrics(i%2 == 0)
-		}
-	}()
+	wg.Add(2)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 5000; i++ {
-			CountDispatch()
-			CountForbiddenScans(1)
+			SvcAccepted.Inc()
+			WalSyncs.Add(1)
 		}
 	}()
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 500; i++ {
-			_ = Snapshot()
 			var buf bytes.Buffer
-			_ = WriteMetrics(&buf)
+			_ = WritePrometheus(&buf)
+			if i%50 == 0 {
+				ResetMetrics()
+			}
 		}
 	}()
 	wg.Wait()

@@ -13,15 +13,6 @@ type Sink interface {
 	Emit(Event)
 }
 
-// Discard drops every event. Attach it when only the side effects of
-// an enabled Observer are wanted — the pprof phase labels during CPU
-// profiling — without recording a trace.
-var Discard Sink = discardSink{}
-
-type discardSink struct{}
-
-func (discardSink) Emit(Event) {}
-
 // JSONLSink writes one JSON object per event, newline-delimited (JSON
 // Lines), in Event's documented schema. Safe for concurrent use; the
 // first encode error is retained and subsequent events are dropped.

@@ -166,11 +166,10 @@ type Options struct {
 	// range only partially covered — callers that armed a Canceler must
 	// treat their shared state as partial.
 	Cancel *Canceler
-	// Stats, when non-nil, accumulates per-loop scheduler telemetry
-	// (chunk dispatches) for request-scoped timelines. The runners arm
-	// it from a context Recorder; nil — the default — costs one pointer
-	// test per chunk hand-out, the same budget as the gated obs counter
-	// next to it.
+	// Stats, when non-nil, counts the loop's chunk dispatches for the
+	// per-phase trace events. It observes and never steers: a loop
+	// hands out the same chunks with or without it. nil — the default —
+	// costs one pointer test per chunk hand-out.
 	Stats *obs.LoopStats
 }
 
@@ -206,7 +205,8 @@ func For(n int, opts Options, body func(tid, lo, hi int)) {
 		t = n
 	}
 	if t == 1 {
-		if opts.Cancel == nil && opts.Stats == nil {
+		if opts.Cancel == nil {
+			opts.Stats.CountDispatch()
 			body(0, 0, n)
 		} else {
 			inlineFor(n, opts, body)
@@ -218,8 +218,8 @@ func For(n int, opts Options, body func(tid, lo, hi int)) {
 	team(t, func(tid int) { dynamicWorker(tid, n, chunk, &next, cn, st, body) })
 }
 
-// inlineFor runs a one-thread loop with a Canceler or Stats armed on
-// the calling goroutine. It hands out the chunks a one-worker team
+// inlineFor runs a one-thread loop with a Canceler armed on the
+// calling goroutine. It hands out the chunks a one-worker team
 // would, with the same Canceler polls, FPDispatch probes and dispatch
 // counts, and a body panic still surfaces as a *WorkerPanic; only the
 // goroutine and the barrier are gone.
@@ -241,7 +241,6 @@ func dynamicWorker(tid, n, chunk int, next *atomic.Int64, cn *Canceler, st *obs.
 		if lo >= n || cn.Canceled() {
 			return
 		}
-		obs.CountDispatch()
 		st.CountDispatch()
 		dispatchFailpoint(cn)
 		hi := lo + chunk

@@ -1,10 +1,6 @@
 package par
 
-import (
-	"sync/atomic"
-
-	"bgpc/internal/obs"
-)
+import "sync/atomic"
 
 // SharedQueue is a fixed-capacity concurrent append-only queue of
 // vertex ids. It models ColPack's conflict-removal behaviour where a
@@ -32,7 +28,6 @@ func (q *SharedQueue) Push(v int32) {
 	if int(i) >= len(q.buf) {
 		panic("par: SharedQueue overflow")
 	}
-	obs.CountQueuePush()
 	q.buf[i] = v
 }
 

@@ -7,8 +7,8 @@ import (
 )
 
 // TestForCountsDispatchesIntoStats: an armed Options.Stats must see one
-// count per chunk hand-out — the telemetry a
-// request Recorder stamps into its per-phase timeline events.
+// count per chunk hand-out — the telemetry the per-phase trace events
+// carry.
 func TestForCountsDispatchesIntoStats(t *testing.T) {
 	const n = 1000
 	t.Run("dynamic", func(t *testing.T) {
@@ -21,13 +21,19 @@ func TestForCountsDispatchesIntoStats(t *testing.T) {
 			t.Fatalf("dynamic dispatches = %d, want 16", got)
 		}
 	})
-	// One thread and no Canceler: the loop still hands out, and
-	// counts, the chunks a one-worker team would.
+	// One thread and no Canceler: the loop runs its range in one call
+	// whether Stats is armed or not, and counts that call.
 	t.Run("one thread", func(t *testing.T) {
 		st := &obs.LoopStats{}
-		For(n, Options{Threads: 1, Chunk: 64, Stats: st}, func(tid, lo, hi int) {})
-		if got := st.TakeDispatches(); got != 16 {
-			t.Fatalf("one-thread dispatches = %d, want 16", got)
+		var calls [][2]int
+		For(n, Options{Threads: 1, Chunk: 64, Stats: st}, func(tid, lo, hi int) {
+			calls = append(calls, [2]int{lo, hi})
+		})
+		if len(calls) != 1 || calls[0] != [2]int{0, n} {
+			t.Fatalf("one-thread calls = %v, want [[0 %d]]", calls, n)
+		}
+		if got := st.TakeDispatches(); got != 1 {
+			t.Fatalf("one-thread dispatches = %d, want 1", got)
 		}
 	})
 	t.Run("nil stats is valid", func(t *testing.T) {

@@ -105,8 +105,8 @@ func (s *Server) finishRequest(sw *statusWriter, r *http.Request, rec *obs.Recor
 	)
 }
 
-// registerGauges exposes the server's live readings in the unified
-// metrics surface (WriteMetrics and /metrics). Registration replaces —
+// registerGauges exposes the server's live readings on /metrics.
+// Registration replaces —
 // last server wins — so tests that build many Servers never collide.
 func (s *Server) registerGauges() {
 	obs.RegisterGauge("bgpc.svc_workers",

@@ -24,7 +24,7 @@ import (
 //	meta.json       trigger reason/detail, process, pid, timestamps
 //	goroutines.txt  full goroutine dump (size-capped)
 //	heap.pprof      heap profile
-//	metrics.txt     counter + gauge snapshot ("name value" lines)
+//	metrics.prom    the /metrics exposition: counters, gauges, histograms
 //	requests.json   recent request timelines (newest first)
 //	trace.json      the triggering assembled trace, if one exists
 //
@@ -247,11 +247,11 @@ func (f *Flight) write(seq int, now time.Time, reason, detail string, asm *Assem
 		return "", err
 	}
 
-	mf, err := os.Create(filepath.Join(tmp, "metrics.txt"))
+	mf, err := os.Create(filepath.Join(tmp, "metrics.prom"))
 	if err != nil {
 		return "", err
 	}
-	err = obs.WriteMetrics(mf)
+	err = obs.WritePrometheus(mf)
 	if cerr := mf.Close(); err == nil {
 		err = cerr
 	}

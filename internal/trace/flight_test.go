@@ -53,7 +53,7 @@ func TestFlightBundleContents(t *testing.T) {
 		t.Fatalf("meta wrong: %+v", meta)
 	}
 
-	for _, name := range []string{"goroutines.txt", "heap.pprof", "metrics.txt", "requests.json", "trace.json"} {
+	for _, name := range []string{"goroutines.txt", "heap.pprof", "metrics.prom", "requests.json", "trace.json"} {
 		st, err := os.Stat(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatalf("bundle missing %s: %v", name, err)
@@ -67,6 +67,20 @@ func TestFlightBundleContents(t *testing.T) {
 	gb, _ := os.ReadFile(filepath.Join(dir, "goroutines.txt"))
 	if !strings.Contains(string(gb), "goroutine") {
 		t.Fatal("goroutines.txt does not look like a goroutine dump")
+	}
+
+	// The metrics dump must be the /metrics exposition.
+	mf, err := os.Open(filepath.Join(dir, "metrics.prom"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fams, err := obs.ParseExposition(mf)
+	mf.Close()
+	if err != nil {
+		t.Fatalf("metrics.prom is not a Prometheus exposition: %v", err)
+	}
+	if fam := fams["bgpc_diag_bundles_total"]; fam == nil || fam.Type != "counter" {
+		t.Fatalf("metrics.prom lacks the bgpc_diag_bundles_total counter: %+v", fam)
 	}
 
 	// The triggering trace must round-trip.
